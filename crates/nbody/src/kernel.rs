@@ -63,8 +63,9 @@ pub fn interact(sink: Vec3, src: Source, eps2: Real) -> AccPot {
     }
 }
 
-/// Accumulate the gravity of a list of sources onto one sink. This mirrors
-/// the "flush the interaction list" inner loop of `walkTree`.
+/// Accumulate the gravity of a list of sources onto one sink, in list
+/// order, starting from +0.0. This is the oracle the vectorized
+/// interaction-list flush of `octree::walk` must match bit for bit.
 #[inline]
 pub fn accumulate(sink: Vec3, sources: &[Source], eps2: Real) -> AccPot {
     let mut out = AccPot::default();

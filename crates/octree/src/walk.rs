@@ -20,7 +20,7 @@
 use crate::mac::Mac;
 use crate::tree::Octree;
 use gpu_model::WalkEvents;
-use nbody::kernel::{accumulate, Source};
+use nbody::kernel::Source;
 use nbody::{Real, Vec3};
 
 /// Lanes per warp — fixed by the hardware the paper targets.
@@ -74,12 +74,50 @@ pub fn walk_tree(
     active: &[u32],
     cfg: &WalkConfig,
 ) -> WalkResult {
+    walk_groups(tree, pos, mass_arr, acc_old, active, cfg, WARP_SIZE)
+}
+
+/// Per-particle traversal — the ablation baseline against the warp-group
+/// walk. Each sink traverses alone: its MAC uses its own position and
+/// previous acceleration (no group-conservative pivot), so it evaluates
+/// *more* MACs per accepted cell but needs *fewer* interactions in total;
+/// GOTHIC chooses the group walk anyway because sharing one interaction
+/// list across 32 lanes is what raises arithmetic intensity on a GPU
+/// (§1 of the paper). `bench/bin/ablation_group_walk` quantifies the
+/// trade-off.
+///
+/// This is the group walk with groups of one: the pivot is then the sink
+/// itself (`(p + p) * 0.5 = p`, radius 0), so the MAC sees exactly the
+/// per-sink distance.
+pub fn walk_tree_individual(
+    tree: &Octree,
+    pos: &[Vec3],
+    mass_arr: &[Real],
+    acc_old: &[Real],
+    active: &[u32],
+    cfg: &WalkConfig,
+) -> WalkResult {
+    walk_groups(tree, pos, mass_arr, acc_old, active, cfg, 1)
+}
+
+/// Walk `active` in consecutive groups of `group_size` (≤ [`WARP_SIZE`])
+/// sinks that share one traversal and one interaction list.
+fn walk_groups(
+    tree: &Octree,
+    pos: &[Vec3],
+    mass_arr: &[Real],
+    acc_old: &[Real],
+    active: &[u32],
+    cfg: &WalkConfig,
+    group_size: usize,
+) -> WalkResult {
     assert_eq!(pos.len(), tree.keys.len());
-    // One pool task per warp-group; the fixed WARP_SIZE chunking and the
-    // serial chunk-ordered merge below keep the result bit-identical at
-    // any thread count.
+    assert!(group_size <= WARP_SIZE);
+    // One pool task per group; the fixed chunking and the serial
+    // chunk-ordered merge below keep the result bit-identical at any
+    // thread count.
     let group_results: Vec<(Vec<Vec3>, Vec<Real>, WalkEvents)> =
-        parallel::map_chunks(active, WARP_SIZE, |_, group| {
+        parallel::map_chunks(active, group_size, |_, group| {
             walk_group(tree, pos, mass_arr, acc_old, group, cfg)
         });
 
@@ -128,6 +166,7 @@ fn walk_group(
         radius = radius.max((pos[i as usize] - center).norm());
     }
 
+    let sinks = SinkLanes::stage(group, pos);
     let mut acc = vec![Vec3::ZERO; group.len()];
     let mut pot = vec![0.0 as Real; group.len()];
     let mut list: Vec<Source> = Vec::with_capacity(cfg.list_cap);
@@ -167,8 +206,7 @@ fn walk_group(
                     },
                     &mut list,
                     cfg,
-                    group,
-                    pos,
+                    &sinks,
                     &mut acc,
                     &mut pot,
                     &mut events,
@@ -182,8 +220,7 @@ fn walk_group(
                         },
                         &mut list,
                         cfg,
-                        group,
-                        pos,
+                        &sinks,
                         &mut acc,
                         &mut pot,
                         &mut events,
@@ -200,7 +237,7 @@ fn walk_group(
 
     // Final (partial) flush.
     if !list.is_empty() {
-        flush(&list, group, pos, &mut acc, &mut pot, cfg.eps2, &mut events);
+        flush(&list, &sinks, &mut acc, &mut pot, cfg.eps2, &mut events);
         list.clear();
     }
     record_walk_counters(&events);
@@ -222,14 +259,12 @@ fn record_walk_counters(events: &WalkEvents) {
 }
 
 /// Append one source, flushing the shared list at capacity.
-#[allow(clippy::too_many_arguments)]
 #[inline]
 fn push_source(
     src: Source,
     list: &mut Vec<Source>,
     cfg: &WalkConfig,
-    group: &[u32],
-    pos: &[Vec3],
+    sinks: &SinkLanes,
     acc: &mut [Vec3],
     pot: &mut [Real],
     events: &mut WalkEvents,
@@ -237,28 +272,111 @@ fn push_source(
     list.push(src);
     events.list_pushes += 1;
     if list.len() == cfg.list_cap {
-        flush(list, group, pos, acc, pot, cfg.eps2, events);
+        flush(list, sinks, acc, pot, cfg.eps2, events);
         list.clear();
     }
 }
 
-/// Flush: every sink accumulates Eq. 1 over all list entries.
+/// The group's sink positions, one lane per warp thread. Lanes past the
+/// group size hold zeros; their sums are computed and discarded.
+#[derive(Default)]
+struct SinkLanes {
+    x: [Real; WARP_SIZE],
+    y: [Real; WARP_SIZE],
+    z: [Real; WARP_SIZE],
+}
+
+impl SinkLanes {
+    fn stage(group: &[u32], pos: &[Vec3]) -> SinkLanes {
+        let mut s = SinkLanes::default();
+        for (l, &i) in group.iter().enumerate() {
+            let p = pos[i as usize];
+            (s.x[l], s.y[l], s.z[l]) = (p.x, p.y, p.z);
+        }
+        s
+    }
+}
+
+/// One flush's Eq. 1 sums per lane, each started at +0.0.
+#[derive(Default)]
+struct LaneSums {
+    ax: [Real; WARP_SIZE],
+    ay: [Real; WARP_SIZE],
+    az: [Real; WARP_SIZE],
+    pot: [Real; WARP_SIZE],
+}
+
+/// Flush: every sink accumulates Eq. 1 over all list entries, then adds
+/// that partial to its running total — the order `accumulate` + `+=`
+/// fixes, so the result is bit-identical to the scalar oracle.
 fn flush(
     list: &[Source],
-    group: &[u32],
-    pos: &[Vec3],
+    sinks: &SinkLanes,
     acc: &mut [Vec3],
     pot: &mut [Real],
     eps2: Real,
     events: &mut WalkEvents,
 ) {
     events.flushes += 1;
-    events.interactions += (group.len() * list.len()) as u64;
-    for (k, &i) in group.iter().enumerate() {
-        let out = accumulate(pos[i as usize], list, eps2);
-        acc[k] += out.acc;
-        pot[k] += out.pot;
+    events.interactions += (acc.len() * list.len()) as u64;
+    let s = lane_sums(list, sinks, eps2);
+    for (k, (a, p)) in acc.iter_mut().zip(pot.iter_mut()).enumerate() {
+        *a += Vec3::new(s.ax[k], s.ay[k], s.az[k]);
+        *p += s.pot[k];
     }
+}
+
+/// Run [`lane_sums_body`] in its AVX2 build when the CPU has AVX2, else
+/// in the baseline build. Both builds give the same bits: the body uses
+/// only IEEE add/mul/div/sqrt and rustc never contracts to FMA.
+fn lane_sums(list: &[Source], sinks: &SinkLanes, eps2: Real) -> LaneSums {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the running CPU supports AVX2, checked just above.
+        return unsafe { lane_sums_avx2(list, sinks, eps2) };
+    }
+    lane_sums_body(list, sinks, eps2)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn lane_sums_avx2(list: &[Source], sinks: &SinkLanes, eps2: Real) -> LaneSums {
+    lane_sums_body(list, sinks, eps2)
+}
+
+/// The lane kernel: source-outer (the warp-shared list is broadcast),
+/// lane-inner (one warp thread per sink). Each lane repeats
+/// `nbody::kernel::interact` operation for operation and adds the
+/// sources in list order, as `accumulate` does.
+#[inline(always)]
+#[allow(
+    clippy::needless_range_loop,
+    reason = "one index walks seven lane arrays in step"
+)]
+fn lane_sums_body(list: &[Source], sinks: &SinkLanes, eps2: Real) -> LaneSums {
+    let mut out = LaneSums::default();
+    for s in list {
+        for l in 0..WARP_SIZE {
+            let dx = s.pos.x - sinks.x[l];
+            let dy = s.pos.y - sinks.y[l];
+            let dz = s.pos.z - sinks.z[l];
+            let r2 = eps2 + (dx * dx + dy * dy + dz * dz);
+            let rinv = 1.0 / r2.sqrt();
+            let rinv2 = rinv * rinv;
+            let m_rinv = s.mass * rinv;
+            let m_rinv3 = m_rinv * rinv2;
+            // `interact` returns +0.0 for r² <= 0; a bit mask keeps the
+            // loop branch-free (a select here does not vectorize). NaN
+            // r² compares false and so propagates, as in `interact`.
+            let keep: u32 = if r2 <= 0.0 { 0 } else { !0 };
+            let masked = |v: Real| Real::from_bits(v.to_bits() & keep);
+            out.ax[l] += masked(dx * m_rinv3);
+            out.ay[l] += masked(dy * m_rinv3);
+            out.az[l] += masked(dz * m_rinv3);
+            out.pot[l] += masked(-m_rinv);
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -267,6 +385,7 @@ mod tests {
     use crate::calcnode::calc_node;
     use crate::tree::{build_tree, BuildConfig};
     use nbody::direct::direct_parallel;
+    use nbody::kernel::accumulate;
     use nbody::ParticleSet;
     use prng::prelude::*;
 
@@ -412,6 +531,160 @@ mod tests {
         assert!(ev.peak_queue_len > 0);
     }
 
+    /// FNV-1a 64 over the `acc`/`pot` bit patterns of a walk.
+    fn walk_digest(res: &WalkResult) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for (a, &p) in res.acc.iter().zip(&res.pot) {
+            for v in [a.x, a.y, a.z, p] {
+                for b in v.to_bits().to_le_bytes() {
+                    h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn walk_digest_is_pinned() {
+        // Uniform cube from the integer PRNG; the tree, MAC and Eq. 1 use
+        // only IEEE arithmetic and sqrt, so these bits are the same on
+        // every platform, vector width and thread count.
+        let n = 4096;
+        let mut rng = StdRng::seed_from_u64(2019);
+        let mut ps = ParticleSet::with_capacity(n);
+        for _ in 0..n {
+            let mut c = || rng.random::<Real>() * 2.0 - 1.0;
+            ps.push(Vec3::new(c(), c(), c()), Vec3::ZERO, 1.0 / n as Real);
+        }
+        let mut tree = build_tree(&mut ps, &BuildConfig::default());
+        calc_node(&mut tree, &ps.pos, &ps.mass);
+        let active: Vec<u32> = (0..n as u32).collect();
+        let a_old = vec![1.0; n];
+        for threads in [1, 4] {
+            let res = parallel::with_thread_count(threads, || {
+                walk_tree(
+                    &tree,
+                    &ps.pos,
+                    &ps.mass,
+                    &a_old,
+                    &active,
+                    &WalkConfig::default(),
+                )
+            });
+            assert_eq!(
+                walk_digest(&res),
+                0x883c_4259_2b5a_925d,
+                "walk digest at {threads} threads"
+            );
+        }
+    }
+
+    /// Bit equality, with any NaN equal to any NaN (payloads are not
+    /// specified by IEEE arithmetic).
+    fn same_bits(a: Real, b: Real) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    #[test]
+    fn lane_flush_matches_scalar_oracle_bit_for_bit() {
+        type Kernel = fn(&[Source], &SinkLanes, Real) -> LaneSums;
+        let mut kernels: Vec<(&str, Kernel)> = vec![("portable", lane_sums_body)];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the running CPU supports AVX2, checked just above.
+            kernels.push(("avx2", |l, s, e| unsafe { lane_sums_avx2(l, s, e) }));
+        }
+        let list_cap = WalkConfig::default().list_cap;
+        let mut rng = StdRng::seed_from_u64(1106);
+        let point = |rng: &mut StdRng| {
+            let mut c = || rng.random::<Real>() * 2.0 - 1.0;
+            Vec3::new(c(), c(), c())
+        };
+        let mut cases = 0;
+        // Every list length 1..=list_cap, cycling through every group
+        // size 1..=WARP_SIZE; each case flushes three lists into one
+        // accumulator that starts at -0.0.
+        for len in 1..=list_cap {
+            let n = (len - 1) % WARP_SIZE + 1;
+            let eps2: Real = if len % 2 == 1 { 0.0 } else { 1e-4 };
+            let pos: Vec<Vec3> = (0..n).map(|_| point(&mut rng)).collect();
+            let group: Vec<u32> = (0..n as u32).collect();
+            let sinks = SinkLanes::stage(&group, &pos);
+            let lists: Vec<Vec<Source>> = (0..3)
+                .map(|f| {
+                    let mut list: Vec<Source> = (0..len)
+                        .map(|_| Source {
+                            pos: point(&mut rng),
+                            mass: rng.random::<Real>(),
+                        })
+                        .collect();
+                    // A source on a sink: r² = 0 when ε² = 0, which must
+                    // contribute +0.0 even after a -0.0 start.
+                    list[len / 2].pos = pos[len % n];
+                    // NaN sources: a NaN mass gives NaN in every lane but
+                    // one whose r² = 0 masks it; a NaN position gives NaN
+                    // r², which must propagate, not be masked.
+                    if f == 2 && len % 7 == 0 {
+                        list[0].mass = Real::NAN;
+                    }
+                    if f == 1 && len % 5 == 0 {
+                        list[len - 1].pos.x = Real::NAN;
+                    }
+                    list
+                })
+                .collect();
+
+            let mut want_acc = vec![Vec3::splat(-0.0); n];
+            let mut want_pot = vec![-0.0 as Real; n];
+            for list in &lists {
+                for k in 0..n {
+                    let out = accumulate(pos[k], list, eps2);
+                    want_acc[k] += out.acc;
+                    want_pot[k] += out.pot;
+                }
+            }
+            let check = |name: &str, acc: &[Vec3], pot: &[Real]| {
+                for k in 0..n {
+                    let (a, w) = (acc[k], want_acc[k]);
+                    assert!(
+                        same_bits(a.x, w.x)
+                            && same_bits(a.y, w.y)
+                            && same_bits(a.z, w.z)
+                            && same_bits(pot[k], want_pot[k]),
+                        "{name}: len {len}, group {n}, lane {k}: \
+                         {a:?}/{} vs oracle {w:?}/{}",
+                        pot[k],
+                        want_pot[k]
+                    );
+                }
+            };
+
+            for (name, kernel) in &kernels {
+                let mut acc = vec![Vec3::splat(-0.0); n];
+                let mut pot = vec![-0.0 as Real; n];
+                for list in &lists {
+                    let s = kernel(list, &sinks, eps2);
+                    for k in 0..n {
+                        acc[k] += Vec3::new(s.ax[k], s.ay[k], s.az[k]);
+                        pot[k] += s.pot[k];
+                    }
+                }
+                check(name, &acc, &pot);
+            }
+            // The production flush (dispatching) into the same start.
+            let mut acc = vec![Vec3::splat(-0.0); n];
+            let mut pot = vec![-0.0 as Real; n];
+            let mut events = WalkEvents::default();
+            for list in &lists {
+                flush(list, &sinks, &mut acc, &mut pot, eps2, &mut events);
+            }
+            check("flush", &acc, &pot);
+            assert_eq!(events.interactions, (3 * n * len) as u64);
+            cases += 1;
+        }
+        assert_eq!(cases, list_cap);
+    }
+
     #[test]
     fn forces_antisymmetric_enough_for_momentum() {
         // Tree forces are not exactly antisymmetric, but the net force
@@ -429,121 +702,6 @@ mod tests {
         let mag = (net[0].powi(2) + net[1].powi(2) + net[2].powi(2)).sqrt();
         assert!(mag < 1e-2 * scale, "net {mag} vs scale {scale}");
     }
-}
-
-/// Per-particle traversal — the ablation baseline against the warp-group
-/// walk. Each sink traverses alone: its MAC uses its own position and
-/// previous acceleration (no group-conservative pivot), so it evaluates
-/// *more* MACs per accepted cell but needs *fewer* interactions in total;
-/// GOTHIC chooses the group walk anyway because sharing one interaction
-/// list across 32 lanes is what raises arithmetic intensity on a GPU
-/// (§1 of the paper). `bench/bin/ablation_group_walk` quantifies the
-/// trade-off.
-pub fn walk_tree_individual(
-    tree: &Octree,
-    pos: &[Vec3],
-    mass_arr: &[Real],
-    acc_old: &[Real],
-    active: &[u32],
-    cfg: &WalkConfig,
-) -> WalkResult {
-    assert_eq!(pos.len(), tree.keys.len());
-    let results: Vec<(Vec3, Real, WalkEvents)> = parallel::par_map(active, |&i| {
-        let sink = pos[i as usize];
-        let a_min = acc_old[i as usize];
-        let mut events = WalkEvents {
-            groups: 1,
-            sinks: 1,
-            ..WalkEvents::default()
-        };
-        let mut acc = Vec3::ZERO;
-        let mut pot: Real = 0.0;
-        let mut list: Vec<Source> = Vec::with_capacity(cfg.list_cap);
-        let mut queue: Vec<u32> = Vec::with_capacity(128);
-        let mut head = 0usize;
-        if tree.is_leaf(0) {
-            queue.push(0);
-        } else {
-            queue.extend(tree.children(0).map(|c| c as u32));
-        }
-        while head < queue.len() {
-            let round_end = (head + cfg.round_width).min(queue.len());
-            events.queue_rounds += 1;
-            for qi in head..round_end {
-                let v = queue[qi] as usize;
-                events.mac_evals += 1;
-                let com = tree.com[v];
-                let b = tree.bmax[v];
-                let d = (com - sink).norm();
-                let separated = d > b && d > 0.0;
-                let flush_push = |src: Source,
-                                  list: &mut Vec<Source>,
-                                  events: &mut WalkEvents,
-                                  acc: &mut Vec3,
-                                  pot: &mut Real| {
-                    list.push(src);
-                    events.list_pushes += 1;
-                    if list.len() == cfg.list_cap {
-                        events.flushes += 1;
-                        events.interactions += list.len() as u64;
-                        let out = accumulate(sink, list, cfg.eps2);
-                        *acc += out.acc;
-                        *pot += out.pot;
-                        list.clear();
-                    }
-                };
-                if separated && cfg.mac.accepts(tree.mass[v], b, d * d, a_min) {
-                    flush_push(
-                        Source {
-                            pos: com,
-                            mass: tree.mass[v],
-                        },
-                        &mut list,
-                        &mut events,
-                        &mut acc,
-                        &mut pot,
-                    );
-                } else if tree.is_leaf(v) {
-                    for p in tree.particles(v) {
-                        flush_push(
-                            Source {
-                                pos: pos[p],
-                                mass: mass_arr[p],
-                            },
-                            &mut list,
-                            &mut events,
-                            &mut acc,
-                            &mut pot,
-                        );
-                    }
-                } else {
-                    events.opens += 1;
-                    queue.extend(tree.children(v).map(|c| c as u32));
-                }
-            }
-            head = round_end;
-            events.peak_queue_len = events.peak_queue_len.max((queue.len() - head) as u64);
-        }
-        if !list.is_empty() {
-            events.flushes += 1;
-            events.interactions += list.len() as u64;
-            let out = accumulate(sink, &list, cfg.eps2);
-            acc += out.acc;
-            pot += out.pot;
-        }
-        record_walk_counters(&events);
-        (acc, pot, events)
-    });
-
-    let mut acc = Vec::with_capacity(active.len());
-    let mut pot = Vec::with_capacity(active.len());
-    let mut events = WalkEvents::default();
-    for (a, p, e) in results {
-        acc.push(a);
-        pot.push(p);
-        events.merge(&e);
-    }
-    WalkResult { acc, pot, events }
 }
 
 #[cfg(test)]
