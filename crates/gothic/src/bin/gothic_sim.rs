@@ -323,17 +323,19 @@ fn main() {
     }
 
     let mut sim = if let Some(path) = &args.restart {
-        let snap = Snapshot::load(path).unwrap_or_else(|e| {
-            eprintln!("gothic_sim: cannot restart from {path}: {e}");
-            std::process::exit(1);
-        });
+        let sim = Snapshot::load(path)
+            .and_then(|snap| snap.try_resume(cfg))
+            .unwrap_or_else(|e| {
+                eprintln!("gothic_sim: cannot restart from {path}: {e}");
+                std::process::exit(1);
+            });
         println!(
             "restarted from {path}: N = {}, t = {:.3} ({} steps done)",
-            snap.particles.len(),
-            snap.time,
-            snap.step
+            sim.len(),
+            sim.time(),
+            sim.step_count
         );
-        snap.resume(cfg)
+        sim
     } else {
         let particles = match args.model.as_str() {
             "m31" => M31Model::paper_model().sample(args.n, args.seed),

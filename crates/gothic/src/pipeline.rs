@@ -127,15 +127,15 @@ pub struct StepReport {
 /// often, cheap walks rarely — the paper observes intervals of ~6 steps
 /// at the highest accuracy and ~30 at the lowest.
 #[derive(Clone, Debug, Default)]
-struct RebuildTuner {
+pub(crate) struct RebuildTuner {
     /// Per-leaf bmax right after the last rebuild (leaf order is stable
     /// between rebuilds because the topology is frozen).
-    fresh_leaf_bmax: Vec<f64>,
+    pub(crate) fresh_leaf_bmax: Vec<f64>,
     /// Accumulated excess walk work (interaction-equivalents) since the
     /// last rebuild.
-    excess: f64,
+    pub(crate) excess: f64,
     /// Rebuild cost threshold in interaction-equivalents.
-    threshold: f64,
+    pub(crate) threshold: f64,
 }
 
 /// Cost of one tree rebuild expressed in gravity interactions per
@@ -183,10 +183,11 @@ pub struct Gothic {
     pub ps: ParticleSet,
     /// Block time-step hierarchy.
     pub blocks: BlockSteps,
-    tree: Octree,
-    pred_pos: Vec<Vec3>,
-    steps_since_rebuild: u32,
-    tuner: RebuildTuner,
+    pub(crate) tree: Octree,
+    /// Predicted positions; `predict` overwrites every entry each step.
+    pub(crate) pred_pos: Vec<Vec3>,
+    pub(crate) steps_since_rebuild: u32,
+    pub(crate) tuner: RebuildTuner,
     /// Completed block steps.
     pub step_count: u64,
 }
@@ -271,29 +272,6 @@ impl Gothic {
     /// Steps since the last tree rebuild.
     pub fn tree_age(&self) -> u32 {
         self.steps_since_rebuild
-    }
-
-    /// Restore the simulation clock (snapshot restart): sets the global
-    /// tick so that `time()` equals `time`, re-synchronises every
-    /// particle to it, and restores the step counter.
-    pub fn set_clock(&mut self, time: f64, step: u64) {
-        let ticks =
-            (time / self.blocks.dt_max as f64 * self.blocks.ticks_per_dtmax as f64).round() as u64;
-        self.blocks.tick = ticks;
-        for i in 0..self.blocks.len() {
-            self.blocks.ptick[i] = ticks;
-            // A particle's time must sit on its own block boundary; deepen
-            // the level until the restored tick is aligned.
-            while !ticks.is_multiple_of(self.blocks.ticks_of_level(self.blocks.level[i])) {
-                self.blocks.level[i] += 1;
-                assert!(
-                    (self.blocks.level[i] as u32) <= self.blocks.max_depth,
-                    "snapshot time is not representable on the block grid"
-                );
-            }
-        }
-        self.step_count = step;
-        debug_assert!(self.blocks.check_invariants().is_ok());
     }
 
     /// Execute one block step.

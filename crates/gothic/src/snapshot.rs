@@ -1,114 +1,255 @@
-//! Snapshot I/O: checkpoint and restart.
+//! Snapshot I/O: checkpoint and exact restart.
 //!
 //! GOTHIC writes particle snapshots for analysis and restart; this module
-//! provides the equivalent for the Rust pipeline. The format is a simple
-//! little-endian binary layout (magic + version + counts + arrays) so
-//! snapshots are portable, diffable in size, and need no serialization
-//! framework.
+//! provides the equivalent for the Rust pipeline. A snapshot carries the
+//! whole integrator state — particles, the block time-step hierarchy, the
+//! tree topology and the rebuild auto-tuner — so [`Snapshot::resume`]
+//! continues a run exactly where it stopped: `run(a + b)` and `run(a)`,
+//! save, load, resume, `run(b)` end in byte-identical states.
+//!
+//! The format is a simple little-endian binary layout (magic + version +
+//! counts + arrays) so snapshots are portable, diffable in size, and need
+//! no serialization framework. State that [`crate::Gothic::step`]
+//! rewrites before it reads it is not stored: the node summaries
+//! (`com`/`mass`/`bmax`, refreshed by calcNode every step), the predicted
+//! positions (predict overwrites every entry) and the tree's build events
+//! (read only right after a rebuild). The cell geometry is recomputed
+//! from the stored cube, keys and topology on resume.
 
-use nbody::{ParticleSet, Real, Vec3};
+use crate::pipeline::RebuildTuner;
+use crate::{Gothic, RunConfig};
+use gpu_model::MakeTreeEvents;
+use nbody::blockstep::BlockSteps;
+use nbody::{Aabb, ParticleSet, Vec3};
+use octree::morton::{octant_at_level, MAX_DEPTH};
+use octree::Octree;
 use std::io::{self, Read, Write};
 use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"GOTHICSN";
-const VERSION: u32 = 1;
+/// Version 2 added the integrator state to version 1's particles and
+/// clock; version 1 files cannot be resumed exactly and are rejected.
+const VERSION: u32 = 2;
 
-/// A simulation checkpoint: particle state plus the simulation clock.
-#[derive(Clone, Debug, PartialEq)]
+/// Records moved per `read_exact` / `write_all` call.
+const BATCH: usize = 1 << 14;
+/// Most records an array reserves before its bytes arrive, so a corrupt
+/// count fails with a truncation error instead of a huge allocation.
+const MAX_RESERVE: usize = 1 << 20;
+
+/// A simulation checkpoint: particles, clock and integrator state.
+#[derive(Clone, Debug)]
 pub struct Snapshot {
     /// Simulation time (simulation units).
     pub time: f64,
     /// Completed block steps.
     pub step: u64,
-    /// Particle state.
+    /// Particle state, in the Morton order of the latest tree rebuild;
+    /// resuming needs its count and order unchanged.
     pub particles: ParticleSet,
+    /// Block time-step hierarchy: global tick, per-particle level and
+    /// committed tick.
+    blocks: BlockSteps,
+    /// Leaf capacity the tree was built with.
+    leaf_cap: u32,
+    /// Tree topology; the cell geometry and node summaries are empty.
+    tree: Octree,
+    tuner: RebuildTuner,
+    steps_since_rebuild: u32,
+}
+
+/// Two snapshots are equal when they serialise to the same bytes: the
+/// format defines the state a snapshot holds.
+impl PartialEq for Snapshot {
+    fn eq(&self, other: &Snapshot) -> bool {
+        let bytes = |s: &Snapshot| {
+            let mut b = Vec::new();
+            s.write_to(&mut b).expect("writing to a Vec cannot fail");
+            b
+        };
+        bytes(self) == bytes(other)
+    }
 }
 
 impl Snapshot {
     /// Capture the current state of a simulation.
-    pub fn capture(sim: &crate::Gothic) -> Snapshot {
+    pub fn capture(sim: &Gothic) -> Snapshot {
+        let t = &sim.tree;
         Snapshot {
             time: sim.time(),
             step: sim.step_count,
             particles: sim.ps.clone(),
+            blocks: sim.blocks.clone(),
+            leaf_cap: sim.cfg.leaf_cap,
+            tree: Octree {
+                cube: t.cube,
+                keys: t.keys.clone(),
+                level: t.level.clone(),
+                pstart: t.pstart.clone(),
+                pcount: t.pcount.clone(),
+                child_start: t.child_start.clone(),
+                child_count: t.child_count.clone(),
+                cell_center: Vec::new(),
+                cell_half: Vec::new(),
+                com: Vec::new(),
+                mass: Vec::new(),
+                bmax: Vec::new(),
+                level_start: t.level_start.clone(),
+                events: MakeTreeEvents::default(),
+            },
+            tuner: sim.tuner.clone(),
+            steps_since_rebuild: sim.steps_since_rebuild,
         }
     }
 
     /// Serialise to any writer.
     pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
+        let (ps, b, t) = (&self.particles, &self.blocks, &self.tree);
         w.write_all(MAGIC)?;
         w.write_all(&VERSION.to_le_bytes())?;
         w.write_all(&self.time.to_le_bytes())?;
         w.write_all(&self.step.to_le_bytes())?;
-        let n = self.particles.len() as u64;
-        w.write_all(&n.to_le_bytes())?;
-        let ps = &self.particles;
-        write_vec3s(w, &ps.pos)?;
-        write_vec3s(w, &ps.vel)?;
-        write_reals(w, &ps.mass)?;
-        write_vec3s(w, &ps.acc)?;
-        write_reals(w, &ps.pot)?;
-        write_reals(w, &ps.acc_old)?;
-        for &id in &ps.id {
-            w.write_all(&id.to_le_bytes())?;
-        }
-        Ok(())
+        w.write_all(&(ps.len() as u64).to_le_bytes())?;
+        write_vec(w, &ps.pos, vec3_bytes)?;
+        write_vec(w, &ps.vel, vec3_bytes)?;
+        write_vec(w, &ps.mass, |x| x.to_le_bytes())?;
+        write_vec(w, &ps.acc, vec3_bytes)?;
+        write_vec(w, &ps.pot, |x| x.to_le_bytes())?;
+        write_vec(w, &ps.acc_old, |x| x.to_le_bytes())?;
+        write_vec(w, &ps.id, |x| x.to_le_bytes())?;
+        // Block time steps.
+        w.write_all(&b.dt_max.to_le_bytes())?;
+        w.write_all(&b.max_depth.to_le_bytes())?;
+        w.write_all(&b.tick.to_le_bytes())?;
+        write_vec(w, &b.level, |&k| [k])?;
+        write_vec(w, &b.ptick, |x| x.to_le_bytes())?;
+        // Tree topology.
+        w.write_all(&self.leaf_cap.to_le_bytes())?;
+        w.write_all(&vec3_bytes(&t.cube.min))?;
+        w.write_all(&vec3_bytes(&t.cube.max))?;
+        write_vec(w, &t.keys, |x| x.to_le_bytes())?;
+        w.write_all(&(t.n_nodes() as u64).to_le_bytes())?;
+        write_vec(w, &t.level, |&l| [l])?;
+        write_vec(w, &t.pstart, |x| x.to_le_bytes())?;
+        write_vec(w, &t.pcount, |x| x.to_le_bytes())?;
+        write_vec(w, &t.child_start, |x| x.to_le_bytes())?;
+        write_vec(w, &t.child_count, |&c| [c])?;
+        w.write_all(&(t.level_start.len() as u64).to_le_bytes())?;
+        write_vec(w, &t.level_start, |x| x.to_le_bytes())?;
+        // Rebuild auto-tuner.
+        w.write_all(&self.tuner.excess.to_le_bytes())?;
+        w.write_all(&self.tuner.threshold.to_le_bytes())?;
+        w.write_all(&self.steps_since_rebuild.to_le_bytes())?;
+        w.write_all(&(self.tuner.fresh_leaf_bmax.len() as u64).to_le_bytes())?;
+        write_vec(w, &self.tuner.fresh_leaf_bmax, |x| x.to_le_bytes())
     }
 
-    /// Deserialise from any reader, validating magic, version and
-    /// internal invariants.
+    /// Deserialise from any reader, validating magic, version, every
+    /// length and the invariants of the particles, the block hierarchy
+    /// and the tree.
     pub fn read_from<R: Read>(r: &mut R) -> io::Result<Snapshot> {
-        let mut magic = [0u8; 8];
-        r.read_exact(&mut magic).map_err(reject_truncation)?;
+        let magic: [u8; 8] = read_array(r)?;
         if &magic != MAGIC {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "not a GOTHIC snapshot",
-            ));
+            return Err(invalid("not a GOTHIC snapshot"));
         }
-        let version = read_u32(r)?;
+        let version = u32::from_le_bytes(read_array(r)?);
         if version != VERSION {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unsupported snapshot version {version}"),
-            ));
+            return Err(invalid(format!(
+                "unsupported snapshot version {version}: this build reads version \
+                 {VERSION} only, which carries the integrator state exact restart needs"
+            )));
         }
         let time = f64::from_le_bytes(read_array(r)?);
         let step = u64::from_le_bytes(read_array(r)?);
-        let n = u64::from_le_bytes(read_array(r)?) as usize;
-        // Refuse absurd sizes before allocating.
-        if n > 1 << 33 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "implausible particle count",
-            ));
-        }
-        let pos = read_vec3s(r, n)?;
-        let vel = read_vec3s(r, n)?;
-        let mass = read_reals(r, n)?;
-        let acc = read_vec3s(r, n)?;
-        let pot = read_reals(r, n)?;
-        let acc_old = read_reals(r, n)?;
-        let mut id = Vec::with_capacity(n);
-        for _ in 0..n {
-            id.push(u32::from_le_bytes(read_array(r)?));
+        let n = read_len(r, 1 << 33, "particle count")?;
+        if n == 0 {
+            return Err(invalid("snapshot holds no particles"));
         }
         let particles = ParticleSet {
-            pos,
-            vel,
-            mass,
-            acc,
-            pot,
-            acc_old,
-            id,
+            pos: read_vec(r, n, vec3_from)?,
+            vel: read_vec(r, n, vec3_from)?,
+            mass: read_vec(r, n, f32::from_le_bytes)?,
+            acc: read_vec(r, n, vec3_from)?,
+            pot: read_vec(r, n, f32::from_le_bytes)?,
+            acc_old: read_vec(r, n, f32::from_le_bytes)?,
+            id: read_vec(r, n, u32::from_le_bytes)?,
         };
-        particles
-            .check_invariants()
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        particles.check_invariants().map_err(invalid)?;
+
+        let dt_max = f32::from_le_bytes(read_array(r)?);
+        let max_depth = u32::from_le_bytes(read_array(r)?);
+        if !(dt_max.is_finite() && dt_max > 0.0) || max_depth >= 63 {
+            return Err(invalid(format!(
+                "invalid block hierarchy: dt_max {dt_max}, max_depth {max_depth}"
+            )));
+        }
+        let blocks = BlockSteps {
+            tick: u64::from_le_bytes(read_array(r)?),
+            ticks_per_dtmax: 1 << max_depth,
+            dt_max,
+            max_depth,
+            level: read_vec(r, n, |[k]: [u8; 1]| k)?,
+            ptick: read_vec(r, n, u64::from_le_bytes)?,
+        };
+        check_blocks(&blocks, time).map_err(invalid)?;
+
+        let leaf_cap = u32::from_le_bytes(read_array(r)?);
+        let cube = Aabb {
+            min: vec3_from(read_array(r)?),
+            max: vec3_from(read_array(r)?),
+        };
+        let keys = read_vec(r, n, u64::from_le_bytes)?;
+        // Every tree level holds at most one node per particle.
+        let nodes = read_len(r, n * (MAX_DEPTH as usize + 1), "tree node count")?;
+        let level = read_vec(r, nodes, |[l]: [u8; 1]| l)?;
+        let pstart = read_vec(r, nodes, u32::from_le_bytes)?;
+        let pcount = read_vec(r, nodes, u32::from_le_bytes)?;
+        let child_start = read_vec(r, nodes, u32::from_le_bytes)?;
+        let child_count = read_vec(r, nodes, |[c]: [u8; 1]| c)?;
+        let levels = read_len(r, MAX_DEPTH as usize + 2, "tree level count")?;
+        let tree = Octree {
+            cube,
+            keys,
+            level,
+            pstart,
+            pcount,
+            child_start,
+            child_count,
+            cell_center: Vec::new(),
+            cell_half: Vec::new(),
+            com: Vec::new(),
+            mass: Vec::new(),
+            bmax: Vec::new(),
+            level_start: read_vec(r, levels, u32::from_le_bytes)?,
+            events: MakeTreeEvents::default(),
+        };
+        check_tree_bounds(&tree).map_err(invalid)?;
+        tree.check_invariants(leaf_cap).map_err(invalid)?;
+
+        let excess = f64::from_le_bytes(read_array(r)?);
+        let threshold = f64::from_le_bytes(read_array(r)?);
+        let steps_since_rebuild = u32::from_le_bytes(read_array(r)?);
+        let fresh = read_len(r, nodes, "tuner leaf count")?;
+        let leaves = (0..nodes).filter(|&v| tree.is_leaf(v)).count();
+        if fresh != 0 && fresh != leaves {
+            return Err(invalid(format!(
+                "tuner holds {fresh} leaf radii for a tree of {leaves} leaves"
+            )));
+        }
+        let tuner = RebuildTuner {
+            fresh_leaf_bmax: read_vec(r, fresh, f64::from_le_bytes)?,
+            excess,
+            threshold,
+        };
         Ok(Snapshot {
             time,
             step,
             particles,
+            blocks,
+            leaf_cap,
+            tree,
+            tuner,
+            steps_since_rebuild,
         })
     }
 
@@ -145,34 +286,218 @@ impl Snapshot {
         Snapshot::read_from(&mut f)
     }
 
-    /// Resume a simulation from this snapshot: rebuilds the tree,
-    /// re-bootstraps the block-step hierarchy from the stored
-    /// accelerations, and restores the simulation clock offset.
+    /// Resume the simulation this snapshot was captured from. The
+    /// continued run is bit-identical to one that never stopped.
     ///
-    /// Restart fidelity note: the block-step *phase* (which particles sat
-    /// at which sub-step boundary) is not stored — all particles restart
-    /// synchronised, as GOTHIC does at snapshot boundaries.
-    pub fn resume(&self, cfg: crate::RunConfig) -> crate::Gothic {
-        let mut sim = crate::Gothic::new(self.particles.clone(), cfg);
-        sim.set_clock(self.time, self.step);
-        sim
+    /// # Panics
+    ///
+    /// If `cfg` disagrees with the snapshot on a field the stored state
+    /// depends on; [`Snapshot::try_resume`] reports that as an error.
+    pub fn resume(&self, cfg: RunConfig) -> Gothic {
+        self.try_resume(cfg).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Resume the simulation this snapshot was captured from, or fail
+    /// with `InvalidInput` naming the first of `dt_max`, `max_depth` and
+    /// `leaf_cap` on which `cfg` disagrees with the stored state. No tree
+    /// is built and no force is evaluated: the state is copied as stored.
+    pub fn try_resume(&self, cfg: RunConfig) -> io::Result<Gothic> {
+        if self.particles.len() != self.blocks.len() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "snapshot particles were resized from {} to {}",
+                    self.blocks.len(),
+                    self.particles.len()
+                ),
+            ));
+        }
+        for (field, stored, given) in [
+            (
+                "dt_max",
+                self.blocks.dt_max.to_string(),
+                cfg.dt_max.to_string(),
+            ),
+            (
+                "max_depth",
+                self.blocks.max_depth.to_string(),
+                cfg.max_depth.to_string(),
+            ),
+            (
+                "leaf_cap",
+                self.leaf_cap.to_string(),
+                cfg.leaf_cap.to_string(),
+            ),
+        ] {
+            if stored != given {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!(
+                        "snapshot was written with {field} = {stored}, but the run \
+                         config has {field} = {given}"
+                    ),
+                ));
+            }
+        }
+        let mut tree = self.tree.clone();
+        let nodes = tree.n_nodes();
+        tree.com = vec![Vec3::ZERO; nodes];
+        tree.mass = vec![0.0; nodes];
+        tree.bmax = vec![0.0; nodes];
+        fill_cell_geometry(&mut tree);
+        Ok(Gothic {
+            cfg,
+            ps: self.particles.clone(),
+            blocks: self.blocks.clone(),
+            tree,
+            pred_pos: vec![Vec3::ZERO; self.particles.len()],
+            steps_since_rebuild: self.steps_since_rebuild,
+            tuner: self.tuner.clone(),
+            step_count: self.step,
+        })
     }
 }
 
-fn write_vec3s<W: Write>(w: &mut W, v: &[Vec3]) -> io::Result<()> {
-    for p in v {
-        w.write_all(&p.x.to_le_bytes())?;
-        w.write_all(&p.y.to_le_bytes())?;
-        w.write_all(&p.z.to_le_bytes())?;
+/// Recompute the cell centres and half-edges from the cube, keys and
+/// topology with the build's arithmetic (a child sits half its parent's
+/// half-edge from the parent's centre, towards its octant), so they are
+/// bit-identical to the built tree's. Parents precede their children in
+/// the breadth-first node order.
+fn fill_cell_geometry(tree: &mut Octree) {
+    let nodes = tree.n_nodes();
+    tree.cell_center = vec![Vec3::ZERO; nodes];
+    tree.cell_half = vec![0.0; nodes];
+    tree.cell_center[0] = tree.cube.center();
+    tree.cell_half[0] = tree.cube.extent().x * 0.5;
+    for v in 0..nodes {
+        if tree.is_leaf(v) {
+            continue;
+        }
+        let centre = tree.cell_center[v];
+        let half = tree.cell_half[v] * 0.5;
+        for c in tree.children(v) {
+            let oct = octant_at_level(tree.keys[tree.pstart[c] as usize], tree.level[v] as u32);
+            let off = |bit: u32| if oct & bit != 0 { half } else { -half };
+            tree.cell_center[c] = Vec3::new(
+                centre.x + off(0b100),
+                centre.y + off(0b010),
+                centre.z + off(0b001),
+            );
+            tree.cell_half[c] = half;
+        }
+    }
+}
+
+/// Checks beyond [`BlockSteps::check_invariants`] that a run's state
+/// always meets: levels within the hierarchy, every particle's deadline
+/// still ahead of the global tick, and the stored time equal to the
+/// tick's.
+fn check_blocks(b: &BlockSteps, time: f64) -> Result<(), String> {
+    if let Some(i) = b.level.iter().position(|&k| k as u32 > b.max_depth) {
+        return Err(format!("particle {i} level {} > max_depth", b.level[i]));
+    }
+    b.check_invariants()?;
+    let deadline = |i: usize| b.ptick[i].checked_add(b.ticks_of_level(b.level[i]));
+    if let Some(i) = (0..b.len()).find(|&i| deadline(i).is_none_or(|d| d <= b.tick)) {
+        return Err(format!("particle {i} is past its block-step deadline"));
+    }
+    if b.time() != time {
+        return Err(format!("time {time} disagrees with tick {}", b.tick));
     }
     Ok(())
 }
 
-fn write_reals<W: Write>(w: &mut W, v: &[Real]) -> io::Result<()> {
-    for x in v {
-        w.write_all(&x.to_le_bytes())?;
+/// Index bounds [`Octree::check_invariants`] relies on: node levels within
+/// the key depth, particle ranges inside the particle arrays, children
+/// after their parent and inside the node array, and `level_start`
+/// spanning every node (so calcNode refreshes them all).
+fn check_tree_bounds(t: &Octree) -> Result<(), String> {
+    let nodes = t.n_nodes();
+    if t.level_start.first() != Some(&0) || t.level_start.last().map(|&l| l as usize) != Some(nodes)
+    {
+        return Err(format!("level_start does not span the {nodes} nodes"));
+    }
+    for v in 0..nodes {
+        if t.level[v] as u32 > MAX_DEPTH {
+            return Err(format!("node {v} deeper than the key depth"));
+        }
+        if t.pstart[v] as u64 + t.pcount[v] as u64 > t.keys.len() as u64 {
+            return Err(format!("node {v} particle range out of bounds"));
+        }
+        let (first, count) = (t.child_start[v] as usize, t.child_count[v] as usize);
+        if !t.is_leaf(v) && (first <= v || count > 8 || first + count > nodes) {
+            return Err(format!("node {v} children out of bounds"));
+        }
     }
     Ok(())
+}
+
+fn invalid(msg: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg.into())
+}
+
+fn vec3_bytes(v: &Vec3) -> [u8; 12] {
+    let mut b = [0u8; 12];
+    b[..4].copy_from_slice(&v.x.to_le_bytes());
+    b[4..8].copy_from_slice(&v.y.to_le_bytes());
+    b[8..].copy_from_slice(&v.z.to_le_bytes());
+    b
+}
+
+fn vec3_from(b: [u8; 12]) -> Vec3 {
+    let f = |i: usize| f32::from_le_bytes([b[i], b[i + 1], b[i + 2], b[i + 3]]);
+    Vec3::new(f(0), f(4), f(8))
+}
+
+/// Write `v` as fixed-size little-endian records, in batches.
+fn write_vec<W: Write, T, const B: usize>(
+    w: &mut W,
+    v: &[T],
+    encode: impl Fn(&T) -> [u8; B],
+) -> io::Result<()> {
+    let mut buf = Vec::with_capacity(B * v.len().min(BATCH));
+    for chunk in v.chunks(BATCH) {
+        buf.clear();
+        for x in chunk {
+            buf.extend_from_slice(&encode(x));
+        }
+        w.write_all(&buf)?;
+    }
+    Ok(())
+}
+
+/// Read `n` fixed-size records. Memory grows geometrically (never past
+/// `n`) as the bytes arrive, so a count the file cannot back costs at
+/// most [`MAX_RESERVE`] records before the truncation error.
+fn read_vec<R: Read, T, const B: usize>(
+    r: &mut R,
+    n: usize,
+    decode: impl Fn([u8; B]) -> T,
+) -> io::Result<Vec<T>> {
+    let mut out = Vec::with_capacity(n.min(MAX_RESERVE));
+    let mut buf = vec![0u8; B * n.min(BATCH)];
+    while out.len() < n {
+        let k = (n - out.len()).min(BATCH);
+        r.read_exact(&mut buf[..k * B]).map_err(reject_truncation)?;
+        if out.capacity() - out.len() < k {
+            out.reserve_exact(out.len().min(n - out.len()).max(k));
+        }
+        out.extend(
+            buf[..k * B]
+                .chunks_exact(B)
+                .map(|c| decode(c.try_into().expect("chunks are B bytes"))),
+        );
+    }
+    Ok(out)
+}
+
+/// Read a `u64` length and refuse one above `max`.
+fn read_len<R: Read>(r: &mut R, max: usize, what: &str) -> io::Result<usize> {
+    let n = u64::from_le_bytes(read_array(r)?);
+    if n > max as u64 {
+        return Err(invalid(format!("implausible {what} {n}")));
+    }
+    Ok(n as usize)
 }
 
 /// Preserve the `UnexpectedEof` kind but say what it means here: the
@@ -192,29 +517,6 @@ fn read_array<R: Read, const N: usize>(r: &mut R) -> io::Result<[u8; N]> {
     let mut buf = [0u8; N];
     r.read_exact(&mut buf).map_err(reject_truncation)?;
     Ok(buf)
-}
-
-fn read_u32<R: Read>(r: &mut R) -> io::Result<u32> {
-    Ok(u32::from_le_bytes(read_array(r)?))
-}
-
-fn read_vec3s<R: Read>(r: &mut R, n: usize) -> io::Result<Vec<Vec3>> {
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let x = f32::from_le_bytes(read_array(r)?);
-        let y = f32::from_le_bytes(read_array(r)?);
-        let z = f32::from_le_bytes(read_array(r)?);
-        out.push(Vec3::new(x, y, z));
-    }
-    Ok(out)
-}
-
-fn read_reals<R: Read>(r: &mut R, n: usize) -> io::Result<Vec<Real>> {
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(f32::from_le_bytes(read_array(r)?));
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -336,6 +638,148 @@ mod tests {
         }
         reader.join().unwrap();
         std::fs::remove_file(&path).ok();
+    }
+
+    fn snapshot_bytes(sim: &crate::Gothic) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        Snapshot::capture(sim).write_to(&mut bytes).unwrap();
+        bytes
+    }
+
+    #[test]
+    fn restart_is_exact_across_split_points_and_thread_counts() {
+        testkit::check("exact_restart", 10, |g| {
+            // Half the cases fit in one partial warp group; the rest are
+            // odd, so never a multiple of 32.
+            let n = if g.u64_in(0..2) == 0 {
+                g.usize_in(1..32)
+            } else {
+                2 * g.usize_in(16..320) + 1
+            };
+            let (a, b) = (g.u64_in(0..13), g.u64_in(0..13));
+            let seed = g.any_u64();
+            for threads in [1, 4] {
+                parallel::with_thread_count(threads, || {
+                    let ps = plummer_model(n, 100.0, 1.0, seed);
+                    let mut whole = crate::Gothic::new(ps.clone(), RunConfig::default());
+                    whole.run(a + b);
+                    let mut first = crate::Gothic::new(ps, RunConfig::default());
+                    first.run(a);
+                    let bytes = snapshot_bytes(&first);
+                    let mut resumed = Snapshot::read_from(&mut bytes.as_slice())
+                        .unwrap()
+                        .resume(RunConfig::default());
+                    resumed.run(b);
+                    assert!(
+                        snapshot_bytes(&resumed) == snapshot_bytes(&whole),
+                        "N={n} a={a} b={b} threads={threads}: restarted run diverged"
+                    );
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn resume_recomputes_the_built_cell_geometry_bit_for_bit() {
+        let mut sim = crate::Gothic::new(plummer_model(3000, 10.0, 1.0, 14), RunConfig::default());
+        sim.run(3);
+        let resumed = Snapshot::capture(&sim).resume(RunConfig::default());
+        let (built, back) = (sim.tree(), resumed.tree());
+        let bits = |t: &octree::Octree| -> Vec<u32> {
+            t.cell_center
+                .iter()
+                .flat_map(|c| [c.x, c.y, c.z])
+                .chain(t.cell_half.iter().copied())
+                .map(f32::to_bits)
+                .collect()
+        };
+        assert_eq!(bits(built), bits(back));
+        assert_eq!(resumed.tree_age(), sim.tree_age());
+    }
+
+    #[test]
+    fn rejects_version_1_naming_the_version() {
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&[0u8; 64]);
+        let err = Snapshot::read_from(&mut bytes.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("version 1"), "{err}");
+    }
+
+    #[test]
+    fn header_declaring_a_huge_count_is_truncated_not_allocated() {
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&VERSION.to_le_bytes());
+        bytes.extend_from_slice(&0.0f64.to_le_bytes());
+        bytes.extend_from_slice(&0u64.to_le_bytes());
+        bytes.extend_from_slice(&(1u64 << 32).to_le_bytes());
+        assert_eq!(bytes.len(), 36);
+        let err = Snapshot::read_from(&mut bytes.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
+    }
+
+    #[test]
+    fn resume_names_the_config_field_that_disagrees() {
+        let snap = Snapshot::capture(&crate::Gothic::new(
+            plummer_model(64, 10.0, 1.0, 15),
+            RunConfig::default(),
+        ));
+        let base = RunConfig::default();
+        for (field, cfg) in [
+            (
+                "dt_max",
+                RunConfig {
+                    dt_max: base.dt_max / 2.0,
+                    ..base.clone()
+                },
+            ),
+            (
+                "max_depth",
+                RunConfig {
+                    max_depth: base.max_depth - 1,
+                    ..base.clone()
+                },
+            ),
+            (
+                "leaf_cap",
+                RunConfig {
+                    leaf_cap: base.leaf_cap * 2,
+                    ..base.clone()
+                },
+            ),
+        ] {
+            let err = snap
+                .try_resume(cfg)
+                .err()
+                .expect("mismatch must be refused");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+            assert!(err.to_string().contains(field), "{field}: {err}");
+        }
+        let mut resized = snap.clone();
+        resized.particles = plummer_model(63, 10.0, 1.0, 15);
+        let err = resized
+            .try_resume(base)
+            .err()
+            .expect("resize must be refused");
+        assert!(err.to_string().contains("resized"), "{err}");
+    }
+
+    #[test]
+    fn corrupt_bytes_are_refused_or_resumable_never_a_panic() {
+        let mut sim = crate::Gothic::new(plummer_model(200, 10.0, 1.0, 16), RunConfig::default());
+        sim.run(4);
+        let clean = snapshot_bytes(&sim);
+        testkit::check("snapshot_corruption", 64, |g| {
+            let mut bytes = clean.clone();
+            for _ in 0..g.usize_in(1..4) {
+                let at = g.usize_in(12..bytes.len());
+                bytes[at] = g.u8_in(0..255);
+            }
+            if let Ok(snap) = Snapshot::read_from(&mut bytes.as_slice()) {
+                snap.resume(RunConfig::default());
+            }
+        });
     }
 
     #[test]

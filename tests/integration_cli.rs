@@ -169,3 +169,43 @@ fn tiny_valid_run_succeeds() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("relative energy drift"), "stdout: {text}");
 }
+
+#[test]
+fn restart_continues_the_run_byte_for_byte() {
+    let dir = std::env::temp_dir().join(format!("gothic_restart_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_owned();
+    let (a, m, b) = (path("a.snap"), path("m.snap"), path("b.snap"));
+    let model = ["--model", "plummer", "--n", "2048"];
+    for args in [
+        [&model[..], &["--steps", "12", "--snapshot", &a]].concat(),
+        [&model[..], &["--steps", "5", "--snapshot", &m]].concat(),
+        vec!["--restart", &m, "--steps", "7", "--snapshot", &b],
+    ] {
+        let out = run(&args);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {}", stderr(&out));
+    }
+    let (whole, split) = (std::fs::read(&a).unwrap(), std::fs::read(&b).unwrap());
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(
+        whole == split,
+        "12 steps and 5 + restart + 7 steps must write identical snapshots"
+    );
+}
+
+#[test]
+fn restart_from_a_header_declaring_a_huge_count_fails_cleanly() {
+    let path = std::env::temp_dir().join(format!("gothic_huge_{}.snap", std::process::id()));
+    let mut bytes = b"GOTHICSN".to_vec();
+    bytes.extend_from_slice(&2u32.to_le_bytes());
+    bytes.extend_from_slice(&0.0f64.to_le_bytes());
+    bytes.extend_from_slice(&0u64.to_le_bytes());
+    bytes.extend_from_slice(&(1u64 << 32).to_le_bytes());
+    std::fs::write(&path, bytes).unwrap();
+    let out = run(&["--restart", path.to_str().unwrap(), "--steps", "1"]);
+    std::fs::remove_file(&path).ok();
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "stderr: {err}");
+    assert!(err.contains("cannot restart"), "stderr: {err}");
+    assert!(!err.contains("panicked"), "stderr: {err}");
+}
