@@ -1,6 +1,7 @@
 //! Overhead of the telemetry layer when disabled (the configuration every
 //! production run pays for): a disabled counter bump must be a relaxed
-//! load + branch, and a disabled span must not read the clock.
+//! load + branch, and a disabled span reads the clock once (so
+//! `SpanGuard::finish` can return the phase wall) and records nothing.
 //!
 //! Compare `workload/bare` against `workload/counter_disabled` — the gap
 //! is the compiled-in cost of instrumentation with collection switched

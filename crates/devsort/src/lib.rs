@@ -208,12 +208,6 @@ pub fn sort_pairs<K: RadixKey>(keys: &mut Vec<K>, values: &mut Vec<u32>) {
     }
 }
 
-/// Sort keys only (payloads generated and discarded). Convenience wrapper.
-pub fn sort_keys<K: RadixKey>(keys: &mut Vec<K>) {
-    let mut vals: Vec<u32> = (0..keys.len() as u32).collect();
-    sort_pairs(keys, &mut vals);
-}
-
 /// Produce the permutation that sorts `keys` (i.e. `perm[i]` is the index
 /// of the element of `keys` that lands at output position `i`) without
 /// mutating the input.

@@ -27,6 +27,7 @@ use gothic::gpu_model::{ExecMode, GpuArch};
 use gothic::nbody::units;
 use gothic::octree::Mac;
 use gothic::telemetry;
+use gothic::telemetry::sink::{TraceFormat, TraceTo};
 use gothic::{Function, Gothic, Profile, RunConfig, Snapshot, WallTimes};
 
 const USAGE: &str = "gothic_sim — GOTHIC pipeline driver (block time steps, acceleration MAC)
@@ -267,15 +268,16 @@ fn main() {
     };
 
     let trace_format = match args.trace_format.as_str() {
-        "chrome" => telemetry::sink::TraceFormat::Chrome,
-        _ => telemetry::sink::TraceFormat::JsonLines,
+        "chrome" => TraceFormat::Chrome,
+        _ => TraceFormat::JsonLines,
     };
     match args.trace.as_deref() {
-        Some("-") => telemetry::sink::init_trace_stderr_with(trace_format),
         Some(path) => {
-            if let Err(e) =
-                telemetry::sink::init_trace_file_with(std::path::Path::new(path), trace_format)
-            {
+            let to = match path {
+                "-" => TraceTo::Stderr,
+                _ => TraceTo::File(std::path::Path::new(path)),
+            };
+            if let Err(e) = telemetry::sink::init_trace(to, trace_format) {
                 eprintln!("gothic_sim: cannot open trace file {path}: {e}");
                 std::process::exit(1);
             }

@@ -31,8 +31,8 @@ use octree::{
     build_tree_with_positions, calc_node, walk_tree, BuildConfig, Mac, Octree, WalkConfig,
 };
 
-/// Host wall-clock times of one step's phases (for the criterion
-/// benches; independent of the modeled GPU times).
+/// Host wall-clock times of one step's phases, as measured by the
+/// phase spans (independent of the modeled GPU times).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct WallTimes {
     pub predict: f64,
@@ -276,7 +276,6 @@ impl Gothic {
 
     /// Execute one block step.
     pub fn step(&mut self) -> StepReport {
-        let step_t0 = std::time::Instant::now();
         let step_span = telemetry::span("step");
         let n = self.len();
         let eps2 = self.cfg.eps * self.cfg.eps;
@@ -288,10 +287,8 @@ impl Gothic {
 
         // --- predict -----------------------------------------------------
         let span = telemetry::span(Function::Predict.name());
-        let t0 = std::time::Instant::now();
         predict_positions(&self.ps, &drift, &mut self.pred_pos);
-        wall.predict = t0.elapsed().as_secs_f64();
-        drop(span);
+        wall.predict = span.finish().as_secs_f64();
         events.predict = IntegrateEvents {
             particles: n as u64,
         };
@@ -305,8 +302,7 @@ impl Gothic {
         // and seeds the auto-tuner's build-cost reference.
         let rebuild = self.step_count == 0 || due;
         let rebuilt = if rebuild {
-            let _span = telemetry::span(Function::MakeTree.name());
-            let t0 = std::time::Instant::now();
+            let span = telemetry::span(Function::MakeTree.name());
             let pred = self.pred_pos.clone();
             let (tree, perm) = build_tree_with_positions(
                 &mut self.ps,
@@ -321,7 +317,7 @@ impl Gothic {
             active = perm.iter().map(|&p| active[p as usize]).collect();
             drift = perm.iter().map(|&p| drift[p as usize]).collect();
             self.pred_pos = perm.iter().map(|&p| pred[p as usize]).collect();
-            wall.make_tree = t0.elapsed().as_secs_f64();
+            wall.make_tree = span.finish().as_secs_f64();
             events.make = Some(self.tree.events);
             self.steps_since_rebuild = 0;
             true
@@ -331,10 +327,8 @@ impl Gothic {
 
         // --- calcNode ------------------------------------------------------
         let span = telemetry::span(Function::CalcNode.name());
-        let t0 = std::time::Instant::now();
         events.calc = calc_node(&mut self.tree, &self.pred_pos, &self.ps.mass);
-        wall.calc_node = t0.elapsed().as_secs_f64();
-        drop(span);
+        wall.calc_node = span.finish().as_secs_f64();
 
         // --- walkTree ------------------------------------------------------
         let active_idx: Vec<u32> = (0..n as u32).filter(|&i| active[i as usize]).collect();
@@ -345,7 +339,6 @@ impl Gothic {
             ..WalkConfig::default()
         };
         let span = telemetry::span(Function::WalkTree.name());
-        let t0 = std::time::Instant::now();
         let res = walk_tree(
             &self.tree,
             &self.pred_pos,
@@ -354,13 +347,11 @@ impl Gothic {
             &active_idx,
             &walk_cfg,
         );
-        wall.walk_tree = t0.elapsed().as_secs_f64();
-        drop(span);
+        wall.walk_tree = span.finish().as_secs_f64();
         events.walk = res.events;
 
         // --- correct -------------------------------------------------------
         let span = telemetry::span(Function::Correct.name());
-        let t0 = std::time::Instant::now();
         let mut dt_want = vec![self.cfg.dt_max; n];
         for (k, &i) in active_idx.iter().enumerate() {
             let i = i as usize;
@@ -374,8 +365,7 @@ impl Gothic {
             dt_want[i] = timestep_criterion(self.cfg.eta, self.cfg.eps, a_new, self.cfg.dt_max);
         }
         self.blocks.end_step(&active, &dt_want);
-        wall.correct = t0.elapsed().as_secs_f64();
-        drop(span);
+        wall.correct = span.finish().as_secs_f64();
         // The corrector is inlined here (block bookkeeping interleaves),
         // so the kernel counter is bumped here too.
         telemetry::metrics::counters::CORRECT_PARTICLES.add(active_idx.len() as u64);
@@ -396,7 +386,7 @@ impl Gothic {
 
         self.steps_since_rebuild += 1;
         self.step_count += 1;
-        drop(step_span);
+        let step_wall = step_span.finish();
 
         {
             use telemetry::metrics::counters as tm;
@@ -412,7 +402,7 @@ impl Gothic {
                 .map(|&f| profile.get(f).ops.sync_warp)
                 .sum();
             tm::MODEL_SYNCWARPS.add(syncwarps);
-            telemetry::metrics::histograms::STEP_WALL_NS.record_duration(step_t0.elapsed());
+            telemetry::metrics::histograms::STEP_WALL_NS.record_duration(step_wall);
         }
 
         let report = StepReport {

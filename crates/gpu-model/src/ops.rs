@@ -51,11 +51,6 @@ impl OpCounts {
         self.fp_fma + self.fp_mul + self.fp_add
     }
 
-    /// Total FP32 instructions including SFU ops.
-    pub fn fp_total_ops(&self) -> u64 {
-        self.fp_core_ops() + self.fp_special
-    }
-
     /// Flop count under the paper's convention: FMA = 2, mul = add = 1,
     /// reciprocal square root = 4 (§4.2: "the reciprocal square root
     /// corresponds to four Flops").

@@ -152,16 +152,6 @@ impl BlockSteps {
         k.min(self.max_depth) as u8
     }
 
-    /// Number of currently active particles if a step began now.
-    pub fn count_next_active(&self) -> usize {
-        let t_next = self.next_tick();
-        self.ptick
-            .iter()
-            .zip(&self.level)
-            .filter(|(&t, &k)| t + self.ticks_of_level(k) == t_next)
-            .count()
-    }
-
     /// Apply the same permutation the particle set received (tree rebuilds
     /// reorder particles into Morton order): element `i` of the result is
     /// element `perm[i]` of the original.

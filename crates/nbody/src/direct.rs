@@ -11,26 +11,9 @@ use crate::kernel::{interact, Source};
 use crate::particles::ParticleSet;
 use crate::vec3::{Real, Vec3};
 
-/// Compute accelerations and potentials of `sinks` positions due to all
-/// `sources`, serially. Returns (acc, pot) vectors.
-pub fn direct_serial(sinks: &[Vec3], sources: &[Source], eps2: Real) -> (Vec<Vec3>, Vec<Real>) {
-    let mut acc = vec![Vec3::ZERO; sinks.len()];
-    let mut pot = vec![0.0; sinks.len()];
-    for (i, &p) in sinks.iter().enumerate() {
-        let mut a = Vec3::ZERO;
-        let mut ph = 0.0;
-        for &s in sources {
-            let o = interact(p, s, eps2);
-            a += o.acc;
-            ph += o.pot;
-        }
-        acc[i] = a;
-        pot[i] = ph;
-    }
-    (acc, pot)
-}
-
-/// Parallel direct summation over sinks (work-stealing pool).
+/// Accelerations and potentials of `sinks` positions due to all
+/// `sources`, summed in source order per sink, so the result does not
+/// depend on the pool's thread count. Returns (acc, pot) vectors.
 pub fn direct_parallel(sinks: &[Vec3], sources: &[Source], eps2: Real) -> (Vec<Vec3>, Vec<Real>) {
     let results: Vec<(Vec3, Real)> = parallel::par_map(sinks, |&p| {
         let mut a = Vec3::ZERO;
@@ -95,19 +78,23 @@ mod tests {
 
     #[test]
     fn serial_and_parallel_agree() {
-        let ps = random_set(128, 1);
+        // Serial (one thread) and parallel (four threads) agree bit for
+        // bit. Enough sinks for several pool chunks, so four threads split
+        // them.
+        let ps = random_set(4 * parallel::DEFAULT_CHUNK + 7, 1);
         let sources: Vec<Source> = ps
             .pos
             .iter()
             .zip(&ps.mass)
+            .take(64)
             .map(|(&pos, &mass)| Source { pos, mass })
             .collect();
-        let (a1, p1) = direct_serial(&ps.pos, &sources, 1e-4);
-        let (a2, p2) = direct_parallel(&ps.pos, &sources, 1e-4);
-        for i in 0..ps.len() {
-            assert!((a1[i] - a2[i]).norm() < 1e-6);
-            assert!((p1[i] - p2[i]).abs() < 1e-6);
-        }
+        let run = |t| parallel::with_thread_count(t, || direct_parallel(&ps.pos, &sources, 1e-4));
+        let bits = |(acc, pot): (Vec<Vec3>, Vec<Real>)| {
+            let a = acc.into_iter().flat_map(<[Real; 3]>::from);
+            a.chain(pot).map(Real::to_bits).collect::<Vec<_>>()
+        };
+        assert_eq!(bits(run(1)), bits(run(4)));
     }
 
     #[test]

@@ -16,14 +16,6 @@
 use crate::particles::ParticleSet;
 use crate::vec3::{Real, Vec3};
 
-/// Predicted state of one particle (position at the new time plus the
-/// linearly-extrapolated velocity).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Predicted {
-    pub pos: Vec3,
-    pub vel: Vec3,
-}
-
 /// `predict` kernel: drift every particle from its own time to the target
 /// time using its current acceleration. `dt[i]` is the drift interval of
 /// particle `i` (callers with a shared step pass a uniform slice).

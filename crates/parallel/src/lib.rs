@@ -305,6 +305,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use telemetry::sink::{TraceFormat, TraceTo};
 
     #[test]
     fn par_map_matches_serial_at_every_thread_count() {
@@ -409,7 +410,7 @@ mod tests {
     #[test]
     fn pool_span_is_emitted_under_the_caller() {
         let _g = telemetry::sink::test_lock();
-        telemetry::sink::init_trace_memory();
+        telemetry::sink::init_trace(TraceTo::Memory, TraceFormat::JsonLines).unwrap();
         {
             let _outer = telemetry::span("caller");
             with_thread_count(2, || {

@@ -135,11 +135,6 @@ impl<T> Bounded<T> {
         self.len() == 0
     }
 
-    /// True after [`close`](Bounded::close).
-    pub fn is_closed(&self) -> bool {
-        self.lock().closed
-    }
-
     /// The hard capacity.
     pub fn capacity(&self) -> usize {
         self.cap

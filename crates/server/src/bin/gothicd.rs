@@ -22,6 +22,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use gothic::telemetry;
+use gothic::telemetry::sink::{TraceFormat, TraceTo};
 use server::{Server, ServerConfig};
 
 const USAGE: &str = "gothicd — GOTHIC simulation job daemon (NDJSON over TCP)
@@ -141,9 +142,12 @@ fn main() {
     };
 
     match args.trace.as_deref() {
-        Some("-") => telemetry::sink::init_trace_stderr(),
         Some(path) => {
-            if let Err(e) = telemetry::sink::init_trace_file(std::path::Path::new(path)) {
+            let to = match path {
+                "-" => TraceTo::Stderr,
+                _ => TraceTo::File(std::path::Path::new(path)),
+            };
+            if let Err(e) = telemetry::sink::init_trace(to, TraceFormat::JsonLines) {
                 eprintln!("gothicd: cannot open trace file {path}: {e}");
                 std::process::exit(1);
             }

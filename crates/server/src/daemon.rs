@@ -310,14 +310,13 @@ fn error_response(id: Option<&str>, error: &str) -> String {
 /// `serve.request` span and its latency is recorded in the
 /// `serve.request.ns` histogram (exposed via the `metrics` request).
 fn serve_request(line: &str, shared: &Shared, submitter: &Submitter) -> String {
-    let t0 = std::time::Instant::now();
+    let span = telemetry::span("serve.request");
     let response = serve_request_inner(line, shared, submitter);
-    telemetry::metrics::histograms::SERVE_REQUEST_NS.record_duration(t0.elapsed());
+    telemetry::metrics::histograms::SERVE_REQUEST_NS.record_duration(span.finish());
     response
 }
 
 fn serve_request_inner(line: &str, shared: &Shared, submitter: &Submitter) -> String {
-    let _span = telemetry::span("serve.request");
     let (id, req) = match parse_request(line) {
         Ok(p) => p,
         Err(e) => return error_response(None, &format!("bad_request: {e}")),

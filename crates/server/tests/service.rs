@@ -10,6 +10,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
+use gothic::telemetry::sink::{TraceFormat, TraceTo};
 use gothic::telemetry::{self, json};
 use server::{Server, ServerConfig};
 
@@ -314,7 +315,7 @@ fn requests_appear_as_spans_and_counters_in_the_trace() {
     let _g = serial();
     let _t = telemetry::sink::test_lock();
     telemetry::metrics::reset_all();
-    telemetry::sink::init_trace_memory();
+    telemetry::sink::init_trace(TraceTo::Memory, TraceFormat::JsonLines).unwrap();
 
     let srv = start(1, 4, 16);
     let mut c = Client::connect(srv.addr());

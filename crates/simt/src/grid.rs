@@ -6,7 +6,7 @@
 
 use crate::block::{BlockOutcome, ThreadBlock};
 use crate::ir::Program;
-use crate::prof::{self, KernelProfile, PipeCounts};
+use crate::prof::{KernelProfile, PipeCounts};
 use crate::racecheck::{Racecheck, RacecheckConfig, RacecheckReport};
 use crate::warp::{ExecError, Scheduler, WARP_SIZE};
 
@@ -70,8 +70,7 @@ impl Grid {
 
     /// Run to completion with per-pipe profiling enabled on every warp
     /// (see [`crate::prof`]). Returns the execution statistics and the
-    /// launch's [`KernelProfile`]; the profile is also folded into the
-    /// process-wide registry under `kernel`.
+    /// launch's [`KernelProfile`], named `kernel`.
     pub fn run_profiled(
         &mut self,
         program: &Program,
@@ -85,9 +84,7 @@ impl Grid {
             }
         }
         let stats = self.run_inner(program, sched, max_steps, None)?;
-        let profile = self.collect_profile(kernel);
-        prof::record_launch(&profile);
-        Ok((stats, profile))
+        Ok((stats, self.collect_profile(kernel)))
     }
 
     /// Aggregate this grid's warp-level pipe counts into one launch

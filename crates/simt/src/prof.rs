@@ -33,13 +33,10 @@
 //!   the high-water fragment count — how deep the divergence tree got
 //!   before reconvergence.
 
-use std::collections::BTreeMap;
-use std::sync::Mutex;
-
 use crate::ir::{Inst, Op};
 
-/// Per-pipe lane-operation counters for one kernel launch (or an
-/// aggregate over launches — see [`KernelProfile`]).
+/// Per-pipe lane-operation counters for one warp, or for one kernel
+/// launch once its warps are merged (see [`KernelProfile`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PipeCounts {
     /// INT32 pipe lane-ops (ALU, shifts, compares, constants, id reads).
@@ -151,68 +148,18 @@ impl PipeCounts {
     }
 }
 
-/// Aggregated per-pipe counts for one kernel name.
+/// Per-pipe counts of one profiled kernel launch, returned by
+/// [`crate::Grid::run_profiled`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct KernelProfile {
-    /// Kernel name (the aggregation key in the [`registry`]).
+    /// Kernel name.
     pub kernel: String,
-    /// Launches folded into this profile.
+    /// Launches in this profile (1 for a `run_profiled` result).
     pub launches: u64,
-    /// Warps summed over launches.
+    /// Warps in the launch grid.
     pub warps: u64,
-    /// Lane-operation counts summed over launches.
+    /// Lane-operation counts summed over the launch's warps.
     pub counts: PipeCounts,
-}
-
-impl KernelProfile {
-    pub fn new(kernel: &str) -> Self {
-        KernelProfile {
-            kernel: kernel.to_string(),
-            launches: 0,
-            warps: 0,
-            counts: PipeCounts::default(),
-        }
-    }
-
-    /// Fold another launch of the same kernel into this aggregate.
-    pub fn merge(&mut self, o: &KernelProfile) {
-        debug_assert_eq!(self.kernel, o.kernel, "merging different kernels");
-        self.launches += o.launches;
-        self.warps += o.warps;
-        self.counts.merge(&o.counts);
-    }
-}
-
-/// Process-wide profile registry, aggregating launches by kernel name.
-/// Profiled runs ([`crate::Grid::run_profiled`]) record here; `--profile`
-/// reporting snapshots it.
-static REGISTRY: Mutex<BTreeMap<String, KernelProfile>> = Mutex::new(BTreeMap::new());
-
-fn registry() -> std::sync::MutexGuard<'static, BTreeMap<String, KernelProfile>> {
-    REGISTRY.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Fold one launch into the registry under its kernel name.
-pub fn record_launch(p: &KernelProfile) {
-    registry()
-        .entry(p.kernel.clone())
-        .and_modify(|agg| agg.merge(p))
-        .or_insert_with(|| p.clone());
-}
-
-/// Every aggregated kernel profile, sorted by kernel name.
-pub fn snapshot() -> Vec<KernelProfile> {
-    registry().values().cloned().collect()
-}
-
-/// The aggregate for one kernel name, if any launches were recorded.
-pub fn get(kernel: &str) -> Option<KernelProfile> {
-    registry().get(kernel).cloned()
-}
-
-/// Clear the registry (between runs / tests).
-pub fn reset() {
-    registry().clear();
 }
 
 #[cfg(test)]
@@ -259,23 +206,5 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.int_ops, 15);
         assert_eq!(a.max_reconv_depth, 7);
-    }
-
-    #[test]
-    fn registry_aggregates_by_kernel_name() {
-        reset();
-        let mut p = KernelProfile::new("unit_test_kernel");
-        p.launches = 1;
-        p.warps = 4;
-        p.counts.int_ops = 100;
-        record_launch(&p);
-        record_launch(&p);
-        let got = get("unit_test_kernel").unwrap();
-        assert_eq!(got.launches, 2);
-        assert_eq!(got.warps, 8);
-        assert_eq!(got.counts.int_ops, 200);
-        assert!(snapshot().iter().any(|k| k.kernel == "unit_test_kernel"));
-        reset();
-        assert!(get("unit_test_kernel").is_none());
     }
 }

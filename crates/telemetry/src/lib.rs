@@ -25,16 +25,19 @@
 //! ## Overhead contract
 //!
 //! Everything is **off by default**. A disabled [`span`] costs one
-//! relaxed atomic load and returns a guard wrapping `None`; a disabled
-//! [`metrics::Counter::add`] costs one relaxed atomic load and a
-//! predictable branch. No allocation, no syscall, no lock. Hot paths
-//! (the tree walk, the radix sort, the SIMT interpreter) therefore keep
-//! their instrumentation compiled in unconditionally.
+//! relaxed atomic load and one monotonic clock read (its
+//! [`SpanGuard::finish`] still returns the interval, which is how the
+//! pipeline times its phases); a disabled [`metrics::Counter::add`]
+//! costs one relaxed atomic load and a predictable branch. No
+//! allocation, no lock. Hot paths (the tree walk, the radix sort, the
+//! SIMT interpreter) therefore keep their counters compiled in
+//! unconditionally; spans sit at phase and pool-job granularity.
 //!
 //! ## Example
 //!
 //! ```
-//! telemetry::sink::init_trace_memory();
+//! use telemetry::sink::{TraceFormat, TraceTo};
+//! telemetry::sink::init_trace(TraceTo::Memory, TraceFormat::JsonLines).unwrap();
 //! {
 //!     let _step = telemetry::span("step");
 //!     let _walk = telemetry::span("walk tree");

@@ -59,10 +59,6 @@ impl RunReport {
         self
     }
 
-    pub fn n_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     pub fn name(&self) -> &str {
         &self.name
     }

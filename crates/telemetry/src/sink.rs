@@ -88,7 +88,25 @@ fn lock() -> MutexGuard<'static, Option<Sink>> {
     SINK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn install(target: Target, format: TraceFormat) {
+/// Where [`init_trace`] sends the trace.
+#[derive(Clone, Copy, Debug)]
+pub enum TraceTo<'a> {
+    /// Create (or truncate) the file at this path.
+    File(&'a Path),
+    /// Standard error.
+    Stderr,
+    /// An in-memory buffer, read back with [`drain_memory`] (tests).
+    Memory,
+}
+
+/// Install the process-wide trace sink and enable spans + metrics. Only
+/// a [`TraceTo::File`] that cannot be created returns an error.
+pub fn init_trace(to: TraceTo<'_>, format: TraceFormat) -> std::io::Result<()> {
+    let target = match to {
+        TraceTo::File(path) => Target::File(BufWriter::new(File::create(path)?)),
+        TraceTo::Stderr => Target::Stderr,
+        TraceTo::Memory => Target::Memory(Vec::new()),
+    };
     epoch();
     let mut g = lock();
     *g = Some(Sink {
@@ -119,38 +137,7 @@ fn install(target: Target, format: TraceFormat) {
     }
     drop(g);
     crate::enable_all();
-}
-
-/// Install a file sink at `path` and enable spans + metrics.
-pub fn init_trace_file(path: &Path) -> std::io::Result<()> {
-    init_trace_file_with(path, TraceFormat::JsonLines)
-}
-
-/// Install a file sink at `path` with an explicit format.
-pub fn init_trace_file_with(path: &Path, format: TraceFormat) -> std::io::Result<()> {
-    let f = File::create(path)?;
-    install(Target::File(BufWriter::new(f)), format);
     Ok(())
-}
-
-/// Install a stderr sink and enable spans + metrics.
-pub fn init_trace_stderr() {
-    install(Target::Stderr, TraceFormat::JsonLines);
-}
-
-/// Install a stderr sink with an explicit format.
-pub fn init_trace_stderr_with(format: TraceFormat) {
-    install(Target::Stderr, format);
-}
-
-/// Install an in-memory sink (tests) and enable spans + metrics.
-pub fn init_trace_memory() {
-    install(Target::Memory(Vec::new()), TraceFormat::JsonLines);
-}
-
-/// Install an in-memory sink with an explicit format (tests).
-pub fn init_trace_memory_with(format: TraceFormat) {
-    install(Target::Memory(Vec::new()), format);
 }
 
 /// True when a sink is installed.
@@ -386,7 +373,7 @@ mod tests {
     #[test]
     fn memory_sink_collects_meta_and_counter_lines() {
         let _g = test_lock();
-        init_trace_memory();
+        init_trace(TraceTo::Memory, TraceFormat::JsonLines).unwrap();
         crate::metrics::reset_all();
         crate::metrics::counters::WALK_INTERACTIONS.add(7);
         emit_counters();
@@ -415,7 +402,7 @@ mod tests {
     fn file_sink_writes_parseable_json_lines() {
         let _g = test_lock();
         let path = std::env::temp_dir().join("telemetry_sink_test.jsonl");
-        init_trace_file(&path).unwrap();
+        init_trace(TraceTo::File(&path), TraceFormat::JsonLines).unwrap();
         {
             let _s = crate::span("file test");
         }
@@ -436,7 +423,7 @@ mod tests {
     #[test]
     fn shutdown_disables_recording_and_drops_sink() {
         let _g = test_lock();
-        init_trace_memory();
+        init_trace(TraceTo::Memory, TraceFormat::JsonLines).unwrap();
         assert!(trace_active());
         assert!(crate::spans_enabled());
         shutdown();
@@ -451,7 +438,7 @@ mod tests {
         let _g = test_lock();
         let path = std::env::temp_dir().join("telemetry_sink_test_chrome.json");
         crate::metrics::reset_all();
-        init_trace_file_with(&path, TraceFormat::Chrome).unwrap();
+        init_trace(TraceTo::File(&path), TraceFormat::Chrome).unwrap();
         {
             let _outer = crate::span("outer");
             let _inner = crate::span("inner");

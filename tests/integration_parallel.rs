@@ -6,6 +6,7 @@
 use gothic::galaxy::{plummer_model, M31Model};
 use gothic::nbody::Aabb;
 use gothic::octree::{build_tree, calc_node, morton_keys, walk_tree, BuildConfig, Mac, WalkConfig};
+use gothic::telemetry::sink::{TraceFormat, TraceTo};
 use gothic::telemetry::{self, json};
 use gothic::{Gothic, RunConfig};
 
@@ -105,7 +106,7 @@ fn span_fields(d: &json::Value) -> (String, u64, u64, u64, u64) {
 fn pool_spans_nest_under_walk_and_calc_phases() {
     let _g = telemetry::sink::test_lock();
     telemetry::metrics::reset_all();
-    telemetry::sink::init_trace_memory();
+    telemetry::sink::init_trace(TraceTo::Memory, TraceFormat::JsonLines).unwrap();
     parallel::with_thread_count(2, || {
         let particles = plummer_model(32_768, 100.0, 1.0, 13);
         let mut sim = Gothic::new(particles, RunConfig::default());

@@ -1,7 +1,7 @@
 //! End-to-end pipeline tests on the paper's M31 workload (scaled down).
 
-use gothic::galaxy::M31Model;
-use gothic::nbody::energy;
+use gothic::galaxy::{plummer_model, M31Model};
+use gothic::nbody::{energy, ParticleSet, Vec3};
 use gothic::octree::Mac;
 use gothic::{Gothic, RebuildPolicy, RunConfig};
 
@@ -146,4 +146,35 @@ fn walk_events_scale_with_accuracy() {
     let fine = run(2.0f32.powi(-16));
     assert!(coarse < medium, "coarse {coarse} < medium {medium}");
     assert!(medium < fine, "medium {medium} < fine {fine}");
+}
+
+/// `Gothic::new` plus four block steps must keep every position and
+/// acceleration finite, however degenerate the input.
+#[test]
+fn degenerate_inputs_stay_finite() {
+    let mut coincident = ParticleSet::with_capacity(64);
+    for _ in 0..64 {
+        coincident.push(Vec3::new(0.25, -0.5, 1.0), Vec3::ZERO, 1.0 / 64.0);
+    }
+    let unsoftened = RunConfig {
+        eps: 0.0,
+        ..RunConfig::default()
+    };
+    let cases = [
+        ("N = 1", plummer_model(1, 1.0, 1.0, 5), RunConfig::default()),
+        (
+            "N = 17",
+            plummer_model(17, 1.0, 1.0, 5),
+            RunConfig::default(),
+        ),
+        ("64 coincident", coincident, RunConfig::default()),
+        ("eps = 0", plummer_model(256, 1.0, 1.0, 5), unsoftened),
+    ];
+    for (label, ps, cfg) in cases {
+        let mut sim = Gothic::new(ps, cfg);
+        sim.run(4);
+        let ps = &sim.ps;
+        let finite = ps.pos.iter().chain(&ps.acc).all(|v| v.is_finite());
+        assert!(finite, "{label}: non-finite position or acceleration");
+    }
 }

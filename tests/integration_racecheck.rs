@@ -5,6 +5,7 @@
 
 use gothic::simt::{microbench, Grid, Op, Program, RacecheckConfig, Reg, Scheduler, Stmt};
 use gothic::telemetry;
+use gothic::telemetry::sink::{TraceFormat, TraceTo};
 
 /// The Table 2 sweep (`Ttot` × `Tsub`), in the variants the paper ships:
 /// Volta mode (defensive `__syncwarp()`) must be clean under both
@@ -102,7 +103,7 @@ fn hazard_occurrences_land_in_the_counter_registry() {
 fn hazard_reports_embed_in_the_trace_stream() {
     let _g = telemetry::sink::test_lock();
     telemetry::metrics::reset_all();
-    telemetry::sink::init_trace_memory();
+    telemetry::sink::init_trace(TraceTo::Memory, TraceFormat::JsonLines).unwrap();
     let rep = run_racy_block();
     let lines = telemetry::sink::drain_memory();
     telemetry::sink::shutdown();

@@ -6,6 +6,7 @@
 use std::collections::HashMap;
 
 use gothic::galaxy::plummer_model;
+use gothic::telemetry::sink::{TraceFormat, TraceTo};
 use gothic::telemetry::{self, json};
 use gothic::{Function, Gothic, RunConfig};
 
@@ -13,7 +14,7 @@ const STEPS: u64 = 4;
 
 fn run_traced() -> Vec<json::Value> {
     telemetry::metrics::reset_all();
-    telemetry::sink::init_trace_memory();
+    telemetry::sink::init_trace(TraceTo::Memory, TraceFormat::JsonLines).unwrap();
     let particles = plummer_model(512, 100.0, 1.0, 7);
     let mut sim = Gothic::new(particles, RunConfig::default());
     for _ in 0..STEPS {
@@ -127,4 +128,39 @@ fn disabled_telemetry_is_inert() {
     assert_eq!(telemetry::metrics::counters::WALK_INTERACTIONS.value(), 0);
     assert!(telemetry::sink::drain_memory().is_empty());
     assert!(!telemetry::sink::trace_active());
+}
+
+/// The phase walls in each `StepReport` are the intervals the phase spans
+/// recorded, and `step.wall.ns` is the step spans' total.
+#[test]
+fn step_report_walls_are_the_span_durations() {
+    let _g = telemetry::sink::test_lock();
+    telemetry::metrics::reset_all();
+    telemetry::sink::init_trace(TraceTo::Memory, TraceFormat::JsonLines).unwrap();
+    let particles = plummer_model(512, 100.0, 1.0, 7);
+    let mut sim = Gothic::new(particles, RunConfig::default());
+    let reports = sim.run(STEPS);
+    let lines = telemetry::sink::drain_memory();
+    let step_hist = telemetry::metrics::histograms::STEP_WALL_NS.snapshot();
+    telemetry::sink::shutdown();
+    telemetry::metrics::reset_all();
+
+    let mut dur_ns: HashMap<String, Vec<u64>> = HashMap::new();
+    for d in lines.iter().map(|l| json::parse(l).unwrap()) {
+        if type_of(&d) == "span" {
+            let name = d.get("name").unwrap().as_str().unwrap().to_string();
+            let ns = d.get("dur_ns").unwrap().as_u64().unwrap();
+            dur_ns.entry(name).or_default().push(ns);
+        }
+    }
+    for f in Function::ALL {
+        let walls: Vec<u64> = reports
+            .iter()
+            .filter(|r| f != Function::MakeTree || r.rebuilt)
+            .map(|r| (r.wall.get(f) * 1e9).round() as u64)
+            .collect();
+        assert_eq!(dur_ns[f.name()], walls, "{}", f.name());
+    }
+    assert_eq!(step_hist.count, STEPS);
+    assert_eq!(step_hist.sum, dur_ns["step"].iter().sum::<u64>());
 }
