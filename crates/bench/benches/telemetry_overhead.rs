@@ -8,20 +8,20 @@
 //! off (budget: <2%, see EXPERIMENTS.md).
 
 use std::hint::black_box;
-use telemetry::metrics::counters::WALK_INTERACTIONS;
+use telemetry::metrics::counters::POOL_CHUNKS;
 use testkit::bench::Suite;
 
 fn counter_paths(s: &mut Suite) {
     telemetry::disable_all();
     s.bench("counter/add_disabled", || {
         for _ in 0..1024 {
-            WALK_INTERACTIONS.add(black_box(1));
+            POOL_CHUNKS.add(black_box(1));
         }
     });
     telemetry::set_metrics_enabled(true);
     s.bench("counter/add_enabled", || {
         for _ in 0..1024 {
-            WALK_INTERACTIONS.add(black_box(1));
+            POOL_CHUNKS.add(black_box(1));
         }
     });
     telemetry::disable_all();
@@ -37,8 +37,9 @@ fn span_paths(s: &mut Suite) {
     });
 }
 
-/// A small arithmetic kernel with one counter bump per iteration — the
-/// densest instrumentation the workspace has (per-pass sort counters).
+/// A small arithmetic kernel with one counter bump per iteration — far
+/// denser than any instrumentation the workspace has (the pool bumps its
+/// counters once per parallel call).
 fn instrumented_workload(s: &mut Suite) {
     s.bench("workload/bare", || {
         let mut acc = 0u64;
@@ -52,7 +53,7 @@ fn instrumented_workload(s: &mut Suite) {
         let mut acc = 0u64;
         for i in 0..1024u64 {
             acc = acc.wrapping_mul(31).wrapping_add(black_box(i));
-            WALK_INTERACTIONS.add(1);
+            POOL_CHUNKS.add(1);
         }
         acc
     });

@@ -19,7 +19,7 @@
 use gothic::galaxy::M31Model;
 use gothic::gpu_model::{ExecMode, GpuArch, GridBarrier};
 use gothic::nbody::ParticleSet;
-use gothic::{Gothic, Profile, RebuildPolicy, RunConfig, StepEvents};
+use gothic::{Gothic, Profile, RebuildPolicy, RunConfig, RunSummary, StepEvents};
 
 /// Scale configuration from the environment.
 #[derive(Clone, Copy, Debug)]
@@ -77,6 +77,9 @@ pub struct MeasuredRun {
     pub mean_active: f64,
     /// Mean rebuild interval in steps.
     pub mean_rebuild_interval: f64,
+    /// The whole run, set-up and warm-up steps included: the source of a
+    /// report's counters.
+    pub summary: RunSummary,
 }
 
 /// Run one configuration and average the recorded events over the
@@ -128,6 +131,7 @@ pub fn measure(
         rebuild_fraction: rebuilds as f64 / measured.max(1) as f64,
         mean_active: active_acc / measured.max(1) as f64,
         mean_rebuild_interval,
+        summary: sim.summary().clone(),
     }
 }
 
@@ -303,7 +307,8 @@ pub fn default_barrier() -> GridBarrier {
 
 /// Start a structured run report for a table/figure binary, pre-filled
 /// with the scale metadata, with counter collection switched on so the
-/// report's `counters` section reflects the run.
+/// registry part of the report's `counters` section reflects the run
+/// (the binaries add each measured run's own counters).
 pub fn report(name: &str, scale: &BenchScale) -> telemetry::RunReport {
     telemetry::set_metrics_enabled(true);
     telemetry::metrics::reset_all();
@@ -367,6 +372,7 @@ mod tests {
         };
         let run = measure(ps, 2.0f32.powi(-6), &scale, None);
         assert!(run.mean_events.walk.interactions > 0);
+        assert_eq!(run.summary.steps, 5, "warm-up steps count too");
         assert!(run.mean_active > 0.0);
         let p = price(
             &run,

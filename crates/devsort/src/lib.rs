@@ -17,10 +17,6 @@ mod scatter;
 
 pub use scatter::SyncWriteSlice;
 
-use telemetry::metrics::counters::{
-    SORT_CALLS, SORT_ELEMENTS, SORT_RADIX_PASSES, SORT_SKIPPED_PASSES,
-};
-
 /// Keys usable by the radix sort: fixed-width unsigned integers.
 pub trait RadixKey: Copy + Ord + Send + Sync {
     /// Number of 8-bit digit passes needed.
@@ -48,38 +44,36 @@ impl RadixKey for u64 {
 const RADIX: usize = 256;
 
 /// Sort `keys` and `values` together by key, ascending and stable.
-/// Serial reference implementation.
+/// Serial reference implementation. Returns the digit passes applied;
+/// the other `K::PASSES` passes found every key in one digit bucket and
+/// were skipped as identities (all of them when `n <= 1`).
 // The Vec-based signature is kept deliberately so serial and parallel
 // entry points are drop-in interchangeable.
 #[allow(clippy::ptr_arg)]
-pub fn sort_pairs_serial<K: RadixKey>(keys: &mut Vec<K>, values: &mut Vec<u32>) {
+pub fn sort_pairs_serial<K: RadixKey>(keys: &mut Vec<K>, values: &mut Vec<u32>) -> u32 {
     assert_eq!(keys.len(), values.len());
     let n = keys.len();
-    SORT_CALLS.add(1);
-    SORT_ELEMENTS.add(n as u64);
     if n <= 1 {
-        return;
+        return 0;
     }
     let mut keys_alt = vec![keys[0]; n];
     let mut vals_alt = vec![0u32; n];
-    let mut flipped = false;
+    let mut applied = 0;
     for pass in 0..K::PASSES {
-        let (ksrc, kdst, vsrc, vdst) = if !flipped {
+        let (ksrc, kdst, vsrc, vdst) = if applied % 2 == 0 {
             (&keys[..], &mut keys_alt[..], &values[..], &mut vals_alt[..])
         } else {
             (&keys_alt[..], &mut keys[..], &vals_alt[..], &mut values[..])
         };
         if sort_pass_serial(ksrc, kdst, vsrc, vdst, pass) {
-            SORT_RADIX_PASSES.add(1);
-            flipped = !flipped;
-        } else {
-            SORT_SKIPPED_PASSES.add(1);
+            applied += 1;
         }
     }
-    if flipped {
+    if applied % 2 == 1 {
         keys.copy_from_slice(&keys_alt);
         values.copy_from_slice(&vals_alt);
     }
+    applied
 }
 
 /// One serial counting pass; returns false (skipping the copy) when all
@@ -124,22 +118,21 @@ const PAR_CHUNK: usize = 1 << 15;
 const PAR_THRESHOLD: usize = 1 << 14;
 
 /// Sort `keys` and `values` together by key, ascending and stable,
-/// in parallel. Matches `sort_pairs_serial` exactly on any input.
-pub fn sort_pairs<K: RadixKey>(keys: &mut Vec<K>, values: &mut Vec<u32>) {
+/// in parallel. Matches `sort_pairs_serial` exactly on any input, and
+/// returns the same count of applied digit passes.
+pub fn sort_pairs<K: RadixKey>(keys: &mut Vec<K>, values: &mut Vec<u32>) -> u32 {
     assert_eq!(keys.len(), values.len());
     let n = keys.len();
     if n < PAR_THRESHOLD {
         return sort_pairs_serial(keys, values);
     }
-    SORT_CALLS.add(1);
-    SORT_ELEMENTS.add(n as u64);
     let n_chunks = n.div_ceil(PAR_CHUNK);
     let mut keys_alt = vec![keys[0]; n];
     let mut vals_alt = vec![0u32; n];
-    let mut flipped = false;
+    let mut applied = 0;
 
     for pass in 0..K::PASSES {
-        let (ksrc, kdst, vsrc, vdst): (&[K], &mut [K], &[u32], &mut [u32]) = if !flipped {
+        let (ksrc, kdst, vsrc, vdst): (&[K], &mut [K], &[u32], &mut [u32]) = if applied % 2 == 0 {
             (&keys[..], &mut keys_alt[..], &values[..], &mut vals_alt[..])
         } else {
             (&keys_alt[..], &mut keys[..], &vals_alt[..], &mut values[..])
@@ -163,10 +156,8 @@ pub fn sort_pairs<K: RadixKey>(keys: &mut Vec<K>, values: &mut Vec<u32>) {
             }
         }
         if digit_totals.contains(&n) {
-            SORT_SKIPPED_PASSES.add(1);
             continue;
         }
-        SORT_RADIX_PASSES.add(1);
 
         // 2. Exclusive scan over (digit, chunk): the first write position
         //    of chunk c for digit d. Digit-major order preserves stability.
@@ -200,12 +191,13 @@ pub fn sort_pairs<K: RadixKey>(keys: &mut Vec<K>, values: &mut Vec<u32>) {
                 }
             }
         });
-        flipped = !flipped;
+        applied += 1;
     }
-    if flipped {
+    if applied % 2 == 1 {
         keys.copy_from_slice(&keys_alt);
         values.copy_from_slice(&vals_alt);
     }
+    applied
 }
 
 /// Produce the permutation that sorts `keys` (i.e. `perm[i]` is the index
@@ -302,9 +294,14 @@ mod tests {
         let (rk, rv) = reference_sort(&keys, &values);
         let mut k = keys.clone();
         let mut v = values.clone();
-        sort_pairs(&mut k, &mut v);
+        // Only the three low bytes vary: the other five passes are
+        // identities, skipped by both flavours alike.
+        assert_eq!(sort_pairs(&mut k, &mut v), 3);
         assert_eq!(k, rk);
         assert_eq!(v, rv);
+        let (mut k, mut v) = (keys.clone(), values.clone());
+        assert_eq!(sort_pairs_serial(&mut k, &mut v), 3);
+        assert_eq!(k, rk);
     }
 
     #[test]

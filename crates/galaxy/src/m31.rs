@@ -64,6 +64,7 @@ impl M31Model {
     /// masses (the MAGI constraint quoted in §2.2).
     pub fn sample(&self, n_total: usize, seed: u64) -> ParticleSet {
         assert!(n_total >= 16, "need at least a handful of particles");
+        let _span = telemetry::span("ics");
         let mut rng = StdRng::seed_from_u64(seed);
         let pot = self.potential();
         let m_tot = self.total_mass();
@@ -99,7 +100,6 @@ impl M31Model {
 
         // Zero the centre of mass and the net momentum.
         zero_com(&mut ps);
-        telemetry::metrics::counters::GALAXY_SAMPLED_PARTICLES.add(ps.len() as u64);
         ps
     }
 }

@@ -8,6 +8,7 @@ use prng::prelude::*;
 /// radius `a` in virial equilibrium, using the exact inverse-transform /
 /// rejection construction of Aarseth, Hénon & Wielen (1974).
 pub fn plummer_model(n: usize, mass: Real, a: Real, seed: u64) -> ParticleSet {
+    let _span = telemetry::span("ics");
     let mut rng = StdRng::seed_from_u64(seed);
     let mut ps = ParticleSet::with_capacity(n);
     let m_particle = mass / n as Real;
@@ -45,7 +46,6 @@ pub fn plummer_model(n: usize, mass: Real, a: Real, seed: u64) -> ParticleSet {
         ps.push(pos, vel, m_particle);
     }
     crate::m31::zero_com(&mut ps);
-    telemetry::metrics::counters::GALAXY_SAMPLED_PARTICLES.add(ps.len() as u64);
     ps
 }
 

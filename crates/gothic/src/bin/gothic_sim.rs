@@ -28,7 +28,7 @@ use gothic::nbody::units;
 use gothic::octree::Mac;
 use gothic::telemetry;
 use gothic::telemetry::sink::{TraceFormat, TraceTo};
-use gothic::{Function, Gothic, Profile, RunConfig, Snapshot, WallTimes};
+use gothic::{Function, Gothic, RunConfig, Snapshot};
 
 const USAGE: &str = "gothic_sim — GOTHIC pipeline driver (block time steps, acceleration MAC)
 
@@ -380,12 +380,8 @@ fn main() {
         "step", "t [Myr]", "active", "rebuilt", "model t/step", "interactions", "dE/E"
     );
 
-    let mut total = Profile::default();
-    let mut wall = WallTimes::default();
     for k in 0..args.steps {
         let r = sim.step();
-        total.add(&r.profile);
-        wall.add(&r.wall);
         if (k + 1) % args.log_every == 0 || r.rebuilt && args.log_every <= 4 {
             let e = sim.diagnostics();
             println!(
@@ -401,6 +397,8 @@ fn main() {
         }
     }
 
+    let summary = sim.summary();
+    let (total, wall) = (&summary.profile, &summary.wall);
     println!("\nmodeled {} breakdown per step:", sim.cfg.arch.name);
     for f in Function::ALL {
         let c = total.get(f);
@@ -442,10 +440,13 @@ fn main() {
             "{}",
             telemetry::sink::breakdown_table(&title, &rows, args.steps)
         );
-        eprint!("{}", telemetry::sink::counters_table(false));
+        eprint!(
+            "{}",
+            telemetry::sink::counters_table(&summary.counters(), false)
+        );
     }
     if args.trace.is_some() {
-        telemetry::sink::emit_counters();
+        telemetry::sink::emit_counters(&summary.counters());
         telemetry::sink::shutdown();
         if let Some(path) = &args.trace {
             if path != "-" {

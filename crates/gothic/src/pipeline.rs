@@ -23,6 +23,7 @@
 use crate::cancel::{CancelToken, Cancelled};
 use crate::config::{RebuildPolicy, RunConfig};
 use crate::profile::{price_step, Function, Profile, StepEvents};
+use crate::summary::RunSummary;
 use gpu_model::IntegrateEvents;
 use nbody::blockstep::BlockSteps;
 use nbody::integrator::{predict_positions, timestep_criterion};
@@ -190,17 +191,22 @@ pub struct Gothic {
     pub(crate) tuner: RebuildTuner,
     /// Completed block steps.
     pub step_count: u64,
+    pub(crate) summary: RunSummary,
 }
 
 impl Gothic {
     /// Initialise: build the tree, evaluate the bootstrap forces with the
     /// opening-angle MAC (the acceleration MAC of Eq. 2 needs |a| from a
-    /// previous step), and seed the block time-step hierarchy.
+    /// previous step), and seed the block time-step hierarchy. The
+    /// set-up's events and walls open the run's [`RunSummary`].
     pub fn new(mut ps: ParticleSet, cfg: RunConfig) -> Self {
         assert!(!ps.is_empty());
         let n = ps.len();
         let mut blocks = BlockSteps::new(n, cfg.dt_max, cfg.max_depth);
+        let mut events = StepEvents::default();
+        let mut wall = WallTimes::default();
 
+        let span = telemetry::span(Function::MakeTree.name());
         let positions = ps.pos.clone();
         let (mut tree, perm) = build_tree_with_positions(
             &mut ps,
@@ -210,9 +216,15 @@ impl Gothic {
             },
         );
         blocks.permute(&perm);
-        calc_node(&mut tree, &ps.pos, &ps.mass);
+        wall.make_tree = span.finish().as_secs_f64();
+        events.make = Some(tree.events);
+
+        let span = telemetry::span(Function::CalcNode.name());
+        events.calc = calc_node(&mut tree, &ps.pos, &ps.mass);
+        wall.calc_node = span.finish().as_secs_f64();
 
         // Bootstrap forces: geometric MAC, every particle active.
+        let span = telemetry::span("bootstrap");
         let walk_cfg = WalkConfig {
             mac: Mac::OpeningAngle {
                 theta: cfg.theta_bootstrap,
@@ -235,9 +247,12 @@ impl Gothic {
             let dt = timestep_criterion(cfg.eta, cfg.eps, ps.acc[i], cfg.dt_max);
             blocks.level[i] = blocks.level_for_dt(dt);
         }
+        wall.walk_tree = span.finish().as_secs_f64();
+        events.walk = res.events;
 
         let pred_pos = ps.pos.clone();
         Gothic {
+            summary: RunSummary::set_up(n, &events, tree.radix_passes, wall),
             cfg,
             ps,
             blocks,
@@ -272,6 +287,11 @@ impl Gothic {
     /// Steps since the last tree rebuild.
     pub fn tree_age(&self) -> u32 {
         self.steps_since_rebuild
+    }
+
+    /// What this run has done so far: its set-up plus every step.
+    pub fn summary(&self) -> &RunSummary {
+        &self.summary
     }
 
     /// Execute one block step.
@@ -366,9 +386,6 @@ impl Gothic {
         }
         self.blocks.end_step(&active, &dt_want);
         wall.correct = span.finish().as_secs_f64();
-        // The corrector is inlined here (block bookkeeping interleaves),
-        // so the kernel counter is bumped here too.
-        telemetry::metrics::counters::CORRECT_PARTICLES.add(active_idx.len() as u64);
         events.correct = IntegrateEvents {
             particles: active_idx.len() as u64,
         };
@@ -386,24 +403,7 @@ impl Gothic {
 
         self.steps_since_rebuild += 1;
         self.step_count += 1;
-        let step_wall = step_span.finish();
-
-        {
-            use telemetry::metrics::counters as tm;
-            tm::PIPELINE_STEPS.add(1);
-            tm::PIPELINE_ACTIVE_PARTICLES.add(active_idx.len() as u64);
-            if rebuilt {
-                tm::PIPELINE_REBUILDS.add(1);
-            }
-            // Priced syncwarp executions — the modeled nvprof count for
-            // this step's kernels (nonzero only in the Volta mode).
-            let syncwarps: u64 = Function::ALL
-                .iter()
-                .map(|&f| profile.get(f).ops.sync_warp)
-                .sum();
-            tm::MODEL_SYNCWARPS.add(syncwarps);
-            telemetry::metrics::histograms::STEP_WALL_NS.record_duration(step_wall);
-        }
+        telemetry::metrics::histograms::STEP_WALL_NS.record_duration(step_span.finish());
 
         let report = StepReport {
             step: self.step_count,
@@ -414,6 +414,7 @@ impl Gothic {
             profile,
             wall,
         };
+        self.summary.add_step(&report, self.tree.radix_passes);
         if telemetry::sink::trace_active() {
             emit_step_event(&report);
         }

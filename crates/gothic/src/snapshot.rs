@@ -17,7 +17,7 @@
 //! from the stored cube, keys and topology on resume.
 
 use crate::pipeline::RebuildTuner;
-use crate::{Gothic, RunConfig};
+use crate::{Gothic, RunConfig, RunSummary};
 use gpu_model::MakeTreeEvents;
 use nbody::blockstep::BlockSteps;
 use nbody::{Aabb, ParticleSet, Vec3};
@@ -96,6 +96,7 @@ impl Snapshot {
                 bmax: Vec::new(),
                 level_start: t.level_start.clone(),
                 events: MakeTreeEvents::default(),
+                radix_passes: 0,
             },
             tuner: sim.tuner.clone(),
             steps_since_rebuild: sim.steps_since_rebuild,
@@ -222,6 +223,7 @@ impl Snapshot {
             bmax: Vec::new(),
             level_start: read_vec(r, levels, u32::from_le_bytes)?,
             events: MakeTreeEvents::default(),
+            radix_passes: 0,
         };
         check_tree_bounds(&tree).map_err(invalid)?;
         tree.check_invariants(leaf_cap).map_err(invalid)?;
@@ -354,6 +356,7 @@ impl Snapshot {
             steps_since_rebuild: self.steps_since_rebuild,
             tuner: self.tuner.clone(),
             step_count: self.step,
+            summary: RunSummary::default(),
         })
     }
 }

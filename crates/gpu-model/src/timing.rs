@@ -138,7 +138,6 @@ pub fn kernel_time(
     barrier: GridBarrier,
     ops: &OpCounts,
 ) -> KernelTime {
-    telemetry::metrics::counters::MODEL_KERNEL_PRICINGS.add(1);
     let eff = arch.issue_efficiency;
 
     // Compute pipes.

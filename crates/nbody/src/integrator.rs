@@ -26,7 +26,6 @@ use crate::vec3::{Real, Vec3};
 /// corrector needs.
 pub fn predict(ps: &mut ParticleSet, dt: &[Real]) -> Vec<Vec3> {
     assert_eq!(dt.len(), ps.len());
-    telemetry::metrics::counters::PREDICT_PARTICLES.add(ps.len() as u64);
     let acc_old = ps.acc.clone();
     let (vel, acc) = (&ps.vel, &ps.acc);
     parallel::for_each_mut(&mut ps.pos, |i, p| {
@@ -42,8 +41,6 @@ pub fn correct(ps: &mut ParticleSet, acc_old: &[Vec3], dt: &[Real], active: &[bo
     assert_eq!(acc_old.len(), ps.len());
     assert_eq!(dt.len(), ps.len());
     assert_eq!(active.len(), ps.len());
-    let n_active = active.iter().filter(|&&a| a).count() as u64;
-    telemetry::metrics::counters::CORRECT_PARTICLES.add(n_active);
     let acc = &ps.acc;
     parallel::for_each_mut(&mut ps.vel, |i, v| {
         if active[i] {
@@ -59,7 +56,6 @@ pub fn correct(ps: &mut ParticleSet, acc_old: &[Vec3], dt: &[Real], active: &[bo
 pub fn predict_positions(ps: &ParticleSet, dt: &[Real], out: &mut [Vec3]) {
     assert_eq!(dt.len(), ps.len());
     assert_eq!(out.len(), ps.len());
-    telemetry::metrics::counters::PREDICT_PARTICLES.add(ps.len() as u64);
     parallel::for_each_mut(out, |i, o| {
         let h = dt[i];
         *o = ps.pos[i] + ps.vel[i] * h + ps.acc[i] * (0.5 * h * h);

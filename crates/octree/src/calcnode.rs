@@ -106,12 +106,6 @@ pub fn calc_node(tree: &mut Octree, pos: &[Vec3], mass: &[Real]) -> CalcNodeEven
         }
     }
     events.child_accumulations = accum;
-    {
-        use telemetry::metrics::counters as tm;
-        tm::CALC_NODES.add(events.nodes);
-        tm::CALC_ACCUMULATIONS.add(events.child_accumulations);
-        tm::CALC_GRID_SYNCS.add(events.grid_syncs);
-    }
     events
 }
 

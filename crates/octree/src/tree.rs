@@ -52,6 +52,10 @@ pub struct Octree {
     pub level_start: Vec<u32>,
     /// Build-phase event counts for the performance model.
     pub events: MakeTreeEvents,
+    /// Digit passes the key sort applied; the rest of the 8 were
+    /// identity passes the host sort skipped. The model still prices all
+    /// 8 (`events.sort_passes`): CUB runs every pass.
+    pub radix_passes: u64,
 }
 
 impl Octree {
@@ -186,7 +190,7 @@ pub fn build_tree_with_positions(
     // GOTHIC's makeTree; see §4.1).
     let mut keys = morton::morton_keys(positions, &cube);
     let mut perm: Vec<u32> = (0..ps.len() as u32).collect();
-    devsort::sort_pairs(&mut keys, &mut perm);
+    let radix_passes = devsort::sort_pairs(&mut keys, &mut perm).into();
     ps.permute(&perm);
 
     let n = ps.len() as u32;
@@ -209,6 +213,7 @@ pub fn build_tree_with_positions(
             sort_passes: 8,
             nodes_created: 1,
         },
+        radix_passes,
     };
 
     // Breadth-first splitting.
@@ -296,8 +301,6 @@ pub fn build_tree_with_positions(
         level += 1;
     }
     tree.events.nodes_created = tree.n_nodes() as u64;
-    telemetry::metrics::counters::TREE_BUILDS.add(1);
-    telemetry::metrics::counters::TREE_NODES_CREATED.add(tree.events.nodes_created);
 
     // Size the COM arrays; calc_node fills them.
     let n_nodes = tree.n_nodes();

@@ -240,22 +240,7 @@ fn walk_group(
         flush(&list, &sinks, &mut acc, &mut pot, cfg.eps2, &mut events);
         list.clear();
     }
-    record_walk_counters(&events);
     (acc, pot, events)
-}
-
-/// Publish one group's event counts to the telemetry registry. Runs on
-/// the pool worker that walked the group; the counters are sharded, so
-/// concurrent groups do not contend.
-#[inline]
-fn record_walk_counters(events: &WalkEvents) {
-    use telemetry::metrics::counters as tm;
-    tm::WALK_GROUPS.add(events.groups);
-    tm::WALK_INTERACTIONS.add(events.interactions);
-    tm::WALK_MAC_EVALS.add(events.mac_evals);
-    tm::WALK_LIST_PUSHES.add(events.list_pushes);
-    tm::WALK_OPENS.add(events.opens);
-    tm::WALK_FLUSHES.add(events.flushes);
 }
 
 /// Append one source, flushing the shared list at capacity.

@@ -199,7 +199,7 @@ impl Server {
             let _ = h.join();
         }
         if telemetry::sink::trace_active() {
-            telemetry::sink::emit_counters();
+            telemetry::sink::emit_counters(&[]);
         }
         DrainSummary {
             backlog_drained: backlog,

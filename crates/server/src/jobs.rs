@@ -6,7 +6,7 @@ use std::sync::OnceLock;
 
 use gothic::galaxy::{plummer_model, M31Model};
 use gothic::telemetry::json::JsonObject;
-use gothic::{price_step, CancelReason, CancelToken, Function, Gothic, Profile, StepEvents};
+use gothic::{price_step, CancelReason, CancelToken, Function, Gothic, StepEvents};
 
 use crate::protocol::{PredictJob, SimJob};
 
@@ -48,39 +48,24 @@ fn sample(model: &str, n: usize, seed: u64) -> gothic::nbody::ParticleSet {
 /// before the first check, so the floor on a cancelled request's cost is
 /// one bootstrap, not zero.
 ///
-/// Telemetry counters are reported **per job** by snapshot-and-delta:
-/// the process-wide registry is sampled before and after the run and the
-/// payload carries only the differences. Resetting the registry between
-/// jobs would be wrong twice over — it races with concurrent workers and
-/// silently zeroes the daemon-lifetime totals the `metrics` request
-/// exposes — and reporting raw cumulative values would bleed every
-/// earlier job's work into the next payload.
+/// The payload's counters, breakdown and walls come from the job's own
+/// [`gothic::RunSummary`], so concurrent jobs never see each other's
+/// work.
 pub fn run_simulate(job: &SimJob, token: &CancelToken) -> Result<String, JobError> {
-    let ctr_before = gothic::telemetry::metrics::snapshot();
     let ps = sample(&job.model, job.n, job.seed);
     let mut sim = Gothic::new(ps, job.cfg.clone());
     let e0 = sim.diagnostics();
-    let reports = match sim.run_cancellable(job.steps, token) {
-        Ok(r) => r,
-        Err(c) => {
-            let steps_done = c.completed.len() as u64;
-            return Err(match c.cancelled.reason {
-                CancelReason::DeadlineExceeded => JobError::DeadlineExceeded { steps_done },
-                CancelReason::Requested => JobError::Cancelled { steps_done },
-            });
-        }
-    };
-    let e1 = sim.diagnostics();
-
-    let mut total = Profile::default();
-    let mut wall = 0.0;
-    let mut rebuilds = 0u64;
-    for r in &reports {
-        total.add(&r.profile);
-        wall += r.wall.total();
-        rebuilds += r.rebuilt as u64;
+    if let Err(c) = sim.run_cancellable(job.steps, token) {
+        let steps_done = c.completed.len() as u64;
+        return Err(match c.cancelled.reason {
+            CancelReason::DeadlineExceeded => JobError::DeadlineExceeded { steps_done },
+            CancelReason::Requested => JobError::Cancelled { steps_done },
+        });
     }
-    let steps = reports.len().max(1) as f64;
+    let e1 = sim.diagnostics();
+    let run = sim.summary();
+    let total = &run.profile;
+    let steps = run.steps.max(1) as f64;
 
     // The Table-2 breakdown: modeled seconds per step for each of the
     // five representative kernels on the requested architecture.
@@ -92,9 +77,9 @@ pub fn run_simulate(job: &SimJob, token: &CancelToken) -> Result<String, JobErro
     let mut o = JsonObject::new();
     o.str("model", &job.model)
         .u64("n", job.n as u64)
-        .u64("steps", reports.len() as u64)
+        .u64("steps", run.steps)
         .u64("seed", job.seed)
-        .u64("rebuilds", rebuilds)
+        .u64("rebuilds", run.rebuilds)
         .f64("t_final", sim.time())
         .f64("e_initial", e0.total_energy())
         .f64("e_final", e1.total_energy())
@@ -102,17 +87,12 @@ pub fn run_simulate(job: &SimJob, token: &CancelToken) -> Result<String, JobErro
         .str("arch", job.cfg.arch.name)
         .f64("model_seconds_per_step", total.total_seconds() / steps)
         .raw("breakdown", &breakdown.finish())
-        .f64("wall_seconds", wall);
+        .f64("setup_seconds", run.setup_wall.total())
+        .f64("wall_seconds", run.wall.total());
 
-    // Per-job counter deltas (only counters this job actually moved).
-    // Zero when metrics collection is disabled process-wide.
-    let ctr_after = gothic::telemetry::metrics::snapshot();
     let mut counters = JsonObject::new();
-    for ((name, before), (_, after)) in ctr_before.iter().zip(ctr_after.iter()) {
-        let delta = after.wrapping_sub(*before);
-        if delta > 0 {
-            counters.u64(name, delta);
-        }
+    for (name, value) in run.counters() {
+        counters.u64(name, value);
     }
     o.raw("counters", &counters.finish());
     Ok(o.finish())
@@ -229,6 +209,13 @@ mod tests {
             v.get("model_seconds_per_step").unwrap().as_f64().unwrap() > 0.0,
             "modeled time must be positive"
         );
+        assert!(v.get("setup_seconds").unwrap().as_f64().unwrap() > 0.0);
+        let counters = v.get("counters").unwrap();
+        assert_eq!(counters.get("pipeline.steps").unwrap().as_u64(), Some(3));
+        assert_eq!(
+            counters.get("galaxy.sampled_particles").unwrap().as_u64(),
+            Some(1024)
+        );
     }
 
     #[test]
@@ -244,10 +231,8 @@ mod tests {
     #[test]
     fn identical_jobs_render_identical_payloads() {
         // The cache contract: digest equality implies the *results* are
-        // interchangeable. Everything but the measured wall clock and the
-        // per-job counter deltas (which record what this particular run
-        // cost, and can be perturbed by concurrent test activity when
-        // metrics are enabled) must be bit-identical.
+        // interchangeable. Everything but the measured wall clocks must
+        // be bit-identical, the per-job counters included.
         let a = sim_job(r#"{"type":"simulate","n":512,"steps":2,"seed":3}"#);
         let b = sim_job(r#"{"steps":2,"seed":3,"n":512,"type":"simulate"}"#);
         assert_eq!(a.digest(), b.digest());
@@ -255,7 +240,7 @@ mod tests {
             let v = parse(payload).unwrap();
             let mut m = v.as_obj().unwrap().clone();
             assert!(m.remove("wall_seconds").is_some());
-            assert!(m.remove("counters").is_some());
+            assert!(m.remove("setup_seconds").is_some());
             m
         };
         let pa = run_simulate(&a, &CancelToken::new()).unwrap();

@@ -279,8 +279,7 @@ fn consecutive_jobs_report_their_own_counter_deltas() {
     let _g = serial();
     // Regression test for counter bleed between in-process jobs: with
     // one worker the two jobs run back to back in the same process, and
-    // each payload must report only the pipeline steps *it* executed —
-    // not the cumulative registry total at completion time.
+    // each payload must report only the pipeline steps *it* executed.
     let srv = start(1, 4, 0);
     let mut c = Client::connect(srv.addr());
 
@@ -288,7 +287,7 @@ fn consecutive_jobs_report_their_own_counter_deltas() {
         resp.get("result")
             .unwrap()
             .get("counters")
-            .expect("payload must carry per-job counter deltas")
+            .expect("payload must carry per-job counters")
             .get("pipeline.steps")
             .and_then(|v| v.as_u64())
             .unwrap_or(0)
@@ -306,6 +305,41 @@ fn consecutive_jobs_report_their_own_counter_deltas() {
         steps_delta(&second),
         5,
         "second job must not inherit the first job's steps"
+    );
+    srv.drain();
+}
+
+#[test]
+fn concurrent_jobs_report_their_solo_counters() {
+    let _g = serial();
+    // Regression test for counter bleed between concurrent jobs: two
+    // different jobs run at once on two workers, and each payload must
+    // carry exactly the counts the same job reports when run alone.
+    let srv = start(2, 4, 0);
+    let addr = srv.addr();
+    let job = |seed: u64| {
+        format!(
+            r#"{{"type":"simulate","model":"plummer","n":8192,"steps":6,"seed":{seed},"cache":false}}"#
+        )
+    };
+    let counts = |resp: json::Value| {
+        assert_eq!(resp.get("ok").unwrap().as_bool(), Some(true), "{resp:?}");
+        let c = resp.get("result").unwrap().get("counters").unwrap();
+        ["walk.interactions", "pipeline.steps"]
+            .map(|k| c.get(k).and_then(|v| v.as_u64()).unwrap_or(0))
+    };
+    let mut c1 = Client::connect(addr);
+    let mut c2 = Client::connect(addr);
+    let solo = [counts(c1.roundtrip(&job(1))), counts(c1.roundtrip(&job(2)))];
+    assert!(solo[0][0] > 0 && solo[0][1] == 6, "{solo:?}");
+    assert_ne!(solo[0], solo[1], "the two jobs must differ");
+
+    c1.send(&job(1));
+    c2.send(&job(2));
+    let together = [counts(c1.recv()), counts(c2.recv())];
+    assert_eq!(
+        together, solo,
+        "concurrent jobs must report their solo counts"
     );
     srv.drain();
 }

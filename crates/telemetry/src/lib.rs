@@ -10,11 +10,13 @@
 //!   block step show up as real measured intervals next to the modeled
 //!   GPU times.
 //! * **Counters and histograms** ([`metrics`]) — a fixed registry of
-//!   named monotonic counters (interactions, MAC evaluations, radix
-//!   passes, syncwarp and grid-barrier executions, …) that rayon workers
-//!   bump through sharded atomics, merged on read, plus log₂-bucket
-//!   [`Histogram`]s with p50/p95/p99 snapshots for latency-shaped values
-//!   and a Prometheus text exposition of both.
+//!   named process-scoped counters (SIMT syncwarp and grid-barrier
+//!   executions, pool chunks and steals, gothicd request outcomes) plus
+//!   log₂-bucket [`Histogram`]s with p50/p95/p99 snapshots for
+//!   latency-shaped values and a Prometheus text exposition of both. A
+//!   run's own counts (interactions, MAC evaluations, radix passes, …)
+//!   are not registered here: the run returns them, and the sinks take
+//!   them as `(name, value)` pairs.
 //! * **Sinks** ([`sink`]) — a process-wide trace sink rendering either
 //!   JSON-lines structured events (one object per line: spans, step
 //!   records, counter snapshots) or human-readable breakdown tables.
@@ -29,9 +31,9 @@
 //! [`SpanGuard::finish`] still returns the interval, which is how the
 //! pipeline times its phases); a disabled [`metrics::Counter::add`]
 //! costs one relaxed atomic load and a predictable branch. No
-//! allocation, no lock. Hot paths (the tree walk, the radix sort, the
-//! SIMT interpreter) therefore keep their counters compiled in
-//! unconditionally; spans sit at phase and pool-job granularity.
+//! allocation, no lock. The SIMT interpreter and the pool therefore keep
+//! their counters compiled in unconditionally; spans sit at phase and
+//! pool-job granularity.
 //!
 //! ## Example
 //!
@@ -41,9 +43,9 @@
 //! {
 //!     let _step = telemetry::span("step");
 //!     let _walk = telemetry::span("walk tree");
-//!     telemetry::metrics::counters::WALK_INTERACTIONS.add(1024);
+//!     telemetry::metrics::counters::POOL_CHUNKS.add(4);
 //! }
-//! telemetry::sink::emit_counters();
+//! telemetry::sink::emit_counters(&[("walk.interactions", 1024)]);
 //! let lines = telemetry::sink::drain_memory();
 //! assert!(lines.iter().any(|l| l.contains("\"walk tree\"")));
 //! telemetry::sink::shutdown();

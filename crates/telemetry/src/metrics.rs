@@ -1,13 +1,14 @@
-//! Named monotonic counters over sharded atomics.
+//! Named monotonic counters and log₂ histograms for process-scoped
+//! events.
 //!
-//! Rayon workers bump counters concurrently; a naive single `AtomicU64`
-//! would bounce its cache line between cores on every increment. Each
-//! [`Counter`] therefore owns [`N_SHARDS`] cache-line-aligned atomic
-//! cells; a thread picks its shard once (round-robin at first use) and
-//! keeps hitting the same line, so increments from different workers
-//! don't contend. Reads ([`Counter::value`]) sum the shards — counters
-//! are monotonically increasing totals, exact once the bumping work has
-//! been joined (rayon scopes join before the pipeline reads).
+//! The registry holds only what belongs to the process rather than to
+//! one run: the SIMT interpreter's executed-instruction counts, the
+//! work-stealing pool's job/chunk/steal tallies and the gothicd request
+//! outcomes. A run's pipeline counts (walk, calc, tree, sort, integrate,
+//! pipeline, model, galaxy) come back in the run's own summary instead,
+//! so concurrent runs never mix. The hottest counter left is bumped
+//! about once per pool job, so each [`Counter`] is one relaxed
+//! `AtomicU64`.
 //!
 //! The full workspace registry lives in [`counters`]: the telemetry
 //! crate sits at the base of the crate graph, so every domain crate
@@ -21,48 +22,19 @@
 //! [`histograms`]; [`prometheus_text`] renders both registries in the
 //! Prometheus text exposition format for the gothicd `metrics` request.
 
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-
-/// Shards per counter. A power of two so shard selection is a mask;
-/// 16 × 64 B = 1 KiB per counter, plenty to keep a typical rayon pool
-/// (8–32 workers) from sharing lines.
-pub const N_SHARDS: usize = 16;
-
-/// One cache line worth of counter cell.
-#[repr(align(64))]
-struct Shard(AtomicU64);
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A named monotonic counter.
 pub struct Counter {
     name: &'static str,
-    shards: [Shard; N_SHARDS],
-}
-
-static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    static MY_SHARD: Cell<usize> = const { Cell::new(usize::MAX) };
-}
-
-#[inline]
-fn shard_index() -> usize {
-    MY_SHARD.with(|s| {
-        let v = s.get();
-        if v != usize::MAX {
-            return v;
-        }
-        let v = NEXT_SHARD.fetch_add(1, Ordering::Relaxed) & (N_SHARDS - 1);
-        s.set(v);
-        v
-    })
+    value: AtomicU64,
 }
 
 impl Counter {
     pub const fn new(name: &'static str) -> Self {
         Counter {
             name,
-            shards: [const { Shard(AtomicU64::new(0)) }; N_SHARDS],
+            value: AtomicU64::new(0),
         }
     }
 
@@ -76,22 +48,17 @@ impl Counter {
         if !crate::metrics_enabled() {
             return;
         }
-        self.shards[shard_index()].0.fetch_add(v, Ordering::Relaxed);
+        self.value.fetch_add(v, Ordering::Relaxed);
     }
 
-    /// Current total (sum over shards).
+    /// Current total.
     pub fn value(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.0.load(Ordering::Relaxed))
-            .sum()
+        self.value.load(Ordering::Relaxed)
     }
 
     /// Reset to zero (between runs / tests).
     pub fn reset(&self) {
-        for s in &self.shards {
-            s.0.store(0, Ordering::Relaxed);
-        }
+        self.value.store(0, Ordering::Relaxed);
     }
 }
 
@@ -189,7 +156,7 @@ impl Histogram {
 }
 
 /// An owned copy of a [`Histogram`]'s state, for quantile queries and
-/// cross-shard/cross-run merging.
+/// cross-run merging.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     pub count: u64,
@@ -244,7 +211,7 @@ impl HistogramSnapshot {
         }
     }
 
-    /// Element-wise merge — associative and commutative, so shards or
+    /// Element-wise merge — associative and commutative, so threads or
     /// per-run snapshots combine in any order. `sum` wraps like the
     /// atomic `fetch_add` it mirrors.
     pub fn merge(&mut self, other: &HistogramSnapshot) {
@@ -290,42 +257,13 @@ macro_rules! declare_counters {
     };
 }
 
-/// The workspace counter registry.
+/// The workspace counter registry: process-scoped counters only.
 ///
 /// Names are `subsystem.event`, stable across PRs — they are the schema
-/// of the `{"type":"counters"}` trace line and of the run reports.
+/// of the registry part of the `{"type":"counters"}` trace line, of the
+/// run reports and of the gothicd Prometheus exposition.
 pub mod counters {
-    // walkTree (octree::walk) — bumped per warp-group by rayon workers.
     declare_counters! {
-        WALK_GROUPS => "walk.groups",
-        WALK_INTERACTIONS => "walk.interactions",
-        WALK_MAC_EVALS => "walk.mac_evals",
-        WALK_LIST_PUSHES => "walk.list_pushes",
-        WALK_OPENS => "walk.opens",
-        WALK_FLUSHES => "walk.flushes",
-        // calcNode (octree::calcnode).
-        CALC_NODES => "calc.nodes",
-        CALC_ACCUMULATIONS => "calc.child_accumulations",
-        CALC_GRID_SYNCS => "calc.grid_syncs",
-        // makeTree (octree::tree).
-        TREE_BUILDS => "tree.builds",
-        TREE_NODES_CREATED => "tree.nodes_created",
-        // Radix sort (devsort).
-        SORT_CALLS => "sort.calls",
-        SORT_ELEMENTS => "sort.elements",
-        SORT_RADIX_PASSES => "sort.radix_passes",
-        SORT_SKIPPED_PASSES => "sort.skipped_passes",
-        // Orbit integration (nbody / gothic::pipeline).
-        PREDICT_PARTICLES => "integrate.predict_particles",
-        CORRECT_PARTICLES => "integrate.correct_particles",
-        // Pipeline (gothic).
-        PIPELINE_STEPS => "pipeline.steps",
-        PIPELINE_REBUILDS => "pipeline.rebuilds",
-        PIPELINE_ACTIVE_PARTICLES => "pipeline.active_particles",
-        // Priced instruction totals (gpu-model) — the modeled nvprof
-        // analogue; `model.syncwarps` is nonzero only in the Volta mode.
-        MODEL_KERNEL_PRICINGS => "model.kernel_pricings",
-        MODEL_SYNCWARPS => "model.syncwarps",
         // SIMT interpreter (simt) — the executed nvprof analogue.
         SIMT_SCHED_STEPS => "simt.scheduler_steps",
         SIMT_SYNCWARPS => "simt.syncwarps",
@@ -336,8 +274,6 @@ pub mod counters {
         SIMT_HAZARDS_SHARED => "simt.hazards.shared",
         SIMT_HAZARDS_GLOBAL => "simt.hazards.global",
         SIMT_HAZARDS_SHUFFLE => "simt.hazards.shuffle",
-        // Initial conditions (galaxy).
-        GALAXY_SAMPLED_PARTICLES => "galaxy.sampled_particles",
         // In-tree work-stealing pool (parallel).
         POOL_JOBS => "pool.jobs",
         POOL_CHUNKS => "pool.chunks",
@@ -420,7 +356,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_adds_merge_exactly_across_threads() {
+    fn concurrent_adds_sum_exactly() {
         let _g = crate::sink::test_lock();
         crate::set_metrics_enabled(true);
         static C: Counter = Counter::new("test.parallel");
@@ -444,25 +380,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_assignment_spreads_threads() {
-        // Threads must land on distinct shards until the pool wraps.
-        let handles: Vec<_> = (0..N_SHARDS)
-            .map(|_| std::thread::spawn(shard_index))
-            .collect();
-        let mut seen: Vec<usize> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        seen.sort_unstable();
-        seen.dedup();
-        // Round-robin allocation: N distinct threads cover many shards
-        // (exact coverage depends on interleaving with other tests'
-        // threads, so require a spread rather than a bijection).
-        assert!(
-            seen.len() >= N_SHARDS / 2,
-            "only {} distinct shards",
-            seen.len()
-        );
-    }
-
-    #[test]
     fn registry_names_are_unique_and_snapshot_covers_all() {
         let snap = snapshot();
         assert_eq!(snap.len(), counters::ALL.len());
@@ -471,17 +388,26 @@ mod tests {
         let before = names.len();
         names.dedup();
         assert_eq!(before, names.len(), "duplicate counter names");
-        // Schema anchors used by the acceptance tests.
-        for key in ["walk.interactions", "simt.syncwarps", "sort.radix_passes"] {
+        // Schema anchors: pipebench reads the pool counters by name.
+        for key in [
+            "pool.chunks",
+            "pool.steals",
+            "simt.syncwarps",
+            "server.accepted",
+        ] {
             assert!(names.contains(&key), "missing {key}");
         }
+        // Run-scoped counts live in the run's summary, not here.
+        assert!(names
+            .iter()
+            .all(|n| n.starts_with("simt.") || n.starts_with("pool.") || n.starts_with("server.")));
     }
 
     #[test]
     fn reset_all_zeroes_registry() {
         let _g = crate::sink::test_lock();
         crate::set_metrics_enabled(true);
-        counters::WALK_INTERACTIONS.add(3);
+        counters::POOL_CHUNKS.add(3);
         histograms::STEP_WALL_NS.record(7);
         reset_all();
         assert!(snapshot().iter().all(|&(_, v)| v == 0));
@@ -558,7 +484,7 @@ mod tests {
         // No registry name may survive with its '.' once sanitized
         // (quantile labels legitimately contain dots).
         assert!(!text.contains("serve.request"), "unsanitized name");
-        assert!(!text.contains("walk.interactions"), "unsanitized name");
+        assert!(!text.contains("server.accepted"), "unsanitized name");
         reset_all();
         crate::set_metrics_enabled(false);
     }

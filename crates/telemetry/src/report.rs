@@ -13,10 +13,11 @@
 //! }
 //! ```
 //!
-//! `rows` carries the same numbers as the printed table; `counters` and
-//! `histograms` snapshot the workspace registries at write time, so a
-//! report is a self-contained record of what a run did, diffable across
-//! PRs.
+//! `rows` carries the same numbers as the printed table; `counters`
+//! holds the run-scoped counts added with [`RunReport::add_counters`]
+//! followed by the process-scoped registry, and `histograms` snapshots
+//! the histogram registry at write time, so a report is a
+//! self-contained record of what a run did, diffable across PRs.
 
 use crate::json::JsonObject;
 use std::path::{Path, PathBuf};
@@ -26,6 +27,7 @@ pub struct RunReport {
     name: String,
     meta: JsonObject,
     rows: Vec<String>,
+    counters: Vec<(&'static str, u64)>,
 }
 
 impl RunReport {
@@ -34,6 +36,7 @@ impl RunReport {
             name: name.to_string(),
             meta: JsonObject::new(),
             rows: Vec::new(),
+            counters: Vec::new(),
         }
     }
 
@@ -59,6 +62,18 @@ impl RunReport {
         self
     }
 
+    /// Add one run's counters (e.g. `gothic::RunSummary::counters`),
+    /// summing by name with the runs added before. Chainable.
+    pub fn add_counters(&mut self, run: &[(&'static str, u64)]) -> &mut Self {
+        for &(name, v) in run {
+            match self.counters.iter_mut().find(|(n, _)| *n == name) {
+                Some((_, total)) => *total += v,
+                None => self.counters.push((name, v)),
+            }
+        }
+        self
+    }
+
     pub fn name(&self) -> &str {
         &self.name
     }
@@ -66,7 +81,7 @@ impl RunReport {
     /// Render the full document as a JSON string.
     pub fn render(&self) -> String {
         let mut counters = JsonObject::new();
-        for (name, value) in crate::metrics::snapshot() {
+        for (name, value) in crate::sink::with_registry(&self.counters) {
             counters.u64(name, value);
         }
         let mut hists = JsonObject::new();
@@ -118,6 +133,8 @@ mod tests {
         crate::metrics::reset_all();
         let mut r = RunReport::new("unit_test_report");
         r.meta_u64("n", 16384).meta_str("mode", "volta");
+        r.add_counters(&[("walk.interactions", 5), ("pipeline.steps", 2)])
+            .add_counters(&[("walk.interactions", 7)]);
         let mut row = JsonObject::new();
         row.u64("n_tot", 16384).f64("t_total", 0.125);
         r.add_row(row);
@@ -130,11 +147,17 @@ mod tests {
         let rows = doc.get("rows").unwrap().as_arr().unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].get("t_total").unwrap().as_f64(), Some(0.125));
-        // Counters and histograms sections mirror the registries.
+        // The runs' counters, summed by name, then the registry.
+        let counters = doc.get("counters").unwrap();
         assert_eq!(
-            doc.get("counters").unwrap().as_obj().unwrap().len(),
-            crate::metrics::counters::ALL.len()
+            counters.as_obj().unwrap().len(),
+            2 + crate::metrics::counters::ALL.len()
         );
+        assert_eq!(
+            counters.get("walk.interactions").unwrap().as_u64(),
+            Some(12)
+        );
+        assert_eq!(counters.get("pipeline.steps").unwrap().as_u64(), Some(2));
         let hists = doc.get("histograms").unwrap();
         assert_eq!(
             hists.as_obj().unwrap().len(),

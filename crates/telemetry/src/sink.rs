@@ -10,7 +10,7 @@
 //! | `meta`     | sink initialisation                | `version`, `schema` |
 //! | `span`     | [`crate::span`] guards on drop     | `name`, `depth`, `thread`, `t_ns`, `dur_ns` |
 //! | `step`     | `gothic::pipeline` per block step  | `step`, `t`, `n_active`, `rebuilt`, `modeled_s`, `wall_s`, event totals |
-//! | `counters` | [`emit_counters`]                  | every registry counter, by name |
+//! | `counters` | [`emit_counters`]                  | the run's counters, then every registry counter, by name |
 //! | `hazard`   | `simt::racecheck` per hazard site  | `class`, access pair / mask bits, `count` |
 //! | `racecheck`| `simt::racecheck` report summary   | `hazards`, `distinct`, `truncated` |
 //!
@@ -260,15 +260,26 @@ pub fn record_span(name: &'static str, depth: u32, t_ns: u64, dur_ns: u64) {
     }
 }
 
-/// Emit a `counters` line carrying the full registry snapshot. A Chrome
-/// sink renders the nonzero counters as one `ph:"C"` counter sample.
-pub fn emit_counters() {
+/// A run's counters followed by the process-scoped registry snapshot:
+/// the schema of the `counters` trace line, the counter table and the
+/// run reports.
+pub(crate) fn with_registry(run: &[(&'static str, u64)]) -> Vec<(&'static str, u64)> {
+    let mut all = run.to_vec();
+    all.extend(crate::metrics::snapshot());
+    all
+}
+
+/// Emit a `counters` line carrying `run` (the run-scoped counters, e.g.
+/// `gothic::RunSummary::counters`) and the full registry snapshot. A
+/// Chrome sink renders the nonzero counters as one `ph:"C"` counter
+/// sample.
+pub fn emit_counters(run: &[(&'static str, u64)]) {
     let mut g = lock();
     match format_of(&g) {
         None => {}
         Some(TraceFormat::JsonLines) => {
             let mut inner = JsonObject::new();
-            for (name, value) in crate::metrics::snapshot() {
+            for (name, value) in with_registry(run) {
                 inner.u64(name, value);
             }
             let mut o = JsonObject::new();
@@ -278,7 +289,7 @@ pub fn emit_counters() {
         Some(TraceFormat::Chrome) => {
             let mut args = JsonObject::new();
             let mut any = false;
-            for (name, value) in crate::metrics::snapshot() {
+            for (name, value) in with_registry(run) {
                 if value > 0 {
                     args.u64(name, value);
                     any = true;
@@ -343,12 +354,12 @@ pub fn breakdown_table(title: &str, rows: &[(&str, f64, f64)], steps: u64) -> St
     out
 }
 
-/// Render the counter registry as an aligned two-column table, skipping
-/// zero counters (pass `include_zero = true` to keep them).
-pub fn counters_table(include_zero: bool) -> String {
+/// Render `run` and the counter registry as an aligned two-column table,
+/// skipping zero counters (pass `include_zero = true` to keep them).
+pub fn counters_table(run: &[(&'static str, u64)], include_zero: bool) -> String {
     let mut out = String::new();
     out.push_str("counters:\n");
-    for (name, value) in crate::metrics::snapshot() {
+    for (name, value) in with_registry(run) {
         if value == 0 && !include_zero {
             continue;
         }
@@ -375,8 +386,8 @@ mod tests {
         let _g = test_lock();
         init_trace(TraceTo::Memory, TraceFormat::JsonLines).unwrap();
         crate::metrics::reset_all();
-        crate::metrics::counters::WALK_INTERACTIONS.add(7);
-        emit_counters();
+        crate::metrics::counters::POOL_CHUNKS.add(5);
+        emit_counters(&[("walk.interactions", 7)]);
         let lines = drain_memory();
         shutdown();
         assert!(lines.len() >= 2);
@@ -390,10 +401,11 @@ mod tests {
         assert_eq!(counters.get("type").unwrap().as_str(), Some("counters"));
         let inner = counters.get("counters").unwrap();
         assert_eq!(inner.get("walk.interactions").unwrap().as_u64(), Some(7));
-        // Every registered counter appears in the snapshot line.
+        assert_eq!(inner.get("pool.chunks").unwrap().as_u64(), Some(5));
+        // The run's counters, then every registered counter.
         assert_eq!(
             inner.as_obj().unwrap().len(),
-            crate::metrics::counters::ALL.len()
+            1 + crate::metrics::counters::ALL.len()
         );
         crate::metrics::reset_all();
     }
@@ -406,7 +418,7 @@ mod tests {
         {
             let _s = crate::span("file test");
         }
-        emit_counters();
+        emit_counters(&[]);
         shutdown();
         let text = std::fs::read_to_string(&path).unwrap();
         let _ = std::fs::remove_file(&path);
@@ -443,8 +455,7 @@ mod tests {
             let _outer = crate::span("outer");
             let _inner = crate::span("inner");
         }
-        crate::metrics::counters::WALK_INTERACTIONS.add(11);
-        emit_counters();
+        emit_counters(&[("walk.interactions", 11), ("walk.opens", 0)]);
         // Structured lines are dropped, not corrupted, in Chrome mode.
         let mut stray = JsonObject::new();
         stray.str("type", "step");
@@ -500,13 +511,17 @@ mod tests {
         let _g = test_lock();
         crate::metrics::reset_all();
         crate::set_metrics_enabled(true);
-        crate::metrics::counters::SORT_RADIX_PASSES.add(3);
+        crate::metrics::counters::POOL_CHUNKS.add(3);
         crate::set_metrics_enabled(false);
-        let t = counters_table(false);
+        let run = [("sort.radix_passes", 16), ("walk.mac_evals", 0)];
+        let t = counters_table(&run, false);
         assert!(t.contains("sort.radix_passes"));
+        assert!(t.contains("pool.chunks"));
         assert!(!t.contains("walk.mac_evals"));
-        let full = counters_table(true);
+        assert!(!t.contains("pool.steals"));
+        let full = counters_table(&run, true);
         assert!(full.contains("walk.mac_evals"));
+        assert!(full.contains("pool.steals"));
         crate::metrics::reset_all();
     }
 }

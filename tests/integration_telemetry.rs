@@ -1,7 +1,7 @@
 //! End-to-end telemetry: a short pipeline run with a trace sink installed
-//! emits well-formed JSON-lines covering every Table-2 phase, step records
-//! for every block step, and a counter snapshot with nonzero tree-walk
-//! work.
+//! emits well-formed JSON-lines covering the set-up and every Table-2
+//! phase, step records for every block step, and a counter line with
+//! the run's own nonzero tree-walk work.
 
 use std::collections::HashMap;
 
@@ -20,7 +20,7 @@ fn run_traced() -> Vec<json::Value> {
     for _ in 0..STEPS {
         sim.step();
     }
-    telemetry::sink::emit_counters();
+    telemetry::sink::emit_counters(&sim.summary().counters());
     let lines = telemetry::sink::drain_memory();
     telemetry::sink::shutdown();
     lines
@@ -60,13 +60,17 @@ fn trace_covers_all_phases_with_positive_durations() {
         let total = dur_ns.get(f.name()).copied().unwrap_or(0);
         assert!(total > 0, "phase {:?} has no measured wall-clock", f.name());
     }
-    // Step 1 always rebuilds, so "make tree" fired at least once but at
-    // most once per step; the per-step phases fired every step, nested
-    // under the enclosing "step" span.
+    // The set-up samples once, builds and summarises the tree once and
+    // walks once as "bootstrap". Step 1 always rebuilds, so "make tree"
+    // then fired at least once more but at most once per step; the
+    // per-step phases fired every step, nested under the "step" span.
+    assert_eq!(count["ics"], 1);
+    assert_eq!(count["bootstrap"], 1);
     assert_eq!(count["predict"], STEPS);
     assert_eq!(count["walk tree"], STEPS);
+    assert_eq!(count["calc node"], STEPS + 1);
     assert_eq!(count["step"], STEPS);
-    assert!(count["make tree"] >= 1 && count["make tree"] <= STEPS);
+    assert!(count["make tree"] >= 2 && count["make tree"] <= STEPS + 1);
 
     // One step record per block step, with modeled and measured times.
     let steps: Vec<_> = docs.iter().filter(|d| type_of(d) == "step").collect();
@@ -109,11 +113,75 @@ fn counter_snapshot_records_workspace_activity() {
     for name in ["simt.syncwarps", "sort.radix_passes", "model.syncwarps"] {
         let _ = get(name);
     }
-    // The registry snapshot is complete: every declared counter appears.
+    // The line is the run's counters followed by the whole registry.
     assert_eq!(
         counters.as_obj().unwrap().len(),
-        telemetry::metrics::counters::ALL.len()
+        23 + telemetry::metrics::counters::ALL.len()
     );
+}
+
+/// The names of the `counters` line are the trace schema: the run's 23
+/// pipeline counters, then the process-scoped registry.
+#[test]
+fn counters_line_names_are_pinned() {
+    let _g = telemetry::sink::test_lock();
+    let docs = run_traced();
+    let counters = docs
+        .iter()
+        .find(|d| type_of(d) == "counters")
+        .expect("trace has a counters line")
+        .get("counters")
+        .unwrap();
+    // Parsed objects are name-sorted maps.
+    let names: Vec<&str> = counters
+        .as_obj()
+        .unwrap()
+        .keys()
+        .map(|k| k.as_str())
+        .collect();
+    let mut schema = [
+        "walk.groups",
+        "walk.interactions",
+        "walk.mac_evals",
+        "walk.list_pushes",
+        "walk.opens",
+        "walk.flushes",
+        "calc.nodes",
+        "calc.child_accumulations",
+        "calc.grid_syncs",
+        "tree.builds",
+        "tree.nodes_created",
+        "sort.calls",
+        "sort.elements",
+        "sort.radix_passes",
+        "sort.skipped_passes",
+        "integrate.predict_particles",
+        "integrate.correct_particles",
+        "pipeline.steps",
+        "pipeline.rebuilds",
+        "pipeline.active_particles",
+        "model.kernel_pricings",
+        "model.syncwarps",
+        "galaxy.sampled_particles",
+        "simt.scheduler_steps",
+        "simt.syncwarps",
+        "simt.block_syncs",
+        "simt.grid_barriers",
+        "simt.shuffle_lanes",
+        "simt.hazards.shared",
+        "simt.hazards.global",
+        "simt.hazards.shuffle",
+        "pool.jobs",
+        "pool.chunks",
+        "pool.steals",
+        "server.accepted",
+        "server.rejected_busy",
+        "server.cache_hits",
+        "server.deadline_exceeded",
+        "server.completed",
+    ];
+    schema.sort_unstable();
+    assert_eq!(names, schema);
 }
 
 #[test]
@@ -124,14 +192,21 @@ fn disabled_telemetry_is_inert() {
     let particles = plummer_model(256, 100.0, 1.0, 11);
     let mut sim = Gothic::new(particles, RunConfig::default());
     sim.step();
-    // No sink, no enables: counters stay zero and nothing is buffered.
-    assert_eq!(telemetry::metrics::counters::WALK_INTERACTIONS.value(), 0);
+    // No sink, no enables: the registry stays zero and nothing is
+    // buffered, but the run still counts its own work.
+    assert!(telemetry::metrics::snapshot().iter().all(|&(_, v)| v == 0));
     assert!(telemetry::sink::drain_memory().is_empty());
     assert!(!telemetry::sink::trace_active());
+    let run = sim.summary().counters();
+    let get = |k: &str| run.iter().find(|(n, _)| *n == k).unwrap().1;
+    assert!(get("walk.interactions") > 0);
+    assert_eq!(get("pipeline.steps"), 1);
+    assert_eq!(get("galaxy.sampled_particles"), 256);
 }
 
 /// The phase walls in each `StepReport` are the intervals the phase spans
-/// recorded, and `step.wall.ns` is the step spans' total.
+/// recorded, the set-up walls are those of the set-up's spans, and
+/// `step.wall.ns` is the step spans' total.
 #[test]
 fn step_report_walls_are_the_span_durations() {
     let _g = telemetry::sink::test_lock();
@@ -153,11 +228,21 @@ fn step_report_walls_are_the_span_durations() {
             dur_ns.entry(name).or_default().push(ns);
         }
     }
+    let ns = |s: f64| (s * 1e9).round() as u64;
+    let setup = &sim.summary().setup_wall;
+    assert_eq!(dur_ns["bootstrap"], [ns(setup.walk_tree)]);
     for f in Function::ALL {
-        let walls: Vec<u64> = reports
-            .iter()
-            .filter(|r| f != Function::MakeTree || r.rebuilt)
-            .map(|r| (r.wall.get(f) * 1e9).round() as u64)
+        // The set-up builds and summarises the tree before step 1.
+        let set_up = [Function::MakeTree, Function::CalcNode].contains(&f);
+        let walls: Vec<u64> = set_up
+            .then(|| ns(setup.get(f)))
+            .into_iter()
+            .chain(
+                reports
+                    .iter()
+                    .filter(|r| f != Function::MakeTree || r.rebuilt)
+                    .map(|r| ns(r.wall.get(f))),
+            )
             .collect();
         assert_eq!(dur_ns[f.name()], walls, "{}", f.name());
     }
