@@ -366,7 +366,10 @@ fn main() {
             "model = {}, N = {}, dacc = {:.3e}, arch = {} ({:?})",
             args.model, args.n, args.dacc, cfg.arch.name, cfg.mode
         );
-        Gothic::new(particles, cfg)
+        Gothic::try_new(particles, cfg).unwrap_or_else(|e| {
+            eprintln!("gothic_sim: {e}");
+            std::process::exit(1);
+        })
     };
 
     let e0 = sim.diagnostics();

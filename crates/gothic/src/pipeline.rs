@@ -199,8 +199,23 @@ impl Gothic {
     /// opening-angle MAC (the acceleration MAC of Eq. 2 needs |a| from a
     /// previous step), and seed the block time-step hierarchy. The
     /// set-up's events and walls open the run's [`RunSummary`].
-    pub fn new(mut ps: ParticleSet, cfg: RunConfig) -> Self {
-        assert!(!ps.is_empty());
+    ///
+    /// Panics with [`Gothic::try_new`]'s message on invalid initial
+    /// conditions.
+    pub fn new(ps: ParticleSet, cfg: RunConfig) -> Self {
+        Self::try_new(ps, cfg).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Gothic::new`], after checking the initial conditions: an empty
+    /// set, or one failing [`ParticleSet::check_invariants`] (e.g. a
+    /// non-finite position, which the tree build would file under Morton
+    /// key 0), is rejected with a message naming the particle.
+    pub fn try_new(mut ps: ParticleSet, cfg: RunConfig) -> Result<Self, String> {
+        if ps.is_empty() {
+            return Err("invalid initial conditions: no particles".into());
+        }
+        ps.check_invariants()
+            .map_err(|e| format!("invalid initial conditions: {e}"))?;
         let n = ps.len();
         let mut blocks = BlockSteps::new(n, cfg.dt_max, cfg.max_depth);
         let mut events = StepEvents::default();
@@ -231,7 +246,6 @@ impl Gothic {
             },
             eps2: cfg.eps * cfg.eps,
             list_cap: cfg.list_cap,
-            ..WalkConfig::default()
         };
         let active: Vec<u32> = (0..n as u32).collect();
         let ones = vec![1.0 as Real; n];
@@ -251,7 +265,7 @@ impl Gothic {
         events.walk = res.events;
 
         let pred_pos = ps.pos.clone();
-        Gothic {
+        Ok(Gothic {
             summary: RunSummary::set_up(n, &events, tree.radix_passes, wall),
             cfg,
             ps,
@@ -261,7 +275,7 @@ impl Gothic {
             steps_since_rebuild: 0,
             tuner: RebuildTuner::default(),
             step_count: 0,
-        }
+        })
     }
 
     /// Number of particles.
@@ -356,7 +370,6 @@ impl Gothic {
             mac: self.cfg.mac,
             eps2,
             list_cap: self.cfg.list_cap,
-            ..WalkConfig::default()
         };
         let span = telemetry::span(Function::WalkTree.name());
         let res = walk_tree(
@@ -476,6 +489,21 @@ mod tests {
         let mut sim = Gothic::new(ps, cfg);
         let reports = sim.run(steps);
         (sim, reports)
+    }
+
+    #[test]
+    fn bad_initial_conditions_are_rejected_before_the_tree_build() {
+        let mut ps = plummer_model(4096, 100.0, 1.0, 3);
+        ps.pos[2718].y = Real::NAN;
+        let err = Gothic::try_new(ps, RunConfig::default())
+            .err()
+            .expect("a NaN position must be rejected");
+        assert_eq!(
+            err,
+            "invalid initial conditions: non-finite position at 2718"
+        );
+        let empty = Gothic::try_new(ParticleSet::with_capacity(0), RunConfig::default());
+        assert!(empty.is_err());
     }
 
     #[test]

@@ -34,10 +34,8 @@ pub struct WalkConfig {
     /// Squared Plummer softening.
     pub eps2: Real,
     /// Interaction-list capacity (shared-memory entries per warp in
-    /// GOTHIC; flushing granularity here).
+    /// GOTHIC; flushing granularity here). Must be positive.
     pub list_cap: usize,
-    /// Candidates examined per queue round (warp width).
-    pub round_width: usize,
 }
 
 impl Default for WalkConfig {
@@ -46,7 +44,6 @@ impl Default for WalkConfig {
             mac: Mac::fiducial(),
             eps2: 1e-4,
             list_cap: 256,
-            round_width: WARP_SIZE,
         }
     }
 }
@@ -113,27 +110,32 @@ fn walk_groups(
 ) -> WalkResult {
     assert_eq!(pos.len(), tree.keys.len());
     assert!(group_size <= WARP_SIZE);
-    // One pool task per group; the fixed chunking and the serial
-    // chunk-ordered merge below keep the result bit-identical at any
-    // thread count.
-    let group_results: Vec<(Vec<Vec3>, Vec<Real>, WalkEvents)> =
-        parallel::map_chunks(active, group_size, |_, group| {
-            walk_group(tree, pos, mass_arr, acc_old, group, cfg)
+    assert!(
+        cfg.list_cap > 0,
+        "interaction-list capacity must be positive"
+    );
+    // One pool task per group, writing its sinks' results in place; the
+    // fixed chunking and the chunk-ordered event merge keep the result
+    // bit-identical at any thread count.
+    let mut acc = vec![Vec3::ZERO; active.len()];
+    let mut pot = vec![0.0 as Real; active.len()];
+    let group_events =
+        parallel::map_chunks_mut2(active, group_size, &mut acc, &mut pot, |_, group, a, p| {
+            walk_group(tree, pos, mass_arr, acc_old, group, cfg, a, p)
         });
-
-    let n = active.len();
-    let mut acc = Vec::with_capacity(n);
-    let mut pot = Vec::with_capacity(n);
     let mut events = WalkEvents::default();
-    for (ga, gp, ge) in group_results {
-        acc.extend_from_slice(&ga);
-        pot.extend_from_slice(&gp);
-        events.merge(&ge);
+    for ge in &group_events {
+        events.merge(ge);
     }
     WalkResult { acc, pot, events }
 }
 
-/// One warp-group's traversal.
+/// One warp-group's traversal; adds the group's forces into `acc` /
+/// `pot` (one entry per sink, starting at zero).
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the walk's four input arrays, its group, config and two outputs"
+)]
 fn walk_group(
     tree: &Octree,
     pos: &[Vec3],
@@ -141,7 +143,9 @@ fn walk_group(
     acc_old: &[Real],
     group: &[u32],
     cfg: &WalkConfig,
-) -> (Vec<Vec3>, Vec<Real>, WalkEvents) {
+    acc: &mut [Vec3],
+    pot: &mut [Real],
+) -> WalkEvents {
     let mut events = WalkEvents {
         groups: 1,
         sinks: group.len() as u64,
@@ -167,9 +171,13 @@ fn walk_group(
     }
 
     let sinks = SinkLanes::stage(group, pos);
-    let mut acc = vec![Vec3::ZERO; group.len()];
-    let mut pot = vec![0.0 as Real; group.len()];
     let mut list: Vec<Source> = Vec::with_capacity(cfg.list_cap);
+    let mut flush_full = |list: &mut Vec<Source>, events: &mut WalkEvents| {
+        if list.len() == cfg.list_cap {
+            flush(list, &sinks, acc, pot, cfg.eps2, events);
+            list.clear();
+        }
+    };
 
     // Breadth-first queue over node ids; `head` advances instead of
     // popping so `queue.len() - head` is the live buffer occupancy the
@@ -183,48 +191,45 @@ fn walk_group(
         queue.extend(tree.children(0).map(|c| c as u32));
     }
 
+    // One round is one warp-width of queued nodes: the MAC for all of
+    // them first, as one mask, then each node's accept / leaf / open.
     while head < queue.len() {
-        let round_end = (head + cfg.round_width).min(queue.len());
+        let round_end = (head + WARP_SIZE).min(queue.len());
+        let accepts = mac_mask(
+            tree,
+            &queue[head..round_end],
+            center,
+            radius,
+            a_min,
+            cfg.mac,
+        );
         events.queue_rounds += 1;
-        for qi in head..round_end {
+        events.mac_evals += (round_end - head) as u64;
+        for (qi, accepted) in (head..round_end).zip(accepts) {
             let v = queue[qi] as usize;
-            events.mac_evals += 1;
-            let com = tree.com[v];
-            let b = tree.bmax[v];
-            let dvec = com - center;
-            let dist = dvec.norm();
-            // Worst-case sink distance to the node COM, and a separation
-            // guard: the node's matter sphere must clear the group sphere
-            // before a multipole is trusted at all.
-            let d = dist - radius;
-            let separated = d > b && d > 0.0;
-            if separated && cfg.mac.accepts(tree.mass[v], b, d * d, a_min) {
-                push_source(
-                    Source {
-                        pos: com,
-                        mass: tree.mass[v],
-                    },
-                    &mut list,
-                    cfg,
-                    &sinks,
-                    &mut acc,
-                    &mut pot,
-                    &mut events,
-                );
+            if accepted {
+                list.push(Source {
+                    pos: tree.com[v],
+                    mass: tree.mass[v],
+                });
+                events.list_pushes += 1;
+                flush_full(&mut list, &mut events);
             } else if tree.is_leaf(v) {
-                for p in tree.particles(v) {
-                    push_source(
-                        Source {
-                            pos: pos[p],
-                            mass: mass_arr[p],
-                        },
-                        &mut list,
-                        cfg,
-                        &sinks,
-                        &mut acc,
-                        &mut pot,
-                        &mut events,
+                // The leaf's particles are contiguous: append them in
+                // slices that fill the list up to capacity.
+                let mut rest = tree.particles(v);
+                while !rest.is_empty() {
+                    let take = (cfg.list_cap - list.len()).min(rest.len());
+                    let part = rest.start..rest.start + take;
+                    list.extend(
+                        pos[part.clone()]
+                            .iter()
+                            .zip(&mass_arr[part])
+                            .map(|(&p, &m)| Source { pos: p, mass: m }),
                     );
+                    events.list_pushes += take as u64;
+                    rest.start += take;
+                    flush_full(&mut list, &mut events);
                 }
             } else {
                 events.opens += 1;
@@ -237,29 +242,48 @@ fn walk_group(
 
     // Final (partial) flush.
     if !list.is_empty() {
-        flush(&list, &sinks, &mut acc, &mut pot, cfg.eps2, &mut events);
-        list.clear();
+        flush(&list, &sinks, acc, pot, cfg.eps2, &mut events);
     }
-    (acc, pot, events)
+    events
 }
 
-/// Append one source, flushing the shared list at capacity.
-#[inline]
-fn push_source(
-    src: Source,
-    list: &mut Vec<Source>,
-    cfg: &WalkConfig,
-    sinks: &SinkLanes,
-    acc: &mut [Vec3],
-    pot: &mut [Real],
-    events: &mut WalkEvents,
-) {
-    list.push(src);
-    events.list_pushes += 1;
-    if list.len() == cfg.list_cap {
-        flush(list, sinks, acc, pot, cfg.eps2, events);
-        list.clear();
+/// The MAC of one queue round, one lane per queued node: the node data
+/// is gathered into lanes, then every lane runs the scalar test with the
+/// same operations in the same order. Lanes past `round.len()` test
+/// zeros and are ignored.
+#[allow(
+    clippy::needless_range_loop,
+    reason = "one index walks six lane arrays in step"
+)]
+fn mac_mask(
+    tree: &Octree,
+    round: &[u32],
+    center: Vec3,
+    radius: Real,
+    a_min: Real,
+    mac: Mac,
+) -> [bool; WARP_SIZE] {
+    let mut x = [0.0 as Real; WARP_SIZE];
+    let mut y = [0.0 as Real; WARP_SIZE];
+    let mut z = [0.0 as Real; WARP_SIZE];
+    let mut b = [0.0 as Real; WARP_SIZE];
+    let mut m = [0.0 as Real; WARP_SIZE];
+    for (l, &v) in round.iter().enumerate() {
+        let v = v as usize;
+        (x[l], y[l], z[l]) = (tree.com[v].x, tree.com[v].y, tree.com[v].z);
+        (b[l], m[l]) = (tree.bmax[v], tree.mass[v]);
     }
+    let mut accepts = [false; WARP_SIZE];
+    for l in 0..WARP_SIZE {
+        let dist = (Vec3::new(x[l], y[l], z[l]) - center).norm();
+        // Worst-case sink distance to the node COM, and a separation
+        // guard: the node's matter sphere must clear the group sphere
+        // before a multipole is trusted at all.
+        let d = dist - radius;
+        let separated = d > b[l] && d > 0.0;
+        accepts[l] = separated & mac.accepts(m[l], b[l], d * d, a_min);
+    }
+    accepts
 }
 
 /// The group's sink positions, one lane per warp thread. Lanes past the
@@ -311,15 +335,28 @@ fn flush(
     }
 }
 
-/// Run [`lane_sums_body`] in its AVX2 build when the CPU has AVX2, else
-/// in the baseline build. Both builds give the same bits: the body uses
-/// only IEEE add/mul/div/sqrt and rustc never contracts to FMA.
+/// Run [`lane_sums_body`] in its widest build the CPU supports: AVX-512
+/// (two 16-lane registers per sum), AVX2 (four 8-lane registers), else
+/// the baseline build. All builds give the same bits: the body uses only
+/// IEEE add/mul/div/sqrt and rustc never contracts to FMA.
 fn lane_sums(list: &[Source], sinks: &SinkLanes, eps2: Real) -> LaneSums {
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the running CPU supports AVX2, checked just above.
-        return unsafe { lane_sums_avx2(list, sinks, eps2) };
+    {
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: the running CPU supports AVX-512F, checked just above.
+            return unsafe { lane_sums_avx512(list, sinks, eps2) };
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the running CPU supports AVX2, checked just above.
+            return unsafe { lane_sums_avx2(list, sinks, eps2) };
+        }
     }
+    lane_sums_body(list, sinks, eps2)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn lane_sums_avx512(list: &[Source], sinks: &SinkLanes, eps2: Real) -> LaneSums {
     lane_sums_body(list, sinks, eps2)
 }
 
@@ -529,11 +566,9 @@ mod tests {
         h
     }
 
-    #[test]
-    fn walk_digest_is_pinned() {
-        // Uniform cube from the integer PRNG; the tree, MAC and Eq. 1 use
-        // only IEEE arithmetic and sqrt, so these bits are the same on
-        // every platform, vector width and thread count.
+    /// 4096 particles in a uniform cube from the integer PRNG, with their
+    /// tree.
+    fn pinned_cube() -> (ParticleSet, Octree) {
         let n = 4096;
         let mut rng = StdRng::seed_from_u64(2019);
         let mut ps = ParticleSet::with_capacity(n);
@@ -543,6 +578,16 @@ mod tests {
         }
         let mut tree = build_tree(&mut ps, &BuildConfig::default());
         calc_node(&mut tree, &ps.pos, &ps.mass);
+        (ps, tree)
+    }
+
+    #[test]
+    fn walk_digest_is_pinned() {
+        // The tree, MAC and Eq. 1 use only IEEE arithmetic and sqrt, so
+        // these bits are the same on every platform, vector width and
+        // thread count.
+        let (ps, tree) = pinned_cube();
+        let n = ps.len();
         let active: Vec<u32> = (0..n as u32).collect();
         let a_old = vec![1.0; n];
         for threads in [1, 4] {
@@ -564,6 +609,58 @@ mod tests {
         }
     }
 
+    #[test]
+    fn walk_traversal_is_pinned() {
+        // The traversal's work on the pinned cube: a slip in the round
+        // mask or the bulk leaf appends that happens to leave the forces
+        // unchanged still moves these counts.
+        let (ps, tree) = pinned_cube();
+        let n = ps.len();
+        let active: Vec<u32> = (0..n as u32).collect();
+        let a_old = vec![1.0; n];
+        type Walk = fn(&Octree, &[Vec3], &[Real], &[Real], &[u32], &WalkConfig) -> WalkResult;
+        // [mac_evals, opens, list_pushes, flushes, queue_rounds, interactions]
+        let walks: [(&str, Walk, [u64; 6]); 2] = [
+            (
+                "group",
+                walk_tree,
+                [54_658, 6_728, 153_101, 665, 1_871, 4_899_232],
+            ),
+            (
+                "individual",
+                walk_tree_individual,
+                [1_026_249, 124_488, 1_351_282, 7_375, 36_844, 1_351_282],
+            ),
+        ];
+        for threads in [1, 4] {
+            for (name, walk, want) in walks {
+                let ev = parallel::with_thread_count(threads, || {
+                    walk(
+                        &tree,
+                        &ps.pos,
+                        &ps.mass,
+                        &a_old,
+                        &active,
+                        &WalkConfig::default(),
+                    )
+                })
+                .events;
+                assert_eq!(
+                    [
+                        ev.mac_evals,
+                        ev.opens,
+                        ev.list_pushes,
+                        ev.flushes,
+                        ev.queue_rounds,
+                        ev.interactions
+                    ],
+                    want,
+                    "{name} walk at {threads} threads"
+                );
+            }
+        }
+    }
+
     /// Bit equality, with any NaN equal to any NaN (payloads are not
     /// specified by IEEE arithmetic).
     fn same_bits(a: Real, b: Real) -> bool {
@@ -578,6 +675,11 @@ mod tests {
         if std::arch::is_x86_feature_detected!("avx2") {
             // SAFETY: the running CPU supports AVX2, checked just above.
             kernels.push(("avx2", |l, s, e| unsafe { lane_sums_avx2(l, s, e) }));
+        }
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: the running CPU supports AVX-512F, checked just above.
+            kernels.push(("avx512", |l, s, e| unsafe { lane_sums_avx512(l, s, e) }));
         }
         let list_cap = WalkConfig::default().list_cap;
         let mut rng = StdRng::seed_from_u64(1106);

@@ -216,6 +216,52 @@ where
     unsafe { out.into_vec() }
 }
 
+/// [`map_chunks`] with in-place per-item output: chunk `ci` also gets the
+/// matching sub-slices of `a` and `b` (each `items.len()` long) to write
+/// into, and returns one summary per chunk, in chunk order. Panics when
+/// `a` or `b` differs in length from `items`.
+pub fn map_chunks_mut2<T, A, B, U, F>(
+    items: &[T],
+    chunk: usize,
+    a: &mut [A],
+    b: &mut [B],
+    f: F,
+) -> Vec<U>
+where
+    T: Sync,
+    A: Send,
+    B: Send,
+    U: Send,
+    F: Fn(usize, &[T], &mut [A], &mut [B]) -> U + Sync,
+{
+    assert_eq!(
+        a.len(),
+        items.len(),
+        "map_chunks_mut2 output a must match items"
+    );
+    assert_eq!(
+        b.len(),
+        items.len(),
+        "map_chunks_mut2 output b must match items"
+    );
+    let pa = slots::SendPtr(a.as_mut_ptr());
+    let pb = slots::SendPtr(b.as_mut_ptr());
+    map_chunks(items, chunk, |ci, part| {
+        let (pa, pb) = (&pa, &pb);
+        let lo = ci * chunk;
+        // SAFETY: `part` is items[lo..lo + part.len()], inside both
+        // outputs (equal lengths, asserted above); chunk ranges are
+        // disjoint and each is claimed once, so the two &muts are unique.
+        let (a, b) = unsafe {
+            (
+                std::slice::from_raw_parts_mut(pa.0.add(lo), part.len()),
+                std::slice::from_raw_parts_mut(pb.0.add(lo), part.len()),
+            )
+        };
+        f(ci, part, a, b)
+    })
+}
+
 /// Parallel element-wise map preserving order: `items.iter().map(f)`,
 /// chunked at [`DEFAULT_CHUNK`]. Deterministic at any thread count.
 pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
@@ -330,6 +376,38 @@ mod tests {
         }
         let total: u32 = sums.iter().map(|&(_, s)| s).sum();
         assert_eq!(total, items.iter().sum::<u32>());
+    }
+
+    #[test]
+    fn map_chunks_mut2_writes_in_place_identically_at_any_thread_count() {
+        let items: Vec<u32> = (0..5000).collect();
+        let run = |threads| {
+            let mut a = vec![0u64; items.len()];
+            let mut b = vec![0u32; items.len()];
+            let sums = with_thread_count(threads, || {
+                map_chunks_mut2(&items, 96, &mut a, &mut b, |ci, part, a, b| {
+                    for ((x, y), &i) in a.iter_mut().zip(b.iter_mut()).zip(part) {
+                        (*x, *y) = (u64::from(i) * 3 + ci as u64, i ^ 0x5a5a);
+                    }
+                    part.iter().sum::<u32>()
+                })
+            });
+            (a, b, sums)
+        };
+        let serial = run(1);
+        assert_eq!(serial.2.len(), 5000usize.div_ceil(96));
+        for (i, (&x, &y)) in serial.0.iter().zip(&serial.1).enumerate() {
+            assert_eq!((x, y), (i as u64 * 3 + (i / 96) as u64, i as u32 ^ 0x5a5a));
+        }
+        assert_eq!(run(4), serial);
+    }
+
+    #[test]
+    #[should_panic(expected = "output b must match items")]
+    fn map_chunks_mut2_rejects_mismatched_outputs() {
+        let items = [1u8; 10];
+        let (mut a, mut b) = (vec![0u8; 10], vec![0u8; 9]);
+        map_chunks_mut2(&items, 4, &mut a, &mut b, |_, _, _, _| ());
     }
 
     #[test]
