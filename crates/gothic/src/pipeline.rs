@@ -507,6 +507,37 @@ mod tests {
     }
 
     #[test]
+    fn pipeline_state_digest_is_pinned() {
+        // Twelve steps of a Plummer sphere cover six rebuilds and active
+        // sets from 2 particles to all 4096. The step loop uses only IEEE
+        // arithmetic and sqrt, so these bits are the same on every
+        // platform, vector width and thread count.
+        let cfg = RunConfig {
+            dt_max: 1.0 / 64.0,
+            ..RunConfig::default()
+        };
+        for threads in [1, 4] {
+            let bytes = parallel::with_thread_count(threads, || {
+                let mut sim = Gothic::new(plummer_model(4096, 100.0, 1.0, 21), cfg.clone());
+                let reports = sim.run(12);
+                let active = reports.iter().map(|r| r.n_active);
+                assert_eq!(reports.iter().filter(|r| r.rebuilt).count(), 6);
+                assert_eq!((active.clone().min(), active.max()), (Some(2), Some(4096)));
+                let mut bytes = Vec::new();
+                crate::Snapshot::capture(&sim)
+                    .write_to(&mut bytes)
+                    .expect("writing to a Vec cannot fail");
+                bytes
+            });
+            assert_eq!(
+                crate::fnv1a64(&bytes),
+                0xa066_011f_95f1_208c,
+                "pipeline state digest at {threads} threads"
+            );
+        }
+    }
+
+    #[test]
     fn bootstrap_gives_finite_forces_and_levels() {
         let ps = plummer_model(1024, 100.0, 1.0, 1);
         let sim = Gothic::new(ps, RunConfig::default());
