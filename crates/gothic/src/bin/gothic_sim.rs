@@ -193,45 +193,23 @@ fn validate_args(a: &Args) -> Result<(), String> {
 /// Volta mode keeps the syncs and must be hazard-free under *both*
 /// schedulers (§2.1). Returns the total hazard occurrence count.
 fn racecheck_preflight(mode: ExecMode) -> u64 {
-    use gothic::simt::{microbench, RacecheckReport, Scheduler};
-    let volta_sync = matches!(mode, ExecMode::VoltaMode);
-    let scheds: &[Scheduler] = if volta_sync {
-        &[Scheduler::Lockstep, Scheduler::Independent]
-    } else {
-        &[Scheduler::Lockstep]
-    };
+    let volta_sync = mode == ExecMode::VoltaMode;
+    let runs = gothic::simt::microbench::racecheck_sweep(
+        volta_sync,
+        &[128, 256, 512, 1024],
+        &[2, 4, 8, 16, 32],
+    );
     let mut hazards = 0u64;
-    let mut runs = 0usize;
-    let mut tally = |name: String, correct: bool, rep: &RacecheckReport| {
-        runs += 1;
-        if !correct {
+    for (name, b, rep) in &runs {
+        if !b.correct {
             eprintln!("racecheck: {name}: WRONG RESULT");
         }
         if !rep.is_clean() {
             hazards += rep.total;
             eprintln!("racecheck: {name}: {rep}");
         }
-    };
-    for &sched in scheds {
-        for ttot in [128usize, 256, 512, 1024] {
-            for tsub in [2u32, 4, 8, 16, 32] {
-                let (b, rep) = microbench::run_reduction_racechecked(ttot, tsub, volta_sync, sched);
-                tally(
-                    format!("reduction ttot={ttot} tsub={tsub} {sched:?}"),
-                    b.correct,
-                    &rep,
-                );
-                let (b, rep) = microbench::run_scan_racechecked(ttot, tsub, volta_sync, sched);
-                tally(
-                    format!("scan ttot={ttot} tsub={tsub} {sched:?}"),
-                    b.correct,
-                    &rep,
-                );
-            }
-        }
-        let (b, rep) = microbench::run_gravity_flush_racechecked(32, 1e-4, sched);
-        tally(format!("gravity-flush {sched:?}"), b.correct, &rep);
     }
+    let runs = runs.len();
     if hazards == 0 {
         println!(
             "racecheck: 0 hazards across {runs} kernel runs ({})",
@@ -247,25 +225,14 @@ fn racecheck_preflight(mode: ExecMode) -> u64 {
     hazards
 }
 
-fn pick_arch(name: &str) -> Result<GpuArch, String> {
-    Ok(match name {
-        "v100" => GpuArch::tesla_v100(),
-        "p100" => GpuArch::tesla_p100(),
-        "titanx" => GpuArch::gtx_titan_x(),
-        "k20x" => GpuArch::tesla_k20x(),
-        "m2090" => GpuArch::tesla_m2090(),
-        other => return Err(format!("unknown arch {other}")),
-    })
+/// Report a bad argument and exit with the usage status.
+fn usage_error(e: &str) -> ! {
+    eprintln!("gothic_sim: {e}");
+    std::process::exit(2)
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("gothic_sim: {e}");
-            std::process::exit(2);
-        }
-    };
+    let args = parse_args().unwrap_or_else(|e| usage_error(&e));
 
     let trace_format = match args.trace_format.as_str() {
         "chrome" => TraceFormat::Chrome,
@@ -297,18 +264,8 @@ fn main() {
         },
         eps: args.eps,
         eta: args.eta,
-        arch: pick_arch(&args.arch).unwrap_or_else(|e| {
-            eprintln!("gothic_sim: {e}");
-            std::process::exit(2);
-        }),
-        mode: match args.mode.as_str() {
-            "pascal" => ExecMode::PascalMode,
-            "volta" => ExecMode::VoltaMode,
-            other => {
-                eprintln!("gothic_sim: unknown mode {other}");
-                std::process::exit(2);
-            }
-        },
+        arch: GpuArch::by_key(&args.arch).unwrap_or_else(|e| usage_error(&e)),
+        mode: ExecMode::by_key(&args.mode).unwrap_or_else(|e| usage_error(&e)),
         ..RunConfig::default()
     };
 
@@ -357,10 +314,7 @@ fn main() {
                 gothic::galaxy::zero_com(&mut ps);
                 ps
             }
-            other => {
-                eprintln!("gothic_sim: unknown model {other}");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown model {other}")),
         };
         println!(
             "model = {}, N = {}, dacc = {:.3e}, arch = {} ({:?})",
@@ -423,7 +377,7 @@ fn main() {
         let measured = gothic::gpu_model::table2_measurements(volta);
         println!(
             "\nsimt profiler ({} mode, {} scheduler):",
-            if volta { "volta" } else { "pascal" },
+            sim.cfg.mode.key(),
             if volta { "independent" } else { "lockstep" },
         );
         print!("{}", gothic::gpu_model::measured::render_table(&measured));

@@ -30,6 +30,7 @@ use nbody::integrator::{predict_positions, timestep_criterion};
 use nbody::{ParticleSet, Real, Vec3};
 use octree::{
     build_tree_with_positions, calc_node, walk_tree, BuildConfig, Mac, Octree, WalkConfig,
+    WalkResult,
 };
 
 /// Host wall-clock times of one step's phases, as measured by the
@@ -148,14 +149,21 @@ impl RebuildTuner {
     /// Record one step's walk work and the tree's current ageing metric:
     /// the mean relative inflation of the leaf bounding radii since the
     /// fresh build (leaf bloat is what makes the MAC open more cells).
-    fn record_walk(&mut self, interactions: u64, leaf_bmax: &[f64]) {
+    fn record_walk(&mut self, interactions: u64, tree: &Octree) {
+        let leaf_bmax = (0..tree.n_nodes())
+            .filter(|&v| tree.is_leaf(v))
+            .map(|v| tree.bmax[v] as f64);
         if self.fresh_leaf_bmax.is_empty() {
-            self.fresh_leaf_bmax = leaf_bmax.to_vec();
+            // Sized exactly: the reference lives for the whole rebuild
+            // interval (and goes into every snapshot taken in it).
+            let leaves = leaf_bmax.clone().count();
+            self.fresh_leaf_bmax.reserve_exact(leaves);
+            self.fresh_leaf_bmax.extend(leaf_bmax);
             return;
         }
         let mut ageing = 0.0;
         let mut counted = 0usize;
-        for (now, fresh) in leaf_bmax.iter().zip(&self.fresh_leaf_bmax) {
+        for (now, fresh) in leaf_bmax.zip(&self.fresh_leaf_bmax) {
             if *fresh > 0.0 {
                 ageing += (now / fresh - 1.0).max(0.0);
                 counted += 1;
@@ -221,24 +229,22 @@ impl Gothic {
         let mut events = StepEvents::default();
         let mut wall = WallTimes::default();
 
-        let span = telemetry::span(Function::MakeTree.name());
         let positions = ps.pos.clone();
-        let (mut tree, perm) = build_tree_with_positions(
+        let (mut tree, pred_pos) = make_tree(
             &mut ps,
-            &positions,
-            &BuildConfig {
-                leaf_cap: cfg.leaf_cap,
-            },
+            &mut blocks,
+            positions,
+            cfg.leaf_cap,
+            &mut events,
+            &mut wall,
         );
-        blocks.permute(&perm);
-        wall.make_tree = span.finish().as_secs_f64();
-        events.make = Some(tree.events);
 
         let span = telemetry::span(Function::CalcNode.name());
         events.calc = calc_node(&mut tree, &ps.pos, &ps.mass);
         wall.calc_node = span.finish().as_secs_f64();
 
-        // Bootstrap forces: geometric MAC, every particle active.
+        // Bootstrap forces: geometric MAC, every particle active. Storing
+        // them at tick 0 seeds every particle's level from its force.
         let span = telemetry::span("bootstrap");
         let walk_cfg = WalkConfig {
             mac: Mac::OpeningAngle {
@@ -250,21 +256,10 @@ impl Gothic {
         let active: Vec<u32> = (0..n as u32).collect();
         let ones = vec![1.0 as Real; n];
         let res = walk_tree(&tree, &ps.pos, &ps.mass, &ones, &active, &walk_cfg);
-        for (k, &i) in active.iter().enumerate() {
-            ps.acc[i as usize] = res.acc[k];
-            ps.pot[i as usize] = res.pot[k];
-        }
-        ps.stash_acc_magnitudes();
-
-        // Seed individual time steps from the bootstrap accelerations.
-        for i in 0..n {
-            let dt = timestep_criterion(cfg.eta, cfg.eps, ps.acc[i], cfg.dt_max);
-            blocks.level[i] = blocks.level_for_dt(dt);
-        }
+        store_forces(&mut ps, &mut blocks, &cfg, &active, &res);
         wall.walk_tree = span.finish().as_secs_f64();
         events.walk = res.events;
 
-        let pred_pos = ps.pos.clone();
         Ok(Gothic {
             summary: RunSummary::set_up(n, &events, tree.radix_passes, wall),
             cfg,
@@ -317,11 +312,11 @@ impl Gothic {
         let mut wall = WallTimes::default();
 
         // --- begin block step ------------------------------------------
-        let (mut active, mut drift) = self.blocks.begin_step();
+        self.blocks.advance();
 
         // --- predict -----------------------------------------------------
         let span = telemetry::span(Function::Predict.name());
-        predict_positions(&self.ps, &drift, &mut self.pred_pos);
+        predict_positions(&self.ps, &self.blocks, &mut self.pred_pos);
         wall.predict = span.finish().as_secs_f64();
         events.predict = IntegrateEvents {
             particles: n as u64,
@@ -334,30 +329,19 @@ impl Gothic {
         };
         // The very first step always (re)builds: it prices makeTree once
         // and seeds the auto-tuner's build-cost reference.
-        let rebuild = self.step_count == 0 || due;
-        let rebuilt = if rebuild {
-            let span = telemetry::span(Function::MakeTree.name());
-            let pred = self.pred_pos.clone();
-            let (tree, perm) = build_tree_with_positions(
+        let rebuilt = self.step_count == 0 || due;
+        if rebuilt {
+            let pred = std::mem::take(&mut self.pred_pos);
+            (self.tree, self.pred_pos) = make_tree(
                 &mut self.ps,
-                &pred,
-                &BuildConfig {
-                    leaf_cap: self.cfg.leaf_cap,
-                },
+                &mut self.blocks,
+                pred,
+                self.cfg.leaf_cap,
+                &mut events,
+                &mut wall,
             );
-            self.tree = tree;
-            self.blocks.permute(&perm);
-            // Reorder this step's per-particle arrays consistently.
-            active = perm.iter().map(|&p| active[p as usize]).collect();
-            drift = perm.iter().map(|&p| drift[p as usize]).collect();
-            self.pred_pos = perm.iter().map(|&p| pred[p as usize]).collect();
-            wall.make_tree = span.finish().as_secs_f64();
-            events.make = Some(self.tree.events);
             self.steps_since_rebuild = 0;
-            true
-        } else {
-            false
-        };
+        }
 
         // --- calcNode ------------------------------------------------------
         let span = telemetry::span(Function::CalcNode.name());
@@ -365,7 +349,8 @@ impl Gothic {
         wall.calc_node = span.finish().as_secs_f64();
 
         // --- walkTree ------------------------------------------------------
-        let active_idx: Vec<u32> = (0..n as u32).filter(|&i| active[i as usize]).collect();
+        // Taken after the rebuild, so the list is already in Morton order.
+        let active = self.blocks.active();
         let walk_cfg = WalkConfig {
             mac: self.cfg.mac,
             eps2,
@@ -377,7 +362,7 @@ impl Gothic {
             &self.pred_pos,
             &self.ps.mass,
             &self.ps.acc_old,
-            &active_idx,
+            &active,
             &walk_cfg,
         );
         wall.walk_tree = span.finish().as_secs_f64();
@@ -385,22 +370,16 @@ impl Gothic {
 
         // --- correct -------------------------------------------------------
         let span = telemetry::span(Function::Correct.name());
-        let mut dt_want = vec![self.cfg.dt_max; n];
-        for (k, &i) in active_idx.iter().enumerate() {
+        for (k, &i) in active.iter().enumerate() {
             let i = i as usize;
-            let a_new = res.acc[k];
-            let h = drift[i];
-            self.ps.vel[i] = self.ps.vel[i] + (self.ps.acc[i] + a_new) * (0.5 * h);
+            let h = self.blocks.drift(i);
+            self.ps.vel[i] = self.ps.vel[i] + (self.ps.acc[i] + res.acc[k]) * (0.5 * h);
             self.ps.pos[i] = self.pred_pos[i];
-            self.ps.acc[i] = a_new;
-            self.ps.pot[i] = res.pot[k];
-            self.ps.acc_old[i] = a_new.norm();
-            dt_want[i] = timestep_criterion(self.cfg.eta, self.cfg.eps, a_new, self.cfg.dt_max);
         }
-        self.blocks.end_step(&active, &dt_want);
+        store_forces(&mut self.ps, &mut self.blocks, &self.cfg, &active, &res);
         wall.correct = span.finish().as_secs_f64();
         events.correct = IntegrateEvents {
-            particles: active_idx.len() as u64,
+            particles: active.len() as u64,
         };
 
         // --- price + tune ---------------------------------------------------
@@ -408,11 +387,7 @@ impl Gothic {
         if rebuilt {
             self.tuner.record_build(n);
         }
-        let leaf_bmax: Vec<f64> = (0..self.tree.n_nodes())
-            .filter(|&v| self.tree.is_leaf(v))
-            .map(|v| self.tree.bmax[v] as f64)
-            .collect();
-        self.tuner.record_walk(events.walk.interactions, &leaf_bmax);
+        self.tuner.record_walk(events.walk.interactions, &self.tree);
 
         self.steps_since_rebuild += 1;
         self.step_count += 1;
@@ -421,7 +396,7 @@ impl Gothic {
         let report = StepReport {
             step: self.step_count,
             time: self.time(),
-            n_active: active_idx.len(),
+            n_active: active.len(),
             rebuilt,
             events,
             profile,
@@ -470,6 +445,47 @@ impl Gothic {
     /// stored `pot` of inactive particles lags slightly, as in GOTHIC).
     pub fn diagnostics(&self) -> nbody::energy::Diagnostics {
         nbody::energy::measure(&self.ps, self.cfg.eps * self.cfg.eps)
+    }
+}
+
+/// makeTree: key the particles on `positions`, sort them and `blocks`
+/// into Morton order, and return the new tree with `positions` in that
+/// order. Records the build's events and wall time.
+fn make_tree(
+    ps: &mut ParticleSet,
+    blocks: &mut BlockSteps,
+    positions: Vec<Vec3>,
+    leaf_cap: u32,
+    events: &mut StepEvents,
+    wall: &mut WallTimes,
+) -> (Octree, Vec<Vec3>) {
+    let span = telemetry::span(Function::MakeTree.name());
+    let (tree, perm) = build_tree_with_positions(ps, &positions, &BuildConfig { leaf_cap });
+    blocks.permute(&perm);
+    let positions = perm.iter().map(|&p| positions[p as usize]).collect();
+    wall.make_tree = span.finish().as_secs_f64();
+    events.make = Some(tree.events);
+    (tree, positions)
+}
+
+/// Store the walk's forces for the `active` particles (`res` holds one
+/// entry per active particle, in the same order), keep `|a|` for the next
+/// acceleration MAC, and commit each particle's block step with the time
+/// step its new force asks for.
+fn store_forces(
+    ps: &mut ParticleSet,
+    blocks: &mut BlockSteps,
+    cfg: &RunConfig,
+    active: &[u32],
+    res: &WalkResult,
+) {
+    for (k, &i) in active.iter().enumerate() {
+        let i = i as usize;
+        let a = res.acc[k];
+        ps.acc[i] = a;
+        ps.pot[i] = res.pot[k];
+        ps.acc_old[i] = a.norm();
+        blocks.commit(i, timestep_criterion(cfg.eta, cfg.eps, a, cfg.dt_max));
     }
 }
 

@@ -295,15 +295,15 @@ impl Snapshot {
     ///
     /// If `cfg` disagrees with the snapshot on a field the stored state
     /// depends on; [`Snapshot::try_resume`] reports that as an error.
-    pub fn resume(&self, cfg: RunConfig) -> Gothic {
+    pub fn resume(self, cfg: RunConfig) -> Gothic {
         self.try_resume(cfg).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Resume the simulation this snapshot was captured from, or fail
     /// with `InvalidInput` naming the first of `dt_max`, `max_depth` and
     /// `leaf_cap` on which `cfg` disagrees with the stored state. No tree
-    /// is built and no force is evaluated: the state is copied as stored.
-    pub fn try_resume(&self, cfg: RunConfig) -> io::Result<Gothic> {
+    /// is built and no force is evaluated: the state is moved as stored.
+    pub fn try_resume(self, cfg: RunConfig) -> io::Result<Gothic> {
         if self.particles.len() != self.blocks.len() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -341,7 +341,7 @@ impl Snapshot {
                 ));
             }
         }
-        let mut tree = self.tree.clone();
+        let mut tree = self.tree;
         let nodes = tree.n_nodes();
         tree.com = vec![Vec3::ZERO; nodes];
         tree.mass = vec![0.0; nodes];
@@ -349,12 +349,12 @@ impl Snapshot {
         fill_cell_geometry(&mut tree);
         Ok(Gothic {
             cfg,
-            ps: self.particles.clone(),
-            blocks: self.blocks.clone(),
-            tree,
             pred_pos: vec![Vec3::ZERO; self.particles.len()],
+            ps: self.particles,
+            blocks: self.blocks,
+            tree,
             steps_since_rebuild: self.steps_since_rebuild,
-            tuner: self.tuner.clone(),
+            tuner: self.tuner,
             step_count: self.step,
             summary: RunSummary::default(),
         })
@@ -391,19 +391,10 @@ fn fill_cell_geometry(tree: &mut Octree) {
     }
 }
 
-/// Checks beyond [`BlockSteps::check_invariants`] that a run's state
-/// always meets: levels within the hierarchy, every particle's deadline
-/// still ahead of the global tick, and the stored time equal to the
+/// [`BlockSteps::check_invariants`], plus the stored time equal to the
 /// tick's.
 fn check_blocks(b: &BlockSteps, time: f64) -> Result<(), String> {
-    if let Some(i) = b.level.iter().position(|&k| k as u32 > b.max_depth) {
-        return Err(format!("particle {i} level {} > max_depth", b.level[i]));
-    }
     b.check_invariants()?;
-    let deadline = |i: usize| b.ptick[i].checked_add(b.ticks_of_level(b.level[i]));
-    if let Some(i) = (0..b.len()).find(|&i| deadline(i).is_none_or(|d| d <= b.tick)) {
-        return Err(format!("particle {i} is past its block-step deadline"));
-    }
     if b.time() != time {
         return Err(format!("time {time} disagrees with tick {}", b.tick));
     }
@@ -753,6 +744,7 @@ mod tests {
             ),
         ] {
             let err = snap
+                .clone()
                 .try_resume(cfg)
                 .err()
                 .expect("mismatch must be refused");

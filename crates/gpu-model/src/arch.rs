@@ -245,19 +245,45 @@ impl GpuArch {
 
     /// The GPUs of the paper's Fig. 1, newest first.
     pub fn paper_lineup() -> Vec<GpuArch> {
-        vec![
-            GpuArch::tesla_v100(),
-            GpuArch::tesla_p100(),
-            GpuArch::gtx_titan_x(),
-            GpuArch::tesla_k20x(),
-            GpuArch::tesla_m2090(),
-        ]
+        ARCH_KEYS.iter().map(|(_, arch)| arch()).collect()
+    }
+
+    /// The Fig. 1 GPU named by the command-line and protocol key `key`
+    /// (`v100`, `p100`, `titanx`, `k20x` or `m2090`).
+    pub fn by_key(key: &str) -> Result<GpuArch, String> {
+        ARCH_KEYS
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|(_, arch)| arch())
+            .ok_or_else(|| format!("unknown arch {key}"))
     }
 }
+
+type Constructor = fn() -> GpuArch;
+
+/// The key and constructor of each Fig. 1 GPU, newest first.
+const ARCH_KEYS: [(&str, Constructor); 5] = [
+    ("v100", GpuArch::tesla_v100),
+    ("p100", GpuArch::tesla_p100),
+    ("titanx", GpuArch::gtx_titan_x),
+    ("k20x", GpuArch::tesla_k20x),
+    ("m2090", GpuArch::tesla_m2090),
+];
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn keys_name_the_paper_lineup() {
+        let keyed: Vec<&str> = ["v100", "p100", "titanx", "k20x", "m2090"]
+            .iter()
+            .map(|k| GpuArch::by_key(k).unwrap().name)
+            .collect();
+        let lineup: Vec<&str> = GpuArch::paper_lineup().iter().map(|a| a.name).collect();
+        assert_eq!(keyed, lineup);
+        assert_eq!(GpuArch::by_key("h100").unwrap_err(), "unknown arch h100");
+    }
 
     #[test]
     fn v100_peak_matches_spec() {

@@ -37,6 +37,24 @@ pub enum ExecMode {
     VoltaMode,
 }
 
+impl ExecMode {
+    /// The command-line and protocol key of the mode.
+    pub fn key(self) -> &'static str {
+        match self {
+            ExecMode::PascalMode => "pascal",
+            ExecMode::VoltaMode => "volta",
+        }
+    }
+
+    /// The mode whose [`ExecMode::key`] is `key`.
+    pub fn by_key(key: &str) -> Result<ExecMode, String> {
+        [ExecMode::PascalMode, ExecMode::VoltaMode]
+            .into_iter()
+            .find(|m| m.key() == key)
+            .ok_or_else(|| format!("unknown mode {key}"))
+    }
+}
+
 /// Grid-wide barrier implementation (Appendix A).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum GridBarrier {
@@ -212,6 +230,17 @@ pub fn sustained_tflops(ops: &OpCounts, seconds: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn mode_keys_round_trip() {
+        for m in [ExecMode::PascalMode, ExecMode::VoltaMode] {
+            assert_eq!(ExecMode::by_key(m.key()), Ok(m));
+        }
+        assert_eq!(
+            ExecMode::by_key("turing").unwrap_err(),
+            "unknown mode turing"
+        );
+    }
 
     /// A walkTree-like op profile: FP-heavy with INT ≈ half of FP.
     fn walk_like(scale: u64) -> OpCounts {

@@ -78,64 +78,71 @@ impl BlockSteps {
         self.ticks_to_time(self.tick)
     }
 
+    /// Particle `i`'s deadline: the tick its current sub-step ends at.
+    #[inline(always)]
+    fn deadline(&self, i: usize) -> u64 {
+        self.ptick[i] + self.ticks_of_level(self.level[i])
+    }
+
     /// The earliest pending deadline: `min_i (ptick_i + dt_i)`.
     /// Panics on an empty set.
     pub fn next_tick(&self) -> u64 {
-        self.ptick
-            .iter()
-            .zip(&self.level)
-            .map(|(&t, &k)| t + self.ticks_of_level(k))
+        (0..self.len())
+            .map(|i| self.deadline(i))
             .min()
             .expect("next_tick on empty BlockSteps")
     }
 
-    /// Begin a block step: advance the global clock to the next deadline
-    /// and return `(active, drift_dt)` where `active[i]` flags particles
-    /// whose sub-step ends now and `drift_dt[i]` is the prediction interval
-    /// from each particle's committed time to the new global time.
-    pub fn begin_step(&mut self) -> (Vec<bool>, Vec<Real>) {
+    /// Begin a block step: move the global clock to the next deadline.
+    pub fn advance(&mut self) {
         let t_next = self.next_tick();
         debug_assert!(t_next > self.tick);
         self.tick = t_next;
-        let n = self.len();
-        let mut active = vec![false; n];
-        let mut drift = vec![0.0; n];
-        for i in 0..n {
-            let deadline = self.ptick[i] + self.ticks_of_level(self.level[i]);
-            active[i] = deadline == t_next;
-            debug_assert!(deadline >= t_next, "particle {i} missed its deadline");
-            drift[i] = self.ticks_to_time(t_next - self.ptick[i]) as Real;
-        }
-        (active, drift)
     }
 
-    /// Finish a block step: commit the active particles to the new time and
-    /// update their levels from the desired time steps `dt_want[i]`
-    /// (typically from [`crate::integrator::timestep_criterion`]).
+    /// The particles whose sub-step ends at the current tick, in
+    /// ascending order: their forces are re-evaluated this block step.
+    pub fn active(&self) -> Vec<u32> {
+        (0..self.len())
+            .filter(|&i| {
+                debug_assert!(
+                    self.deadline(i) >= self.tick,
+                    "particle {i} missed its deadline"
+                );
+                self.deadline(i) == self.tick
+            })
+            .map(|i| i as u32)
+            .collect()
+    }
+
+    /// The prediction interval of particle `i`: from its committed time to
+    /// the global time.
+    #[inline(always)]
+    pub fn drift(&self, i: usize) -> Real {
+        self.ticks_to_time(self.tick - self.ptick[i]) as Real
+    }
+
+    /// Finish particle `i`'s sub-step: commit it to the global time and
+    /// update its level from the desired time step `dt_want` (typically
+    /// from [`crate::integrator::timestep_criterion`]).
     ///
     /// Level transitions follow the standard block-step rules: a particle
     /// may *refine* (shrink its step) freely, but may *coarsen* (double its
     /// step) only by one level at a time and only when its new time is
-    /// aligned with the coarser block boundary.
-    pub fn end_step(&mut self, active: &[bool], dt_want: &[Real]) {
-        assert_eq!(active.len(), self.len());
-        assert_eq!(dt_want.len(), self.len());
-        for i in 0..self.len() {
-            if !active[i] {
-                continue;
-            }
-            self.ptick[i] = self.tick;
-            let k = self.level[i];
-            let want = self.level_for_dt(dt_want[i]);
-            if want > k {
-                // Refine immediately (but never below the finest level).
-                self.level[i] = want.min(self.max_depth as u8);
-            } else if want < k {
-                // Coarsen one level, only when aligned to the coarser block.
-                let coarser_ticks = self.ticks_of_level(k - 1);
-                if self.tick.is_multiple_of(coarser_ticks) {
-                    self.level[i] = k - 1;
-                }
+    /// aligned with the coarser block boundary. At tick 0 and level 0 this
+    /// seeds the level as [`BlockSteps::level_for_dt`]`(dt_want)`.
+    pub fn commit(&mut self, i: usize, dt_want: Real) {
+        self.ptick[i] = self.tick;
+        let k = self.level[i];
+        let want = self.level_for_dt(dt_want);
+        if want > k {
+            // Refine immediately (`level_for_dt` never exceeds the finest level).
+            self.level[i] = want;
+        } else if want < k {
+            // Coarsen one level, only when aligned to the coarser block.
+            let coarser_ticks = self.ticks_of_level(k - 1);
+            if self.tick.is_multiple_of(coarser_ticks) {
+                self.level[i] = k - 1;
             }
         }
     }
@@ -161,10 +168,14 @@ impl BlockSteps {
         self.ptick = perm.iter().map(|&p| self.ptick[p as usize]).collect();
     }
 
-    /// Validate hierarchy invariants: particle times never exceed the
-    /// global time, every particle time is aligned to its own block size.
+    /// Validate hierarchy invariants: levels within the hierarchy,
+    /// particle times never past the global time and aligned to their own
+    /// block size, and every deadline still ahead of the global time.
     pub fn check_invariants(&self) -> Result<(), String> {
         for i in 0..self.len() {
+            if self.level[i] as u32 > self.max_depth {
+                return Err(format!("particle {i} level {} > max_depth", self.level[i]));
+            }
             if self.ptick[i] > self.tick {
                 return Err(format!("particle {i} is ahead of global time"));
             }
@@ -175,6 +186,12 @@ impl BlockSteps {
                     self.ptick[i], step
                 ));
             }
+            if self.ptick[i]
+                .checked_add(step)
+                .is_none_or(|d| d <= self.tick)
+            {
+                return Err(format!("particle {i} is past its block-step deadline"));
+            }
         }
         Ok(())
     }
@@ -184,12 +201,23 @@ impl BlockSteps {
 mod tests {
     use super::*;
 
+    /// One block step with every active particle asking for `want(i)`;
+    /// returns the active list.
+    fn step(bs: &mut BlockSteps, want: impl Fn(usize) -> Real) -> Vec<u32> {
+        bs.advance();
+        let active = bs.active();
+        for &i in &active {
+            bs.commit(i as usize, want(i as usize));
+        }
+        active
+    }
+
     #[test]
     fn uniform_levels_make_everyone_active() {
         let mut bs = BlockSteps::new(8, 1.0, 8);
-        let (active, drift) = bs.begin_step();
-        assert!(active.iter().all(|&a| a));
-        assert!(drift.iter().all(|&d| (d - 1.0).abs() < 1e-6));
+        bs.advance();
+        assert_eq!(bs.active(), (0..8).collect::<Vec<u32>>());
+        assert!((0..8).all(|i| (bs.drift(i) - 1.0).abs() < 1e-6));
         assert_eq!(bs.time(), 1.0);
     }
 
@@ -197,16 +225,20 @@ mod tests {
     fn two_level_hierarchy_alternates_activity() {
         let mut bs = BlockSteps::new(2, 1.0, 8);
         bs.level[1] = 1; // particle 1 takes half steps
-                         // First block step: t -> 0.5, only particle 1 active.
-        let (active, drift) = bs.begin_step();
-        assert_eq!(active, vec![false, true]);
-        assert!((drift[0] - 0.5).abs() < 1e-6);
-        assert!((drift[1] - 0.5).abs() < 1e-6);
-        bs.end_step(&active, &[1.0, 0.5]);
+        let want = |i: usize| [1.0, 0.5][i];
+        // First block step: t -> 0.5, only particle 1 active.
+        bs.advance();
+        assert_eq!(bs.active(), vec![1]);
+        assert!((bs.drift(0) - 0.5).abs() < 1e-6);
+        assert!((bs.drift(1) - 0.5).abs() < 1e-6);
+        bs.commit(1, want(1));
+        assert_eq!(
+            bs.drift(1),
+            0.0,
+            "a committed particle is at the global time"
+        );
         // Second block step: t -> 1.0, both active.
-        let (active, _) = bs.begin_step();
-        assert_eq!(active, vec![true, true]);
-        bs.end_step(&active, &[1.0, 0.5]);
+        assert_eq!(step(&mut bs, want), vec![0, 1]);
         assert_eq!(bs.time(), 1.0);
         bs.check_invariants().unwrap();
     }
@@ -214,19 +246,15 @@ mod tests {
     #[test]
     fn refinement_is_immediate_coarsening_waits_for_alignment() {
         let mut bs = BlockSteps::new(1, 1.0, 8);
-        bs.level[0] = 0;
-        let (active, _) = bs.begin_step(); // t = 1.0
-        bs.end_step(&active, &[0.24]); // wants level 3 (dt = 0.125)
+        step(&mut bs, |_| 0.24); // t = 1.0; wants level 3 (dt = 0.125)
         assert_eq!(bs.level[0], 3);
         // Now ask for a big step: t=1.125 is not aligned to level-2 blocks
         // (0.25), so coarsening is deferred.
-        let (active, _) = bs.begin_step(); // t = 1.125
-        bs.end_step(&active, &[10.0]);
+        step(&mut bs, |_| 10.0); // t = 1.125
         assert_eq!(bs.level[0], 3);
         // March until the time aligns; level must step up by exactly one
         // per aligned boundary.
-        let (active, _) = bs.begin_step(); // t = 1.25, aligned to 0.25
-        bs.end_step(&active, &[10.0]);
+        step(&mut bs, |_| 10.0); // t = 1.25, aligned to 0.25
         assert_eq!(bs.level[0], 2);
         bs.check_invariants().unwrap();
     }
@@ -241,6 +269,13 @@ mod tests {
         assert_eq!(bs.level_for_dt(0.125), 3);
         assert_eq!(bs.level_for_dt(0.0), 10);
         assert_eq!(bs.level_for_dt(1e-12), 10); // clamped at max depth
+                                                // Committing at tick 0 from level 0 seeds exactly that level.
+        let mut seeded = BlockSteps::new(3, 1.0, 10);
+        for (i, dt) in [0.3, 1e-12, 2.0].into_iter().enumerate() {
+            seeded.commit(i, dt);
+        }
+        assert_eq!(seeded.level, vec![2, 10, 0]);
+        assert_eq!(seeded.ptick, vec![0; 3]);
     }
 
     #[test]
@@ -263,11 +298,8 @@ mod tests {
         let mut steps = 0;
         let mut activations = 0;
         while bs.time() < 1.0 - 1e-9 {
-            let (active, _) = bs.begin_step();
-            activations += active.iter().filter(|&&a| a).count();
-            // keep levels fixed: request each particle's own dt
-            let wants: Vec<Real> = (0..4).map(|i| bs.dt_of_level(bs.level[i])).collect();
-            bs.end_step(&active, &wants);
+            // keep levels fixed: particle i asks for its own dt = 2^-i
+            activations += step(&mut bs, |i| 1.0 / (1u64 << i) as Real).len();
             steps += 1;
         }
         assert_eq!(steps, 8);
@@ -282,5 +314,10 @@ mod tests {
         bs.ptick[0] = 3; // not aligned to 16-tick blocks
         bs.tick = 8;
         assert!(bs.check_invariants().is_err());
+        bs.ptick[0] = 0; // aligned, but its deadline (16) has passed
+        bs.tick = 16;
+        assert!(bs.check_invariants().unwrap_err().contains("deadline"));
+        bs.level[0] = 5; // finer than the hierarchy
+        assert!(bs.check_invariants().unwrap_err().contains("max_depth"));
     }
 }

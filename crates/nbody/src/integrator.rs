@@ -13,6 +13,7 @@
 //!   (with block time steps, only the particles whose sub-step ends at the
 //!   new time).
 
+use crate::blockstep::BlockSteps;
 use crate::particles::ParticleSet;
 use crate::vec3::{Real, Vec3};
 
@@ -50,14 +51,15 @@ pub fn correct(ps: &mut ParticleSet, acc_old: &[Vec3], dt: &[Real], active: &[bo
 }
 
 /// Non-destructive prediction used by the block-time-step pipeline: drift
-/// each particle's position from its committed time to the target time
-/// into `out`, leaving the committed state untouched (inactive particles
-/// serve as force sources at the predicted position but are not advanced).
-pub fn predict_positions(ps: &ParticleSet, dt: &[Real], out: &mut [Vec3]) {
-    assert_eq!(dt.len(), ps.len());
+/// each particle's position from its committed time to the global time of
+/// `blocks` ([`BlockSteps::drift`]) into `out`, leaving the committed
+/// state untouched (inactive particles serve as force sources at the
+/// predicted position but are not advanced).
+pub fn predict_positions(ps: &ParticleSet, blocks: &BlockSteps, out: &mut [Vec3]) {
+    assert_eq!(blocks.len(), ps.len());
     assert_eq!(out.len(), ps.len());
     parallel::for_each_mut(out, |i, o| {
-        let h = dt[i];
+        let h = blocks.drift(i);
         *o = ps.pos[i] + ps.vel[i] * h + ps.acc[i] * (0.5 * h * h);
     });
 }

@@ -112,14 +112,6 @@ impl ParticleSet {
         self.id = apply(&self.id, perm);
     }
 
-    /// Copy the magnitude of the current accelerations into `acc_old`,
-    /// making them available to the next step's MAC evaluation.
-    pub fn stash_acc_magnitudes(&mut self) {
-        for (o, a) in self.acc_old.iter_mut().zip(&self.acc) {
-            *o = a.norm();
-        }
-    }
-
     /// Validate internal invariants (equal lengths, finite state, `id` is a
     /// permutation). Intended for tests and debug assertions.
     pub fn check_invariants(&self) -> Result<(), String> {
@@ -213,14 +205,6 @@ mod tests {
         let mut s = sample_set(3);
         s.id[0] = 1; // duplicate
         assert!(s.check_invariants().is_err());
-    }
-
-    #[test]
-    fn stash_acc_magnitudes_takes_norms() {
-        let mut s = sample_set(2);
-        s.acc[0] = Vec3::new(3.0, 4.0, 0.0);
-        s.stash_acc_magnitudes();
-        assert!((s.acc_old[0] - 5.0).abs() < 1e-6);
     }
 
     #[test]

@@ -324,30 +324,6 @@ where
     });
 }
 
-/// Parallel in-place update over two equal-length slices:
-/// `f(i, &mut a[i], &mut b[i])`. Used by the integrator's fused
-/// position/velocity passes.
-pub fn for_each_mut2<A, B, F>(a: &mut [A], b: &mut [B], f: F)
-where
-    A: Send,
-    B: Send,
-    F: Fn(usize, &mut A, &mut B) + Sync,
-{
-    assert_eq!(a.len(), b.len(), "for_each_mut2 slices must match");
-    let n = a.len();
-    let pa = slots::SendPtr(a.as_mut_ptr());
-    let pb = slots::SendPtr(b.as_mut_ptr());
-    run_chunked(n.div_ceil(DEFAULT_CHUNK), |ci| {
-        let lo = ci * DEFAULT_CHUNK;
-        let hi = (lo + DEFAULT_CHUNK).min(n);
-        let (pa, pb) = (&pa, &pb);
-        for i in lo..hi {
-            // Safety: chunks are disjoint, so both &muts are unique.
-            unsafe { f(i, &mut *pa.0.add(i), &mut *pb.0.add(i)) };
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -425,20 +401,6 @@ mod tests {
         for (i, &x) in v.iter().enumerate() {
             assert_eq!(x, i as u32 + 1);
         }
-    }
-
-    #[test]
-    fn for_each_mut2_updates_both_slices() {
-        let mut a = vec![0u64; 3000];
-        let mut b = vec![0u64; 3000];
-        with_thread_count(4, || {
-            for_each_mut2(&mut a, &mut b, |i, x, y| {
-                *x = i as u64;
-                *y = 2 * i as u64;
-            })
-        });
-        assert!(a.iter().enumerate().all(|(i, &x)| x == i as u64));
-        assert!(b.iter().enumerate().all(|(i, &y)| y == 2 * i as u64));
     }
 
     #[test]

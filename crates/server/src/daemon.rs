@@ -361,9 +361,9 @@ fn serve_request_inner(line: &str, shared: &Shared, submitter: &Submitter) -> St
             complete(shared);
             o.finish()
         }
-        Request::Racecheck { volta } => {
+        Request::Racecheck { mode } => {
             run_on_pool(submitter, shared, &id, "racecheck", move |_token| {
-                Ok(jobs::run_racecheck(volta))
+                Ok(jobs::run_racecheck(mode))
             })
         }
         Request::Simulate(job) => serve_simulate(shared, submitter, &id, job),

@@ -5,6 +5,7 @@
 use std::sync::OnceLock;
 
 use gothic::galaxy::{plummer_model, M31Model};
+use gothic::gpu_model::ExecMode;
 use gothic::telemetry::json::JsonObject;
 use gothic::{price_step, CancelReason, CancelToken, Function, Gothic, StepEvents};
 
@@ -127,13 +128,7 @@ pub fn run_predict(job: &PredictJob) -> String {
     let mut o = JsonObject::new();
     o.u64("n", job.n as u64)
         .str("arch", job.cfg.arch.name)
-        .str(
-            "mode",
-            match job.cfg.mode {
-                gothic::gpu_model::ExecMode::PascalMode => "pascal",
-                gothic::gpu_model::ExecMode::VoltaMode => "volta",
-            },
-        )
+        .str("mode", job.cfg.mode.key())
         .f64("model_seconds_per_step", profile.total_seconds())
         .raw("breakdown", &breakdown.finish())
         .u64("interactions", scaled.walk.interactions);
@@ -142,36 +137,17 @@ pub fn run_predict(job: &PredictJob) -> String {
 
 /// A quick happens-before sweep of the interpreter kernels (a subset of
 /// the `gothic_sim --racecheck` preflight, sized for a service request).
-pub fn run_racecheck(volta: bool) -> String {
-    use gothic::simt::{microbench, Scheduler};
-    let scheds: &[Scheduler] = if volta {
-        &[Scheduler::Lockstep, Scheduler::Independent]
-    } else {
-        &[Scheduler::Lockstep]
-    };
-    let mut runs = 0u64;
-    let mut hazards = 0u64;
-    let mut wrong = 0u64;
-    let mut tally = |correct: bool, total: u64| {
-        runs += 1;
-        hazards += total;
-        wrong += (!correct) as u64;
-    };
-    for &sched in scheds {
-        for ttot in [128usize, 256] {
-            for tsub in [4u32, 8, 32] {
-                let (b, rep) = microbench::run_reduction_racechecked(ttot, tsub, volta, sched);
-                tally(b.correct, rep.total);
-                let (b, rep) = microbench::run_scan_racechecked(ttot, tsub, volta, sched);
-                tally(b.correct, rep.total);
-            }
-        }
-        let (b, rep) = microbench::run_gravity_flush_racechecked(32, 1e-4, sched);
-        tally(b.correct, rep.total);
-    }
+pub fn run_racecheck(mode: ExecMode) -> String {
+    let runs = gothic::simt::microbench::racecheck_sweep(
+        mode == ExecMode::VoltaMode,
+        &[128, 256],
+        &[4, 8, 32],
+    );
+    let hazards: u64 = runs.iter().map(|(_, _, rep)| rep.total).sum();
+    let wrong = runs.iter().filter(|(_, b, _)| !b.correct).count() as u64;
     let mut o = JsonObject::new();
-    o.str("mode", if volta { "volta" } else { "pascal" })
-        .u64("runs", runs)
+    o.str("mode", mode.key())
+        .u64("runs", runs.len() as u64)
         .u64("hazards", hazards)
         .u64("wrong_results", wrong)
         .bool("clean", hazards == 0 && wrong == 0);
@@ -280,8 +256,8 @@ mod tests {
 
     #[test]
     fn racecheck_sweep_is_clean_in_both_modes() {
-        for volta in [false, true] {
-            let v = parse(&run_racecheck(volta)).unwrap();
+        for mode in [ExecMode::PascalMode, ExecMode::VoltaMode] {
+            let v = parse(&run_racecheck(mode)).unwrap();
             assert_eq!(v.get("clean").unwrap().as_bool(), Some(true));
             assert!(v.get("runs").unwrap().as_u64().unwrap() > 0);
         }

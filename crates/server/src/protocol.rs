@@ -84,9 +84,9 @@ pub enum Request {
     Simulate(SimJob),
     Predict(PredictJob),
     Racecheck {
-        /// Sweep with Volta-mode syncs under both schedulers (true) or
-        /// the Pascal-mode lockstep assumption (false).
-        volta: bool,
+        /// Sweep with Volta-mode syncs under both schedulers, or under
+        /// the Pascal-mode lockstep assumption.
+        mode: ExecMode,
     },
     Status,
     /// Prometheus-style text exposition of every telemetry counter and
@@ -130,17 +130,6 @@ fn get_str<'a>(obj: &'a Value, key: &str, default: &'a str) -> Result<&'a str, S
     }
 }
 
-fn pick_arch(name: &str) -> Result<GpuArch, String> {
-    Ok(match name {
-        "v100" => GpuArch::tesla_v100(),
-        "p100" => GpuArch::tesla_p100(),
-        "titanx" => GpuArch::gtx_titan_x(),
-        "k20x" => GpuArch::tesla_k20x(),
-        "m2090" => GpuArch::tesla_m2090(),
-        other => return Err(format!("unknown arch {other}")),
-    })
-}
-
 /// Build a [`RunConfig`] from a request object's optional fields.
 fn parse_config(obj: &Value) -> Result<RunConfig, String> {
     let positive = |name: &str, v: f32| -> Result<f32, String> {
@@ -153,12 +142,8 @@ fn parse_config(obj: &Value) -> Result<RunConfig, String> {
     let dacc = positive("dacc", get_f32(obj, "dacc", 2.0f32.powi(-9))?)?;
     let eta = positive("eta", get_f32(obj, "eta", dflt.eta)?)?;
     let eps = positive("eps", get_f32(obj, "eps", dflt.eps)?)?;
-    let arch = pick_arch(get_str(obj, "arch", "v100")?)?;
-    let mode = match get_str(obj, "mode", "pascal")? {
-        "pascal" => ExecMode::PascalMode,
-        "volta" => ExecMode::VoltaMode,
-        other => return Err(format!("unknown mode {other}")),
-    };
+    let arch = GpuArch::by_key(get_str(obj, "arch", "v100")?)?;
+    let mode = ExecMode::by_key(get_str(obj, "mode", "pascal")?)?;
     let barrier = match get_str(obj, "barrier", "lockfree")? {
         "lockfree" => GridBarrier::LockFree,
         "coop" | "cooperative" => GridBarrier::CooperativeGroups,
@@ -209,11 +194,7 @@ pub fn parse_request(line: &str) -> Result<(Option<String>, Request), String> {
             Some("metrics") => Request::Metrics,
             Some("shutdown") => Request::Shutdown,
             Some("racecheck") => Request::Racecheck {
-                volta: match get_str(&v, "mode", "volta")? {
-                    "volta" => true,
-                    "pascal" => false,
-                    other => return Err(format!("unknown mode {other}")),
-                },
+                mode: ExecMode::by_key(get_str(&v, "mode", "volta")?)?,
             },
             Some("predict") => Request::Predict(PredictJob {
                 n: parse_n(&v, 1 << 23, MAX_PREDICT_N)?,

@@ -217,6 +217,41 @@ pub fn run_scan_racechecked(
     (BenchRun { stats, correct }, report)
 }
 
+/// The racecheck sweep over the Table 2 kernels: the reduction and the
+/// scan at every `ttot` × `tsub`, then the gravity flush, on each
+/// scheduler the variant must be hazard-free under — lockstep, plus
+/// independent when `volta_sync` compiles the Volta syncs in. Returns
+/// each run's name, outcome and report, in run order.
+pub fn racecheck_sweep(
+    volta_sync: bool,
+    ttots: &[usize],
+    tsubs: &[u32],
+) -> Vec<(String, BenchRun, RacecheckReport)> {
+    let scheds: &[Scheduler] = if volta_sync {
+        &[Scheduler::Lockstep, Scheduler::Independent]
+    } else {
+        &[Scheduler::Lockstep]
+    };
+    let mut runs = Vec::new();
+    for &sched in scheds {
+        for &ttot in ttots {
+            for &tsub in tsubs {
+                let (b, rep) = run_reduction_racechecked(ttot, tsub, volta_sync, sched);
+                runs.push((
+                    format!("reduction ttot={ttot} tsub={tsub} {sched:?}"),
+                    b,
+                    rep,
+                ));
+                let (b, rep) = run_scan_racechecked(ttot, tsub, volta_sync, sched);
+                runs.push((format!("scan ttot={ttot} tsub={tsub} {sched:?}"), b, rep));
+            }
+        }
+        let (b, rep) = run_gravity_flush_racechecked(32, 1e-4, sched);
+        runs.push((format!("gravity-flush {sched:?}"), b, rep));
+    }
+    runs
+}
+
 /// Run the gravity flush kernel (one warp, `n_sources` pre-staged source
 /// records) under the happens-before race detector.
 pub fn run_gravity_flush_racechecked(
@@ -693,6 +728,28 @@ pub fn run_correct_profiled(ttot: usize, sched: Scheduler) -> (BenchRun, KernelP
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn racecheck_sweep_runs_each_scheduler_of_the_mode_in_order() {
+        let names = |volta_sync| -> Vec<String> {
+            racecheck_sweep(volta_sync, &[64], &[4, 8])
+                .into_iter()
+                .map(|(name, _, _)| name)
+                .collect()
+        };
+        let lockstep = [
+            "reduction ttot=64 tsub=4 Lockstep",
+            "scan ttot=64 tsub=4 Lockstep",
+            "reduction ttot=64 tsub=8 Lockstep",
+            "scan ttot=64 tsub=8 Lockstep",
+            "gravity-flush Lockstep",
+        ];
+        assert_eq!(names(false), lockstep);
+        let volta = names(true);
+        assert_eq!(volta.len(), 2 * lockstep.len());
+        assert_eq!(volta[..5], lockstep);
+        assert!(volta[5..].iter().all(|n| n.ends_with("Independent")));
+    }
 
     #[test]
     fn reduction_correct_all_widths_both_schedulers() {

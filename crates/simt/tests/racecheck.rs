@@ -321,33 +321,13 @@ fn cross_block_race_suggests_grid_barrier() {
 /// variants under the lockstep scheduling they assume.
 #[test]
 fn shipped_kernels_are_hazard_free_in_their_modes() {
-    for tsub in [2u32, 4, 8, 16, 32] {
-        for sched in [Scheduler::Lockstep, Scheduler::Independent] {
-            let (b, rep) = microbench::run_reduction_racechecked(64, tsub, true, sched);
+    for volta_sync in [false, true] {
+        for (name, b, rep) in microbench::racecheck_sweep(volta_sync, &[64], &[2, 4, 8, 16, 32]) {
             assert!(
                 b.correct && rep.is_clean(),
-                "reduction tsub={tsub} {sched:?}: {rep}"
-            );
-            let (b, rep) = microbench::run_scan_racechecked(64, tsub, true, sched);
-            assert!(
-                b.correct && rep.is_clean(),
-                "scan tsub={tsub} {sched:?}: {rep}"
+                "volta_sync={volta_sync} {name}: {rep}"
             );
         }
-        let (b, rep) = microbench::run_reduction_racechecked(64, tsub, false, Scheduler::Lockstep);
-        assert!(
-            b.correct && rep.is_clean(),
-            "pascal reduction tsub={tsub}: {rep}"
-        );
-        let (b, rep) = microbench::run_scan_racechecked(64, tsub, false, Scheduler::Lockstep);
-        assert!(
-            b.correct && rep.is_clean(),
-            "pascal scan tsub={tsub}: {rep}"
-        );
-    }
-    for sched in [Scheduler::Lockstep, Scheduler::Independent] {
-        let (b, rep) = microbench::run_gravity_flush_racechecked(32, 1e-4, sched);
-        assert!(b.correct && rep.is_clean(), "gravity {sched:?}: {rep}");
     }
 }
 
