@@ -154,11 +154,11 @@ impl RebuildTuner {
             .filter(|&v| tree.is_leaf(v))
             .map(|v| tree.bmax[v] as f64);
         if self.fresh_leaf_bmax.is_empty() {
-            // Sized exactly: the reference lives for the whole rebuild
-            // interval (and goes into every snapshot taken in it).
-            let leaves = leaf_bmax.clone().count();
-            self.fresh_leaf_bmax.reserve_exact(leaves);
-            self.fresh_leaf_bmax.extend(leaf_bmax);
+            // Sized exactly (a collect from the filter would not be): the
+            // reference lives for the whole rebuild interval.
+            let mut fresh = Vec::with_capacity(leaf_bmax.clone().count());
+            fresh.extend(leaf_bmax);
+            self.fresh_leaf_bmax = fresh;
             return;
         }
         let mut ageing = 0.0;
