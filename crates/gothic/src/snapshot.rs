@@ -192,7 +192,13 @@ impl Snapshot {
             level: read_vec(r, n, |[k]: [u8; 1]| k)?,
             ptick: read_vec(r, n, u64::from_le_bytes)?,
         };
-        check_blocks(&blocks, time).map_err(invalid)?;
+        blocks.check_invariants().map_err(invalid)?;
+        if blocks.time() != time {
+            return Err(invalid(format!(
+                "time {time} disagrees with tick {}",
+                blocks.tick
+            )));
+        }
 
         let leaf_cap = u32::from_le_bytes(read_array(r)?);
         let cube = Aabb {
@@ -389,16 +395,6 @@ fn fill_cell_geometry(tree: &mut Octree) {
             tree.cell_half[c] = half;
         }
     }
-}
-
-/// [`BlockSteps::check_invariants`], plus the stored time equal to the
-/// tick's.
-fn check_blocks(b: &BlockSteps, time: f64) -> Result<(), String> {
-    b.check_invariants()?;
-    if b.time() != time {
-        return Err(format!("time {time} disagrees with tick {}", b.tick));
-    }
-    Ok(())
 }
 
 /// Index bounds [`Octree::check_invariants`] relies on: node levels within
