@@ -233,3 +233,56 @@ fn lockfree_barrier_beats_grid_sync() {
         cycles[1]
     );
 }
+
+/// The interpreter counts behind Table 2, pinned to the bit: the five
+/// profiled micro-kernels in the Pascal and then the Volta mode, each
+/// run's 19 per-pipe counts and 6 grid statistics hashed in declaration
+/// order. Table 2 and `gpu_model::measured` are priced from these counts.
+#[test]
+fn table2_kernel_counts_are_pinned() {
+    use gothic::simt::microbench as mb;
+    let mut bytes = Vec::new();
+    for (volta, sched) in [(false, Scheduler::Lockstep), (true, Scheduler::Independent)] {
+        for (b, p) in [
+            mb::run_gravity_flush_profiled(32, 1e-4, sched),
+            mb::run_reduction_profiled(256, 32, volta, sched),
+            mb::run_scan_profiled(256, 32, volta, sched),
+            mb::run_predict_profiled(256, sched),
+            mb::run_correct_profiled(256, sched),
+        ] {
+            assert!(b.correct, "{} {sched:?}", p.kernel);
+            let c = &p.counts;
+            let s = &b.stats;
+            for v in [
+                c.int_ops,
+                c.fp_add,
+                c.fp_mul,
+                c.fp_fma,
+                c.fp_special,
+                c.fp_cmp,
+                c.control,
+                c.shuffles,
+                c.votes,
+                c.syncwarps,
+                c.syncthreads,
+                c.grid_barriers,
+                c.shared_ld,
+                c.shared_st,
+                c.global_ld,
+                c.global_st,
+                c.global_atomics,
+                c.divergence_events,
+                c.max_reconv_depth,
+                s.total_cycles,
+                s.max_warp_cycles,
+                s.retired,
+                s.syncwarps,
+                s.block_syncs,
+                s.grid_syncs,
+            ] {
+                bytes.extend_from_slice(&v.to_le_bytes());
+            }
+        }
+    }
+    assert_eq!(gothic::fnv1a64(&bytes), 0xd54e_6b3f_fc26_9863);
+}
