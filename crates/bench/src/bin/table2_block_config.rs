@@ -19,7 +19,7 @@
 
 use gothic::gpu_model::occupancy::{occupancy, BlockResources};
 use gothic::gpu_model::GpuArch;
-use gothic::simt::microbench::{run_reduction, run_scan};
+use gothic::simt::microbench::{run_reduction_profiled, run_scan_profiled};
 use gothic::simt::Scheduler;
 
 /// Per-function micro-benchmark shape.
@@ -91,12 +91,12 @@ fn pattern_cycles(pattern: Pattern, ttot: usize, tsub: u32) -> f64 {
     match pattern {
         Pattern::Elementwise => ttot as f64, // one pass, no sub-group work
         Pattern::Reduction => {
-            let r = run_reduction(ttot.min(256), tsub, true, Scheduler::Independent);
+            let r = run_reduction_profiled(ttot.min(256), tsub, true, Scheduler::Independent).0;
             assert!(r.correct);
             r.stats.total_cycles as f64 * (ttot as f64 / ttot.min(256) as f64)
         }
         Pattern::Scan => {
-            let r = run_scan(ttot.min(256), tsub, true, Scheduler::Independent);
+            let r = run_scan_profiled(ttot.min(256), tsub, true, Scheduler::Independent).0;
             assert!(r.correct);
             r.stats.total_cycles as f64 * (ttot as f64 / ttot.min(256) as f64)
         }

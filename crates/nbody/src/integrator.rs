@@ -17,39 +17,6 @@ use crate::blockstep::BlockSteps;
 use crate::particles::ParticleSet;
 use crate::vec3::{Real, Vec3};
 
-/// `predict` kernel: drift every particle from its own time to the target
-/// time using its current acceleration. `dt[i]` is the drift interval of
-/// particle `i` (callers with a shared step pass a uniform slice).
-///
-/// The drifted positions are written back to `ps.pos` (GOTHIC keeps a
-/// separate predicted-position array; we overwrite because the corrector
-/// keeps the predicted position). Returns the old accelerations, which the
-/// corrector needs.
-pub fn predict(ps: &mut ParticleSet, dt: &[Real]) -> Vec<Vec3> {
-    assert_eq!(dt.len(), ps.len());
-    let acc_old = ps.acc.clone();
-    let (vel, acc) = (&ps.vel, &ps.acc);
-    parallel::for_each_mut(&mut ps.pos, |i, p| {
-        let (v, a, h) = (vel[i], acc[i], dt[i]);
-        *p = *p + v * h + a * (0.5 * h * h);
-    });
-    acc_old
-}
-
-/// `correct` kernel: finish the step of the particles flagged in
-/// `active`, averaging old and new accelerations.
-pub fn correct(ps: &mut ParticleSet, acc_old: &[Vec3], dt: &[Real], active: &[bool]) {
-    assert_eq!(acc_old.len(), ps.len());
-    assert_eq!(dt.len(), ps.len());
-    assert_eq!(active.len(), ps.len());
-    let acc = &ps.acc;
-    parallel::for_each_mut(&mut ps.vel, |i, v| {
-        if active[i] {
-            *v += (acc_old[i] + acc[i]) * (0.5 * dt[i]);
-        }
-    });
-}
-
 /// Non-destructive prediction used by the block-time-step pipeline: drift
 /// each particle's position from its committed time to the global time of
 /// `blocks` ([`BlockSteps::drift`]) into `out`, leaving the committed
@@ -65,21 +32,27 @@ pub fn predict_positions(ps: &ParticleSet, blocks: &BlockSteps, out: &mut [Vec3]
 }
 
 /// One shared-timestep integration step using a caller-provided force
-/// evaluator. Returns nothing; `ps` is advanced by `dt`.
+/// evaluator: predict every position, evaluate, then correct every
+/// velocity with the averaged old and new accelerations. `ps` is
+/// advanced by `dt`.
 ///
 /// This is the convenience path used by the examples and the correctness
-/// tests; the GOTHIC pipeline drives `predict`/`correct` itself because it
+/// tests; the GOTHIC pipeline runs its own predict and correct because it
 /// interleaves tree maintenance and block-step bookkeeping.
 pub fn step_shared<F>(ps: &mut ParticleSet, dt: Real, mut eval_forces: F)
 where
     F: FnMut(&mut ParticleSet),
 {
-    let n = ps.len();
-    let dts = vec![dt; n];
-    let active = vec![true; n];
-    let acc_old = predict(ps, &dts);
+    let acc_old = ps.acc.clone();
+    let (vel, acc) = (&ps.vel, &ps.acc);
+    parallel::for_each_mut(&mut ps.pos, |i, p| {
+        *p = *p + vel[i] * dt + acc[i] * (0.5 * dt * dt);
+    });
     eval_forces(ps);
-    correct(ps, &acc_old, &dts, &active);
+    let acc = &ps.acc;
+    parallel::for_each_mut(&mut ps.vel, |i, v| {
+        *v += (acc_old[i] + acc[i]) * (0.5 * dt);
+    });
 }
 
 /// Standard collisionless time-step criterion: `dt = η · √(ε / |a|)`.
@@ -141,23 +114,11 @@ mod tests {
         let mut ps = ParticleSet::with_capacity(1);
         ps.push(Vec3::ZERO, Vec3::new(1.0, 0.0, 0.0), 1.0);
         ps.acc[0] = Vec3::new(0.0, 2.0, 0.0);
-        let old = predict(&mut ps, &[0.5]);
-        assert_eq!(old[0], Vec3::new(0.0, 2.0, 0.0));
-        // x = v t + a t²/2 = (0.5, 0.25, 0)
-        assert!((ps.pos[0] - Vec3::new(0.5, 0.25, 0.0)).norm() < 1e-6);
-    }
-
-    #[test]
-    fn correct_skips_inactive_particles() {
-        let mut ps = ParticleSet::with_capacity(2);
-        ps.push(Vec3::ZERO, Vec3::ZERO, 1.0);
-        ps.push(Vec3::ZERO, Vec3::ZERO, 1.0);
-        ps.acc[0] = Vec3::new(1.0, 0.0, 0.0);
-        ps.acc[1] = Vec3::new(1.0, 0.0, 0.0);
-        let acc_old = ps.acc.clone();
-        correct(&mut ps, &acc_old, &[1.0, 1.0], &[true, false]);
-        assert!((ps.vel[0].x - 1.0).abs() < 1e-6);
-        assert_eq!(ps.vel[1].x, 0.0);
+        // The evaluator leaves the acceleration constant.
+        step_shared(&mut ps, 0.5, |_| {});
+        // x = v t + a t²/2, v' = v + a t.
+        assert_eq!(ps.pos[0], Vec3::new(0.5, 0.25, 0.0));
+        assert_eq!(ps.vel[0], Vec3::new(1.0, 1.0, 0.0));
     }
 
     #[test]

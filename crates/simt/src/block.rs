@@ -53,16 +53,6 @@ impl ThreadBlock {
         self.warps.iter().all(|w| w.is_done())
     }
 
-    /// Total issue cycles across warps.
-    pub fn cycles(&self) -> u64 {
-        self.warps.iter().map(|w| w.cycles).sum()
-    }
-
-    /// Total `__syncwarp` executions across warps.
-    pub fn syncwarps(&self) -> u64 {
-        self.warps.iter().map(|w| w.syncwarps).sum()
-    }
-
     /// Release a `__syncthreads()` barrier if every live warp has fully
     /// arrived. Returns true when released.
     fn try_release_syncthreads(&mut self) -> bool {
@@ -251,8 +241,8 @@ mod tests {
         let p = cross_warp_program(true);
         let b = run_block(&p, Scheduler::Lockstep, 64);
         assert_eq!(b.warps.len(), 2);
-        assert!(b.cycles() > 0);
-        assert_eq!(b.syncwarps(), 0);
+        assert!(b.warps.iter().all(|w| w.cycles > 0));
+        assert!(b.warps.iter().all(|w| w.counts.syncwarps == 0));
     }
 
     #[test]

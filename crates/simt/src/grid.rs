@@ -68,37 +68,17 @@ impl Grid {
         self.run_inner(program, sched, max_steps, None)
     }
 
-    /// Run to completion with per-pipe profiling enabled on every warp
-    /// (see [`crate::prof`]). Returns the execution statistics and the
-    /// launch's [`KernelProfile`], named `kernel`.
-    pub fn run_profiled(
-        &mut self,
-        program: &Program,
-        sched: Scheduler,
-        max_steps: u64,
-        kernel: &str,
-    ) -> Result<(GridStats, KernelProfile), ExecError> {
-        for b in &mut self.blocks {
-            for w in &mut b.warps {
-                w.enable_prof();
-            }
-        }
-        let stats = self.run_inner(program, sched, max_steps, None)?;
-        Ok((stats, self.collect_profile(kernel)))
-    }
-
-    /// Aggregate this grid's warp-level pipe counts into one launch
-    /// profile. Block/grid barrier completions come from the block and
-    /// grid counters (the warp layer counts executions, not releases).
-    fn collect_profile(&self, kernel: &str) -> KernelProfile {
+    /// This launch's per-pipe counts, named `kernel`, after [`Grid::run`]
+    /// or [`Grid::run_racechecked`]: the warps' counts merged, with the
+    /// block and grid barrier completions from the block and grid
+    /// counters (the warp layer counts executions, not releases).
+    pub fn profile(&self, kernel: &str) -> KernelProfile {
         let mut counts = PipeCounts::default();
         let mut warps = 0u64;
         for b in &self.blocks {
             for w in &b.warps {
                 warps += 1;
-                if let Some(p) = w.prof.as_deref() {
-                    counts.merge(p);
-                }
+                counts.merge(&w.counts);
             }
             counts.syncthreads += b.block_syncs;
         }
@@ -185,13 +165,13 @@ impl Grid {
         tm::SIMT_SYNCWARPS.add(stats.syncwarps);
         tm::SIMT_BLOCK_SYNCS.add(stats.block_syncs);
         tm::SIMT_GRID_BARRIERS.add(stats.grid_syncs);
-        let shuffles: u64 = self
+        let shuffle_lanes: u64 = self
             .blocks
             .iter()
             .flat_map(|b| b.warps.iter())
-            .map(|w| w.lane_counts.shuffle)
+            .map(|w| w.counts.shuffles + w.counts.votes)
             .sum();
-        tm::SIMT_SHUFFLE_LANES.add(shuffles);
+        tm::SIMT_SHUFFLE_LANES.add(shuffle_lanes);
         Ok(stats)
     }
 
@@ -207,7 +187,7 @@ impl Grid {
                 s.total_cycles += w.cycles;
                 s.max_warp_cycles = s.max_warp_cycles.max(w.cycles);
                 s.retired += w.retired;
-                s.syncwarps += w.syncwarps;
+                s.syncwarps += w.counts.syncwarps;
             }
         }
         s

@@ -297,72 +297,6 @@ fn flatten(stmts: &[Stmt], out: &mut Vec<Inst>, max_reg: &mut u8) {
     }
 }
 
-/// Instruction class, for nvprof-style accounting of interpreter runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum OpClass {
-    /// Integer ALU / address / predicate / control instructions.
-    Int,
-    /// FP32 core instructions (add/sub/mul/cmp).
-    Fp,
-    /// FP32 fused multiply-add.
-    Fma,
-    /// Special-function unit (rsqrt).
-    Special,
-    /// Shared/global memory access.
-    Memory,
-    /// Warp shuffles, votes and ballots.
-    Shuffle,
-    /// Synchronization (warp/block/grid).
-    Sync,
-    /// Control flow (branch/jump/halt) and register moves.
-    Control,
-}
-
-/// Classify one instruction.
-pub fn op_class(inst: &Inst) -> OpClass {
-    match inst {
-        Inst::Op(op) => match op {
-            Op::AddI(..)
-            | Op::SubI(..)
-            | Op::MulI(..)
-            | Op::AndI(..)
-            | Op::OrI(..)
-            | Op::XorI(..)
-            | Op::ShlI(..)
-            | Op::ShrI(..)
-            | Op::LtI(..)
-            | Op::EqI(..)
-            | Op::ConstI(..)
-            | Op::LaneId(..)
-            | Op::WarpId(..)
-            | Op::ThreadId(..)
-            | Op::BlockId(..)
-            | Op::GridDim(..)
-            | Op::ActiveMask(..) => OpClass::Int,
-            Op::AddF(..) | Op::SubF(..) | Op::MulF(..) | Op::LtF(..) | Op::ConstF(..) => {
-                OpClass::Fp
-            }
-            Op::FmaF(..) => OpClass::Fma,
-            Op::RsqrtF(..) => OpClass::Special,
-            Op::LdShared(..)
-            | Op::StShared(..)
-            | Op::LdGlobal(..)
-            | Op::StGlobal(..)
-            | Op::AtomicAddGlobal(..) => OpClass::Memory,
-            Op::Shfl(..)
-            | Op::ShflXor(..)
-            | Op::ShflUp(..)
-            | Op::ShflDown(..)
-            | Op::Ballot(..)
-            | Op::VoteAll(..)
-            | Op::VoteAny(..) => OpClass::Shuffle,
-            Op::SyncWarp(..) | Op::SyncThreads | Op::GridSync => OpClass::Sync,
-            Op::Mov(..) => OpClass::Control,
-        },
-        Inst::BranchIfZero { .. } | Inst::Jump(_) | Inst::Halt => OpClass::Control,
-    }
-}
-
 /// PTX-flavoured mnemonic of one op, used by racecheck hazard reports
 /// and trace lines.
 pub fn op_mnemonic(op: &Op) -> &'static str {

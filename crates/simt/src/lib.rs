@@ -15,9 +15,9 @@
 //! Xiao–Feng lock-free barrier GOTHIC uses ([`barrier`], Appendix A).
 //! [`carveout`] models the Volta shared-memory carveout API with its
 //! floor-function pitfall; [`microbench`] holds the reduction/scan
-//! kernels behind the Table 2 tuning study; [`prof`] is the opt-in
-//! nvprof-style per-pipe instruction profiler
-//! ([`Grid::run_profiled`]).
+//! kernels behind the Table 2 tuning study; [`prof`] holds the
+//! nvprof-style per-pipe instruction counts every warp keeps, merged per
+//! launch by [`Grid::profile`].
 
 pub mod barrier;
 pub mod block;
@@ -33,13 +33,12 @@ pub use barrier::{grid_sync_barrier, lockfree_barrier, BarrierRegs};
 pub use block::{BlockOutcome, ThreadBlock};
 pub use carveout::{carveout_capacity_kib, carveout_percent_for, CARVEOUT_CANDIDATES_KIB};
 pub use grid::{Grid, GridStats};
-pub use ir::{op_class, op_mnemonic, Inst, MaskSpec, Op, OpClass, Program, Reg, Stmt, FULL_MASK};
+pub use ir::{op_mnemonic, Inst, MaskSpec, Op, Program, Reg, Stmt, FULL_MASK};
 pub use prof::{KernelProfile, PipeCounts};
 pub use racecheck::{
     AccessKind, CollectiveSite, Hazard, HazardRecord, MemSpace, RaceKind, Racecheck,
     RacecheckConfig, RacecheckReport, SyncScope, Tid,
 };
 pub use warp::{
-    ExecEnv, ExecError, Fragment, LaneCounts, Scheduler, StepOutcome, Waiting, Warp, POISON,
-    WARP_SIZE,
+    ExecEnv, ExecError, Fragment, Scheduler, StepOutcome, Waiting, Warp, POISON, WARP_SIZE,
 };

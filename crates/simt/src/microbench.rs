@@ -133,45 +133,98 @@ pub struct BenchRun {
     pub correct: bool,
 }
 
-/// Run the reduction kernel on one block of `ttot` threads and verify the
-/// per-sub-group sums.
-pub fn run_reduction(ttot: usize, tsub: u32, volta_sync: bool, sched: Scheduler) -> BenchRun {
+/// Step budget of every micro-benchmark run — far beyond what any of
+/// these kernels needs, so exhausting it means the kernel hung.
+const MAX_STEPS: u64 = 50_000_000;
+
+/// Run `g` to completion, check its result, and return the launch's
+/// per-pipe counts named `kernel`.
+fn profiled(
+    p: &Program,
+    mut g: Grid,
+    sched: Scheduler,
+    kernel: &str,
+    check: impl FnOnce(&Grid) -> bool,
+) -> (BenchRun, KernelProfile) {
+    let stats = g
+        .run(p, sched, MAX_STEPS)
+        .unwrap_or_else(|e| panic!("{kernel} kernel must terminate: {e:?}"));
+    let correct = check(&g);
+    (BenchRun { stats, correct }, g.profile(kernel))
+}
+
+/// Run `g` to completion under the happens-before race detector and
+/// check its result.
+fn racechecked(
+    p: &Program,
+    mut g: Grid,
+    sched: Scheduler,
+    kernel: &str,
+    check: impl FnOnce(&Grid) -> bool,
+) -> (BenchRun, RacecheckReport) {
+    let (stats, report) = g
+        .run_racechecked(p, sched, MAX_STEPS, RacecheckConfig::default())
+        .unwrap_or_else(|e| panic!("{kernel} kernel must terminate: {e:?}"));
+    let correct = check(&g);
+    (BenchRun { stats, correct }, report)
+}
+
+/// One block of `ttot` threads for the reduction kernel, with a shared
+/// slot per sub-group.
+fn reduction_grid(p: &Program, ttot: usize, tsub: u32) -> Grid {
+    Grid::new(1, ttot, (ttot / tsub as usize).max(1), 4, p)
+}
+
+/// Every sub-group leader stored its group's sum of `tid + 1`.
+fn verify_reduction(g: &Grid, ttot: usize, tsub: u32) -> bool {
+    let tsub = tsub as usize;
+    (0..ttot / tsub).all(|group| {
+        let base = group * tsub;
+        let expect: u32 = (0..tsub).map(|i| (base + i + 1) as u32).sum();
+        g.blocks[0].shared[group] == expect
+    })
+}
+
+/// One block of `ttot` threads for the scan kernel, with a shared slot
+/// per thread.
+fn scan_grid(p: &Program, ttot: usize) -> Grid {
+    Grid::new(1, ttot, ttot, 4, p)
+}
+
+/// Every thread stored its inclusive prefix sum within its sub-group.
+fn verify_scan(g: &Grid, ttot: usize, tsub: u32) -> bool {
+    (0..ttot).all(|t| g.blocks[0].shared[t] == (t % tsub as usize + 1) as u32)
+}
+
+/// Reduction kernel on one block of `ttot` threads, checked against the
+/// per-sub-group sums and recorded as `"reduction"`.
+pub fn run_reduction_profiled(
+    ttot: usize,
+    tsub: u32,
+    volta_sync: bool,
+    sched: Scheduler,
+) -> (BenchRun, KernelProfile) {
     let p = reduction_kernel(tsub, volta_sync);
-    let n_groups = ttot / tsub as usize;
-    let mut g = Grid::new(1, ttot, n_groups.max(1), 4, &p);
-    let stats = g
-        .run(&p, sched, 50_000_000)
-        .expect("reduction kernel must terminate");
-    let mut correct = true;
-    for group in 0..n_groups {
-        let base = group * tsub as usize;
-        let expect: u32 = (0..tsub as usize).map(|i| (base + i + 1) as u32).sum();
-        if g.blocks[0].shared[group] != expect {
-            correct = false;
-        }
-    }
-    BenchRun { stats, correct }
+    let g = reduction_grid(&p, ttot, tsub);
+    profiled(&p, g, sched, "reduction", |g| {
+        verify_reduction(g, ttot, tsub)
+    })
 }
 
-/// Run the scan kernel on one block of `ttot` threads and verify the
-/// inclusive prefix sums.
-pub fn run_scan(ttot: usize, tsub: u32, volta_sync: bool, sched: Scheduler) -> BenchRun {
+/// Scan kernel on one block of `ttot` threads, checked against the
+/// inclusive prefix sums and recorded as `"scan"`.
+pub fn run_scan_profiled(
+    ttot: usize,
+    tsub: u32,
+    volta_sync: bool,
+    sched: Scheduler,
+) -> (BenchRun, KernelProfile) {
     let p = scan_kernel(tsub, volta_sync);
-    let mut g = Grid::new(1, ttot, ttot, 4, &p);
-    let stats = g
-        .run(&p, sched, 50_000_000)
-        .expect("scan kernel must terminate");
-    let mut correct = true;
-    for t in 0..ttot {
-        let expect = (t % tsub as usize + 1) as u32;
-        if g.blocks[0].shared[t] != expect {
-            correct = false;
-        }
-    }
-    BenchRun { stats, correct }
+    let g = scan_grid(&p, ttot);
+    profiled(&p, g, sched, "scan", |g| verify_scan(g, ttot, tsub))
 }
 
-/// [`run_reduction`] under the happens-before race detector.
+/// [`run_reduction_profiled`] under the happens-before race detector.
 pub fn run_reduction_racechecked(
     ttot: usize,
     tsub: u32,
@@ -179,23 +232,13 @@ pub fn run_reduction_racechecked(
     sched: Scheduler,
 ) -> (BenchRun, RacecheckReport) {
     let p = reduction_kernel(tsub, volta_sync);
-    let n_groups = ttot / tsub as usize;
-    let mut g = Grid::new(1, ttot, n_groups.max(1), 4, &p);
-    let (stats, report) = g
-        .run_racechecked(&p, sched, 50_000_000, RacecheckConfig::default())
-        .expect("reduction kernel must terminate");
-    let mut correct = true;
-    for group in 0..n_groups {
-        let base = group * tsub as usize;
-        let expect: u32 = (0..tsub as usize).map(|i| (base + i + 1) as u32).sum();
-        if g.blocks[0].shared[group] != expect {
-            correct = false;
-        }
-    }
-    (BenchRun { stats, correct }, report)
+    let g = reduction_grid(&p, ttot, tsub);
+    racechecked(&p, g, sched, "reduction", |g| {
+        verify_reduction(g, ttot, tsub)
+    })
 }
 
-/// [`run_scan`] under the happens-before race detector.
+/// [`run_scan_profiled`] under the happens-before race detector.
 pub fn run_scan_racechecked(
     ttot: usize,
     tsub: u32,
@@ -203,18 +246,8 @@ pub fn run_scan_racechecked(
     sched: Scheduler,
 ) -> (BenchRun, RacecheckReport) {
     let p = scan_kernel(tsub, volta_sync);
-    let mut g = Grid::new(1, ttot, ttot, 4, &p);
-    let (stats, report) = g
-        .run_racechecked(&p, sched, 50_000_000, RacecheckConfig::default())
-        .expect("scan kernel must terminate");
-    let mut correct = true;
-    for t in 0..ttot {
-        let expect = (t % tsub as usize + 1) as u32;
-        if g.blocks[0].shared[t] != expect {
-            correct = false;
-        }
-    }
-    (BenchRun { stats, correct }, report)
+    let g = scan_grid(&p, ttot);
+    racechecked(&p, g, sched, "scan", |g| verify_scan(g, ttot, tsub))
 }
 
 /// The racecheck sweep over the Table 2 kernels: the reduction and the
@@ -252,17 +285,11 @@ pub fn racecheck_sweep(
     runs
 }
 
-/// Run the gravity flush kernel (one warp, `n_sources` pre-staged source
-/// records) under the happens-before race detector.
-pub fn run_gravity_flush_racechecked(
-    n_sources: u32,
-    eps2: f32,
-    sched: Scheduler,
-) -> (BenchRun, RacecheckReport) {
-    let p = gravity_flush_kernel(n_sources, eps2);
-    let shared_words = (4 * n_sources + 32) as usize;
-    let mut g = Grid::new(1, 32, shared_words, 4, &p);
-    // Stage the source list: entry j at (j, 2j, -j)·0.05 with mass 1+j/8.
+/// One warp for the gravity flush kernel, with `n_sources` source
+/// records staged in shared memory: entry j at (j, 2j, -j)·0.05 with
+/// mass 1+j/8.
+fn gravity_flush_grid(p: &Program, n_sources: u32) -> Grid {
+    let mut g = Grid::new(1, 32, (4 * n_sources + 32) as usize, 4, p);
     for j in 0..n_sources as usize {
         let f = j as f32;
         g.blocks[0].shared[4 * j] = (0.05 * f).to_bits();
@@ -270,15 +297,39 @@ pub fn run_gravity_flush_racechecked(
         g.blocks[0].shared[4 * j + 2] = (-0.05 * f).to_bits();
         g.blocks[0].shared[4 * j + 3] = (1.0 + f / 8.0).to_bits();
     }
-    let (stats, report) = g
-        .run_racechecked(&p, sched, 50_000_000, RacecheckConfig::default())
-        .expect("gravity flush kernel must terminate");
-    // Every lane must have flushed a finite az to its private slot.
-    let correct = (0..32).all(|l| {
-        let az = f32::from_bits(g.blocks[0].shared[(4 * n_sources) as usize + l]);
-        az.is_finite()
-    });
-    (BenchRun { stats, correct }, report)
+    g
+}
+
+/// Every lane flushed a finite az to its private slot.
+fn verify_gravity_flush(g: &Grid, n_sources: u32) -> bool {
+    (0..32).all(|l| f32::from_bits(g.blocks[0].shared[(4 * n_sources) as usize + l]).is_finite())
+}
+
+/// Gravity flush (one warp, `n_sources` staged records), recorded as
+/// `"gravity_flush"`.
+pub fn run_gravity_flush_profiled(
+    n_sources: u32,
+    eps2: f32,
+    sched: Scheduler,
+) -> (BenchRun, KernelProfile) {
+    let p = gravity_flush_kernel(n_sources, eps2);
+    let g = gravity_flush_grid(&p, n_sources);
+    profiled(&p, g, sched, "gravity_flush", |g| {
+        verify_gravity_flush(g, n_sources)
+    })
+}
+
+/// [`run_gravity_flush_profiled`] under the happens-before race detector.
+pub fn run_gravity_flush_racechecked(
+    n_sources: u32,
+    eps2: f32,
+    sched: Scheduler,
+) -> (BenchRun, RacecheckReport) {
+    let p = gravity_flush_kernel(n_sources, eps2);
+    let g = gravity_flush_grid(&p, n_sources);
+    racechecked(&p, g, sched, "gravity_flush", |g| {
+        verify_gravity_flush(g, n_sources)
+    })
 }
 
 /// Build the gravity **flush** micro-kernel: every lane holds one sink
@@ -590,139 +641,25 @@ fn verify_correct(g: &Grid, ttot: usize, h: f32, eps: f32) -> bool {
     })
 }
 
-/// Run the predict kernel on one block of `ttot` threads and verify
-/// against the bit-exact host reference.
-pub fn run_predict(ttot: usize, sched: Scheduler) -> BenchRun {
-    let p = predict_kernel(INTEGRATE_DT);
-    let mut g = integrate_grid(&p, ttot, 0);
-    let stats = g
-        .run(&p, sched, 50_000_000)
-        .expect("predict kernel must terminate");
-    BenchRun {
-        stats,
-        correct: verify_predict(&g, ttot, INTEGRATE_DT),
-    }
-}
-
-/// Run the correct kernel on one block of `ttot` threads and verify
-/// against the bit-exact host reference.
-pub fn run_correct(ttot: usize, sched: Scheduler) -> BenchRun {
-    const EPS: f32 = 0.125;
-    let p = correct_kernel(INTEGRATE_DT, EPS, ttot);
-    let mut g = integrate_grid(&p, ttot, ttot);
-    let stats = g
-        .run(&p, sched, 50_000_000)
-        .expect("correct kernel must terminate");
-    BenchRun {
-        stats,
-        correct: verify_correct(&g, ttot, INTEGRATE_DT, EPS),
-    }
-}
-
-/// [`run_reduction`] with per-pipe profiling, recorded as `"reduction"`.
-pub fn run_reduction_profiled(
-    ttot: usize,
-    tsub: u32,
-    volta_sync: bool,
-    sched: Scheduler,
-) -> (BenchRun, KernelProfile) {
-    let p = reduction_kernel(tsub, volta_sync);
-    let n_groups = ttot / tsub as usize;
-    let mut g = Grid::new(1, ttot, n_groups.max(1), 4, &p);
-    let (stats, profile) = g
-        .run_profiled(&p, sched, 50_000_000, "reduction")
-        .expect("reduction kernel must terminate");
-    let mut correct = true;
-    for group in 0..n_groups {
-        let base = group * tsub as usize;
-        let expect: u32 = (0..tsub as usize).map(|i| (base + i + 1) as u32).sum();
-        if g.blocks[0].shared[group] != expect {
-            correct = false;
-        }
-    }
-    (BenchRun { stats, correct }, profile)
-}
-
-/// [`run_scan`] with per-pipe profiling, recorded as `"scan"`.
-pub fn run_scan_profiled(
-    ttot: usize,
-    tsub: u32,
-    volta_sync: bool,
-    sched: Scheduler,
-) -> (BenchRun, KernelProfile) {
-    let p = scan_kernel(tsub, volta_sync);
-    let mut g = Grid::new(1, ttot, ttot, 4, &p);
-    let (stats, profile) = g
-        .run_profiled(&p, sched, 50_000_000, "scan")
-        .expect("scan kernel must terminate");
-    let mut correct = true;
-    for t in 0..ttot {
-        let expect = (t % tsub as usize + 1) as u32;
-        if g.blocks[0].shared[t] != expect {
-            correct = false;
-        }
-    }
-    (BenchRun { stats, correct }, profile)
-}
-
-/// Gravity flush (one warp, `n_sources` staged records) with per-pipe
-/// profiling, recorded as `"gravity_flush"`.
-pub fn run_gravity_flush_profiled(
-    n_sources: u32,
-    eps2: f32,
-    sched: Scheduler,
-) -> (BenchRun, KernelProfile) {
-    let p = gravity_flush_kernel(n_sources, eps2);
-    let shared_words = (4 * n_sources + 32) as usize;
-    let mut g = Grid::new(1, 32, shared_words, 4, &p);
-    for j in 0..n_sources as usize {
-        let f = j as f32;
-        g.blocks[0].shared[4 * j] = (0.05 * f).to_bits();
-        g.blocks[0].shared[4 * j + 1] = (0.10 * f).to_bits();
-        g.blocks[0].shared[4 * j + 2] = (-0.05 * f).to_bits();
-        g.blocks[0].shared[4 * j + 3] = (1.0 + f / 8.0).to_bits();
-    }
-    let (stats, profile) = g
-        .run_profiled(&p, sched, 50_000_000, "gravity_flush")
-        .expect("gravity flush kernel must terminate");
-    let correct = (0..32).all(|l| {
-        let az = f32::from_bits(g.blocks[0].shared[(4 * n_sources) as usize + l]);
-        az.is_finite()
-    });
-    (BenchRun { stats, correct }, profile)
-}
-
-/// [`run_predict`] with per-pipe profiling, recorded as `"predict"`.
+/// Predict kernel on one block of `ttot` threads, checked against the
+/// bit-exact host reference and recorded as `"predict"`.
 pub fn run_predict_profiled(ttot: usize, sched: Scheduler) -> (BenchRun, KernelProfile) {
     let p = predict_kernel(INTEGRATE_DT);
-    let mut g = integrate_grid(&p, ttot, 0);
-    let (stats, profile) = g
-        .run_profiled(&p, sched, 50_000_000, "predict")
-        .expect("predict kernel must terminate");
-    (
-        BenchRun {
-            stats,
-            correct: verify_predict(&g, ttot, INTEGRATE_DT),
-        },
-        profile,
-    )
+    let g = integrate_grid(&p, ttot, 0);
+    profiled(&p, g, sched, "predict", |g| {
+        verify_predict(g, ttot, INTEGRATE_DT)
+    })
 }
 
-/// [`run_correct`] with per-pipe profiling, recorded as `"correct"`.
+/// Correct kernel on one block of `ttot` threads, checked against the
+/// bit-exact host reference and recorded as `"correct"`.
 pub fn run_correct_profiled(ttot: usize, sched: Scheduler) -> (BenchRun, KernelProfile) {
     const EPS: f32 = 0.125;
     let p = correct_kernel(INTEGRATE_DT, EPS, ttot);
-    let mut g = integrate_grid(&p, ttot, ttot);
-    let (stats, profile) = g
-        .run_profiled(&p, sched, 50_000_000, "correct")
-        .expect("correct kernel must terminate");
-    (
-        BenchRun {
-            stats,
-            correct: verify_correct(&g, ttot, INTEGRATE_DT, EPS),
-        },
-        profile,
-    )
+    let g = integrate_grid(&p, ttot, ttot);
+    profiled(&p, g, sched, "correct", |g| {
+        verify_correct(g, ttot, INTEGRATE_DT, EPS)
+    })
 }
 
 #[cfg(test)]
@@ -756,7 +693,7 @@ mod tests {
         for tsub in [2u32, 4, 8, 16, 32] {
             for sched in [Scheduler::Lockstep, Scheduler::Independent] {
                 for sync in [false, true] {
-                    let r = run_reduction(64, tsub, sync, sched);
+                    let (r, _) = run_reduction_profiled(64, tsub, sync, sched);
                     assert!(r.correct, "tsub={tsub} sync={sync} {sched:?}");
                 }
             }
@@ -767,7 +704,7 @@ mod tests {
     fn scan_correct_all_widths_both_schedulers() {
         for tsub in [2u32, 4, 8, 16, 32] {
             for sched in [Scheduler::Lockstep, Scheduler::Independent] {
-                let r = run_scan(64, tsub, true, sched);
+                let (r, _) = run_scan_profiled(64, tsub, true, sched);
                 assert!(r.correct, "tsub={tsub} {sched:?}");
             }
         }
@@ -778,8 +715,8 @@ mod tests {
         // The micro-benchmark analogue of §4.1: the extra __syncwarp()
         // instructions are pure overhead when the Pascal mode provides
         // implicit synchrony.
-        let with = run_reduction(128, 32, true, Scheduler::Independent);
-        let without = run_reduction(128, 32, false, Scheduler::Lockstep);
+        let (with, _) = run_reduction_profiled(128, 32, true, Scheduler::Independent);
+        let (without, _) = run_reduction_profiled(128, 32, false, Scheduler::Lockstep);
         assert!(with.correct && without.correct);
         assert!(
             with.stats.total_cycles > without.stats.total_cycles,
@@ -793,14 +730,14 @@ mod tests {
 
     #[test]
     fn smaller_tsub_needs_fewer_shuffle_stages() {
-        let narrow = run_reduction(64, 4, false, Scheduler::Lockstep);
-        let wide = run_reduction(64, 32, false, Scheduler::Lockstep);
+        let (narrow, _) = run_reduction_profiled(64, 4, false, Scheduler::Lockstep);
+        let (wide, _) = run_reduction_profiled(64, 32, false, Scheduler::Lockstep);
         assert!(narrow.stats.retired < wide.stats.retired);
     }
 
     #[test]
     fn scan_handles_multi_warp_blocks() {
-        let r = run_scan(256, 16, true, Scheduler::Independent);
+        let (r, _) = run_scan_profiled(256, 16, true, Scheduler::Independent);
         assert!(r.correct);
         assert!(r.stats.block_syncs >= 1);
     }
@@ -809,8 +746,14 @@ mod tests {
     fn integrators_match_the_host_reference_bit_exactly() {
         for sched in [Scheduler::Lockstep, Scheduler::Independent] {
             for ttot in [32usize, 96] {
-                assert!(run_predict(ttot, sched).correct, "predict {ttot} {sched:?}");
-                assert!(run_correct(ttot, sched).correct, "correct {ttot} {sched:?}");
+                assert!(
+                    run_predict_profiled(ttot, sched).0.correct,
+                    "predict {ttot} {sched:?}"
+                );
+                assert!(
+                    run_correct_profiled(ttot, sched).0.correct,
+                    "correct {ttot} {sched:?}"
+                );
             }
         }
     }

@@ -2,10 +2,12 @@
 //!
 //! The paper's §4 instruction-count model is calibrated against *measured*
 //! hardware counters (`inst_integer`, `flop_count_sp_{fma,add,mul,special}`;
-//! Fig. 6). This module is the interpreter-side analogue: an opt-in layer
-//! that counts, per kernel launch, how many lane-operations each execution
-//! pipe retired, so the analytic `gpu_model::OpCounts` mixes can be checked
-//! against what the simulated hardware actually executed.
+//! Fig. 6). This module is the interpreter-side analogue: every warp
+//! counts, for every instruction it retires, how many lane-operations each
+//! execution pipe ran ([`PipeCounts::count_inst`] is the interpreter's only
+//! instruction-to-pipe mapping), and [`crate::Grid::profile`] merges a
+//! launch's warps, so the analytic `gpu_model::OpCounts` mixes can be
+//! checked against what the simulated hardware actually executed.
 //!
 //! Counting conventions (all deliberate, all load-bearing for the
 //! measured-vs-modeled comparison in `gpu_model::measured`):
@@ -25,9 +27,9 @@
 //!   space (shared vs global). Byte conversion happens at the
 //!   `OpCounts` boundary (4 B per lane-transaction — every IR cell is a
 //!   `u32`).
-//! * `SyncWarp` counts per *executed instruction* (fragment granularity,
-//!   matching `Warp::syncwarps`); `SyncThreads`/`GridSync` are counted at
-//!   **barrier completion** by the grid aggregation (matching
+//! * `SyncWarp` counts per *executed instruction* (fragment granularity;
+//!   `GridStats::syncwarps` is this count); `SyncThreads`/`GridSync` are
+//!   counted at **barrier completion** by the grid aggregation (matching
 //!   `ThreadBlock::block_syncs` and `Grid::grid_syncs`), not per lane.
 //! * `divergence_events` counts fragment splits; `max_reconv_depth` is
 //!   the high-water fragment count — how deep the divergence tree got
@@ -148,13 +150,13 @@ impl PipeCounts {
     }
 }
 
-/// Per-pipe counts of one profiled kernel launch, returned by
-/// [`crate::Grid::run_profiled`].
+/// Per-pipe counts of one kernel launch, returned by
+/// [`crate::Grid::profile`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct KernelProfile {
     /// Kernel name.
     pub kernel: String,
-    /// Launches in this profile (1 for a `run_profiled` result).
+    /// Launches in this profile (1 for a `Grid::profile` result).
     pub launches: u64,
     /// Warps in the launch grid.
     pub warps: u64,

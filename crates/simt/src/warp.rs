@@ -22,7 +22,8 @@
 //! Independent unless a `__syncwarp()` orders it — exactly the class of
 //! bug the paper's porting recipes address.
 
-use crate::ir::{op_class, op_cost, op_mnemonic, Inst, MaskSpec, Op, OpClass, Program, Reg};
+use crate::ir::{op_cost, op_mnemonic, Inst, MaskSpec, Op, Program, Reg};
+use crate::prof::PipeCounts;
 use crate::racecheck::{AccessKind, CollectiveSite, Racecheck, Tid};
 
 /// Lanes per warp.
@@ -135,29 +136,11 @@ pub struct Warp {
     pub cycles: u64,
     /// Instructions retired (fragment-steps).
     pub retired: u64,
-    /// `__syncwarp()` executions.
-    pub syncwarps: u64,
     /// Fragment creation counter (for scheduling tie-breaks).
     frag_births: u64,
-    /// Lane-level instruction counts per class (each retired instruction
-    /// counts once per active lane — the nvprof convention).
-    pub lane_counts: LaneCounts,
-    /// Opt-in per-pipe profiling (see [`crate::prof`]); `None` keeps the
-    /// unprofiled hot path to one branch per retired instruction.
-    pub prof: Option<Box<crate::prof::PipeCounts>>,
-}
-
-/// nvprof-style lane-instruction counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LaneCounts {
-    pub int_ops: u64,
-    pub fp: u64,
-    pub fma: u64,
-    pub special: u64,
-    pub memory: u64,
-    pub shuffle: u64,
-    pub sync: u64,
-    pub control: u64,
+    /// Per-pipe lane-operation counts of every retired instruction, plus
+    /// the divergence events and reconvergence depth (see [`crate::prof`]).
+    pub counts: PipeCounts,
 }
 
 impl Warp {
@@ -176,17 +159,8 @@ impl Warp {
             }],
             cycles: 0,
             retired: 0,
-            syncwarps: 0,
             frag_births: 0,
-            lane_counts: LaneCounts::default(),
-            prof: None,
-        }
-    }
-
-    /// Turn on per-pipe profiling for this warp (see [`crate::prof`]).
-    pub fn enable_prof(&mut self) {
-        if self.prof.is_none() {
-            self.prof = Some(Box::default());
+            counts: PipeCounts::default(),
         }
     }
 
@@ -366,20 +340,7 @@ impl Warp {
         self.cycles += op_cost(&inst);
         self.retired += 1;
         self.frags[fi].executed += 1;
-        let lanes = frag.mask.count_ones() as u64;
-        match op_class(&inst) {
-            OpClass::Int => self.lane_counts.int_ops += lanes,
-            OpClass::Fp => self.lane_counts.fp += lanes,
-            OpClass::Fma => self.lane_counts.fma += lanes,
-            OpClass::Special => self.lane_counts.special += lanes,
-            OpClass::Memory => self.lane_counts.memory += lanes,
-            OpClass::Shuffle => self.lane_counts.shuffle += lanes,
-            OpClass::Sync => self.lane_counts.sync += lanes,
-            OpClass::Control => self.lane_counts.control += lanes,
-        }
-        if let Some(p) = self.prof.as_deref_mut() {
-            p.count_inst(&inst, lanes);
-        }
+        self.counts.count_inst(&inst, frag.mask.count_ones() as u64);
 
         match inst {
             Inst::Halt => {
@@ -413,10 +374,9 @@ impl Warp {
                         executed,
                         born: self.frag_births,
                     });
-                    if let Some(p) = self.prof.as_deref_mut() {
-                        p.divergence_events += 1;
-                        p.max_reconv_depth = p.max_reconv_depth.max(self.frags.len() as u64);
-                    }
+                    let c = &mut self.counts;
+                    c.divergence_events += 1;
+                    c.max_reconv_depth = c.max_reconv_depth.max(self.frags.len() as u64);
                 }
             }
             Inst::Op(op) => {
@@ -713,7 +673,6 @@ impl Warp {
             }
             SyncWarp(m) => {
                 let pm = self.resolve_mask(m, mask);
-                self.syncwarps += 1;
                 if let Some(rc) = env.racecheck.as_deref_mut() {
                     rc.on_syncwarp_exec(self.site(env.block_id, frag.pc, &op), mask, pm);
                 }
@@ -895,7 +854,7 @@ mod tests {
         for l in 0..WARP_SIZE {
             assert_eq!(w.reg(l, Reg(5)), (l % 16 + 100) as u32, "lane {l}");
         }
-        assert!(w.syncwarps >= 1);
+        assert!(w.counts.syncwarps >= 1);
     }
 
     #[test]
@@ -1023,7 +982,7 @@ mod tests {
         ]);
         let (w, _) = run(&p, Scheduler::Independent, 1);
         assert!(w.is_done());
-        assert_eq!(w.syncwarps, 2);
+        assert_eq!(w.counts.syncwarps, 2);
     }
 
     #[test]

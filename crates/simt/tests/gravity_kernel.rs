@@ -4,12 +4,12 @@
 //! paper's nvprof experiment end to end.
 
 use simt::microbench::gravity_flush_kernel;
-use simt::{ExecEnv, Scheduler, StepOutcome, Warp};
+use simt::{ExecEnv, PipeCounts, Scheduler, StepOutcome, Warp};
 
 const N_SOURCES: u32 = 64;
 const EPS2: f32 = 1e-4;
 
-fn run() -> (simt::LaneCounts, Vec<f32>) {
+fn run() -> (PipeCounts, Vec<f32>) {
     let p = gravity_flush_kernel(N_SOURCES, EPS2);
     let mut shared = vec![0u32; (4 * N_SOURCES + 64) as usize];
     // Fill the interaction list: sources on a shifted diagonal.
@@ -31,7 +31,7 @@ fn run() -> (simt::LaneCounts, Vec<f32>) {
     let az: Vec<f32> = (0..32)
         .map(|l| f32::from_bits(shared[(4 * N_SOURCES) as usize + l]))
         .collect();
-    (w.lane_counts, az)
+    (w.counts, az)
 }
 
 /// The interpreter-computed accelerations match a host-side reference
@@ -64,12 +64,13 @@ fn retired_mix_matches_the_events_table() {
     let (counts, _) = run();
     let interactions = 32 * N_SOURCES as u64;
     // FMA: exactly 6 per interaction (3 for r², 3 for the accumulate).
-    assert_eq!(counts.fma, 6 * interactions, "FMA per interaction");
+    assert_eq!(counts.fp_fma, 6 * interactions, "FMA per interaction");
     // Special: exactly 1 rsqrt per interaction.
-    assert_eq!(counts.special, interactions, "rsqrt per interaction");
+    assert_eq!(counts.fp_special, interactions, "rsqrt per interaction");
     // FP core adds/subs/muls: 3 subs + 1 φ-sub + 3 muls = 7, plus the
-    // ε² constant load per interaction and the per-lane prologue.
-    let fp_per_interaction = counts.fp as f64 / interactions as f64;
+    // per-lane prologue (the ε² constant load counts as control).
+    let fp = counts.fp_add + counts.fp_mul + counts.fp_cmp;
+    let fp_per_interaction = fp as f64 / interactions as f64;
     assert!(
         (7.0..9.5).contains(&fp_per_interaction),
         "FP core per interaction: {fp_per_interaction}"
@@ -82,13 +83,20 @@ fn retired_mix_matches_the_events_table() {
         "INT per interaction: {int_per_interaction}"
     );
     // Memory: exactly 4 shared loads per interaction + the result store.
-    assert_eq!(counts.memory, 4 * interactions + 32, "shared accesses");
+    assert_eq!(
+        counts.shared_ld + counts.shared_st,
+        4 * interactions + 32,
+        "shared accesses"
+    );
     // Figure 6's headline shape: FMA ≈ 6× the rsqrt count.
-    assert_eq!(counts.fma / counts.special, 6);
+    assert_eq!(counts.fp_fma / counts.fp_special, 6);
 }
 
 /// Scheduler equivalence for the real kernel: identical results and
-/// identical retired instruction mix under both scheduling models.
+/// identical retired instruction mix under both scheduling models. Only
+/// the reconvergence depth differs, by design: Lockstep merges the lanes
+/// leaving the staging loop as they exit, Independent keeps each exit a
+/// fragment of its own.
 #[test]
 fn flush_kernel_is_scheduler_equivalent() {
     let p = gravity_flush_kernel(16, EPS2);
@@ -105,7 +113,11 @@ fn flush_kernel_is_scheduler_equivalent() {
         let mut w = Warp::new(0, &p);
         let mut env = ExecEnv::new(&mut shared, &mut global, 0, 1);
         while w.step(&p, sched, &mut env).unwrap() != StepOutcome::Done {}
-        results.push((w.lane_counts, shared.clone()));
+        let counts = PipeCounts {
+            max_reconv_depth: 0,
+            ..w.counts
+        };
+        results.push((counts, shared.clone()));
     }
     assert_eq!(results[0].0, results[1].0, "identical retired mixes");
     assert_eq!(results[0].1, results[1].1, "identical shared memory");

@@ -10,7 +10,7 @@
 
 use gothic::galaxy::M31Model;
 use gothic::gpu_model::{ExecMode, GpuArch, GridBarrier};
-use gothic::simt::microbench::run_reduction;
+use gothic::simt::microbench::run_reduction_profiled;
 use gothic::simt::Scheduler;
 use gothic::{price_step, Function, Gothic, RunConfig};
 
@@ -24,8 +24,8 @@ fn main() {
     // correct under both schedulers; the issue-cycle overhead of the
     // syncs is what the Pascal mode saves.
     println!("== semantics (simt interpreter) ==");
-    let volta = run_reduction(128, 32, true, Scheduler::Independent);
-    let pascal = run_reduction(128, 32, false, Scheduler::Lockstep);
+    let volta = run_reduction_profiled(128, 32, true, Scheduler::Independent).0;
+    let pascal = run_reduction_profiled(128, 32, false, Scheduler::Lockstep).0;
     println!(
         "volta mode  (independent scheduling + __syncwarp): correct = {}, {} cycles, {} syncwarps",
         volta.correct, volta.stats.total_cycles, volta.stats.syncwarps

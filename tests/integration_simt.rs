@@ -5,7 +5,7 @@
 
 use gothic::gpu_model::occupancy::{occupancy, BlockResources};
 use gothic::gpu_model::GpuArch;
-use gothic::simt::microbench::{run_reduction, run_scan};
+use gothic::simt::microbench::{run_reduction_profiled, run_scan_profiled};
 use gothic::simt::{
     carveout_capacity_kib, carveout_percent_for, Grid, MaskSpec, Op, Program, Reg, Scheduler, Stmt,
     Warp, FULL_MASK, POISON,
@@ -125,17 +125,17 @@ fn table2_subgroup_widths_all_work() {
     for tsub in [8u32, 16, 32] {
         for sched in [Scheduler::Lockstep, Scheduler::Independent] {
             assert!(
-                run_reduction(256, tsub, true, sched).correct,
+                run_reduction_profiled(256, tsub, true, sched).0.correct,
                 "reduction {tsub} {sched:?}"
             );
             assert!(
-                run_scan(256, tsub, true, sched).correct,
+                run_scan_profiled(256, tsub, true, sched).0.correct,
                 "scan {tsub} {sched:?}"
             );
         }
     }
-    let synced = run_reduction(256, 32, true, Scheduler::Independent);
-    let plain = run_reduction(256, 32, false, Scheduler::Lockstep);
+    let synced = run_reduction_profiled(256, 32, true, Scheduler::Independent).0;
+    let plain = run_reduction_profiled(256, 32, false, Scheduler::Lockstep).0;
     assert!(synced.stats.total_cycles > plain.stats.total_cycles);
 }
 
