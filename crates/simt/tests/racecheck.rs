@@ -401,3 +401,46 @@ fn detector_clean_programs_are_scheduler_equivalent() {
     assert!(clean > 0, "the fixed-seed run must exercise clean programs");
     assert!(flagged > 0, "and flagged ones");
 }
+
+/// 64-bit FNV-1a (offset basis 0xcbf29ce484222325, prime 0x100000001b3).
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Pin every report of the reduction and the scan over both modes, both
+/// schedulers and the whole Table 2 `ttot` × `tsub` grid: each run's
+/// `correct`, `total`, `truncated` and every record's diagnosis and
+/// count. The shipped sweep is hazard-free, so the Pascal variants under
+/// independent scheduling are what pin the reported hazards themselves.
+#[test]
+fn racecheck_reports_are_pinned() {
+    let mut bytes = Vec::new();
+    let (mut runs, mut hazardous, mut hazards) = (0, 0, 0);
+    for volta_sync in [false, true] {
+        for sched in [Scheduler::Lockstep, Scheduler::Independent] {
+            for ttot in [32, 64, 128, 256, 512, 1024] {
+                for tsub in [2, 4, 8, 16, 32] {
+                    for (b, rep) in [
+                        microbench::run_reduction_racechecked(ttot, tsub, volta_sync, sched),
+                        microbench::run_scan_racechecked(ttot, tsub, volta_sync, sched),
+                    ] {
+                        bytes.push(b.correct as u8);
+                        bytes.extend_from_slice(&rep.total.to_le_bytes());
+                        bytes.push(rep.truncated as u8);
+                        for r in &rep.records {
+                            bytes.extend_from_slice(r.describe().as_bytes());
+                            bytes.extend_from_slice(&r.count.to_le_bytes());
+                        }
+                        runs += 1;
+                        hazardous += u32::from(!rep.is_clean());
+                        hazards += rep.total;
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!((runs, hazardous, hazards), (240, 24, 40_320));
+    assert_eq!(fnv1a64(&bytes), 0xcc43_527a_5b1d_3c3d);
+}
