@@ -2,14 +2,28 @@
 //! the `cuda-memcheck --tool racecheck` role for the paper's §2.1 bugs.
 //!
 //! The detector layers a vector-clock happens-before relation over warp
-//! execution. Every thread (lane) carries a clock vector; every shared-
-//! or global-memory word remembers its last write and the last read per
-//! thread. Synchronisation establishes ordering edges:
+//! execution. Every thread (lane) has an epoch that its accesses advance;
+//! every shared- or global-memory word remembers its last write and the
+//! last read per thread. Synchronisation establishes ordering edges:
 //!
 //! * `__syncwarp(mask)` joins the clocks of the arriving lanes,
 //! * `__syncthreads()` joins all threads of the block,
 //! * `grid.sync()` joins the whole grid,
 //! * program order within one lane orders that lane's own accesses.
+//!
+//! Those are the only edges, and each joins a warp, a block or the grid,
+//! so the relation needs no dense n × n clock matrix. Thread t's view of
+//! thread p is exact in three stores of O(34 n) words together:
+//!
+//! * p in t's warp: t's own 32-entry row, which only `__syncwarp` joins
+//!   within the warp and barriers reset;
+//! * p in t's block, another warp: p's epoch at the block's last
+//!   barrier, since after it p's later epochs spread only through
+//!   `__syncwarp`s of p's warp, which t is not in;
+//! * p in another block: p's epoch at the last grid barrier, since after
+//!   it they spread only through p's warp and p's block.
+//!
+//! A barrier therefore costs O(32 × participants), not O(participants × n).
 //!
 //! Crucially, *implicit Lockstep reconvergence is not an edge*: a kernel
 //! that is only correct because Pascal-style scheduling happens to
@@ -33,6 +47,7 @@
 //! The checker is opt-in (see [`RacecheckConfig`]) and costs nothing
 //! when absent: the interpreter hooks are `Option` checks.
 
+use crate::ir::FULL_MASK;
 use crate::warp::WARP_SIZE;
 use std::collections::HashMap;
 use std::fmt;
@@ -424,16 +439,21 @@ pub struct CollectiveSite {
 pub struct Racecheck {
     cfg: RacecheckConfig,
     threads_per_block: u32,
-    n_threads: usize,
-    /// Vector clocks, `thread * n_threads + other`.
-    clocks: Vec<u32>,
+    /// `thread * WARP_SIZE + lane`: the thread's view of each lane of its
+    /// own warp, its own epoch at its own lane. Only `__syncwarp` joins
+    /// rows; a barrier resets every row of a warp to the warp's join.
+    warp_clocks: Vec<u32>,
+    /// Each thread's epoch at its block's last barrier — every other
+    /// warp of the block has seen exactly this much of it.
+    block_clocks: Vec<u32>,
+    /// Each thread's epoch at the last grid barrier — every other block
+    /// has seen exactly this much of it.
+    grid_clocks: Vec<u32>,
     cells: HashMap<CellKey, Cell>,
     records: Vec<HazardRecord>,
     sites: HashMap<SiteKey, usize>,
     total: u64,
     truncated: bool,
-    /// Scratch row for barrier joins.
-    join_tmp: Vec<u32>,
 }
 
 impl Racecheck {
@@ -444,14 +464,14 @@ impl Racecheck {
         Racecheck {
             cfg,
             threads_per_block,
-            n_threads: n,
-            clocks: vec![0; n * n],
+            warp_clocks: vec![0; n * WARP_SIZE],
+            block_clocks: vec![0; n],
+            grid_clocks: vec![0; n],
             cells: HashMap::new(),
             records: Vec::new(),
             sites: HashMap::new(),
             total: 0,
             truncated: false,
-            join_tmp: vec![0; n],
         }
     }
 
@@ -482,14 +502,29 @@ impl Racecheck {
 
     #[inline]
     fn flat(&self, t: Tid) -> usize {
-        (t.block * self.threads_per_block + t.warp * WARP_SIZE as u32 + t.lane) as usize
+        self.warp_base(t.block, t.warp) + t.lane as usize
     }
 
-    /// `prior` happened-before the current event of thread `t`?
+    /// Thread `t`'s view of thread `p`'s epoch: the latest epoch of `p`
+    /// that happened-before `t`'s current event (`t`'s own epoch when
+    /// `p == t`).
     #[inline]
-    fn ordered(&self, prior: &Access, t: usize) -> bool {
-        let p = self.flat(prior.tid);
-        p == t || self.clocks[t * self.n_threads + p] >= prior.time
+    fn view(&self, t: Tid, p: Tid) -> u32 {
+        let flat_p = self.flat(p);
+        if p.block != t.block {
+            self.grid_clocks[flat_p]
+        } else if p.warp != t.warp {
+            self.block_clocks[flat_p]
+        } else {
+            self.warp_clocks[self.flat(t) * WARP_SIZE + p.lane as usize]
+        }
+    }
+
+    /// `prior` happened-before the current event of thread `t`? A lane's
+    /// own earlier accesses always are: its epoch only grows.
+    #[inline]
+    fn ordered(&self, prior: &Access, t: Tid) -> bool {
+        self.view(t, prior.tid) >= prior.time
     }
 
     fn suggest(&self, a: Tid, b: Tid) -> SyncScope {
@@ -569,13 +604,14 @@ impl Racecheck {
     ) {
         let flat = self.flat(t);
         // Advance this thread's epoch; the access carries the new time.
-        self.clocks[flat * self.n_threads + flat] += 1;
+        let epoch = &mut self.warp_clocks[flat * WARP_SIZE + t.lane as usize];
+        *epoch += 1;
         let access = Access {
             tid: t,
             pc,
             op,
             kind,
-            time: self.clocks[flat * self.n_threads + flat],
+            time: *epoch,
         };
         // Snapshot the cell's prior state and apply the update first, so
         // the `&mut self.cells` borrow ends before the ordering checks
@@ -619,7 +655,7 @@ impl Racecheck {
         match kind {
             AccessKind::Read => {
                 if let Some(w) = prior_write {
-                    if !self.ordered(&w, flat) {
+                    if !self.ordered(&w, t) {
                         race(self, RaceKind::WriteRead, w);
                     }
                 }
@@ -627,12 +663,12 @@ impl Racecheck {
             AccessKind::Write | AccessKind::Atomic => {
                 if let Some(w) = prior_write {
                     let both_atomic = w.kind == AccessKind::Atomic && kind == AccessKind::Atomic;
-                    if !both_atomic && !self.ordered(&w, flat) {
+                    if !both_atomic && !self.ordered(&w, t) {
                         race(self, RaceKind::WriteWrite, w);
                     }
                 }
                 for r in prior_reads {
-                    if !self.ordered(&r, flat) {
+                    if !self.ordered(&r, t) {
                         race(self, RaceKind::ReadWrite, r);
                     }
                 }
@@ -693,50 +729,60 @@ impl Racecheck {
         }
     }
 
-    /// Join the clocks of `threads` (flat ids): elementwise max,
-    /// distributed back to every participant.
-    fn join(&mut self, threads: &[usize]) {
-        if threads.len() < 2 {
-            return;
-        }
-        let n = self.n_threads;
-        self.join_tmp.fill(0);
-        for &t in threads {
-            let row = &self.clocks[t * n..(t + 1) * n];
-            for (acc, &v) in self.join_tmp.iter_mut().zip(row) {
-                if v > *acc {
-                    *acc = v;
-                }
-            }
-        }
-        for &t in threads {
-            self.clocks[t * n..(t + 1) * n].copy_from_slice(&self.join_tmp);
-        }
+    /// Flat id of lane 0 of `warp` in `block`.
+    #[inline]
+    fn warp_base(&self, block: u32, warp: u32) -> usize {
+        (block * self.threads_per_block + warp * WARP_SIZE as u32) as usize
     }
 
     /// A `__syncwarp` group released: the arrived lanes of `mask` in
     /// (`block`, `warp`) are now mutually ordered.
     pub fn on_syncwarp_release(&mut self, block: u32, warp: u32, mask: u32) {
-        let base = (block * self.threads_per_block + warp * WARP_SIZE as u32) as usize;
-        let threads: Vec<usize> = (0..WARP_SIZE)
-            .filter(|&l| mask & (1 << l) != 0)
-            .map(|l| base + l)
-            .collect();
-        self.join(&threads);
+        let base = self.warp_base(block, warp);
+        join_rows(
+            &mut self.warp_clocks[base * WARP_SIZE..][..WARP_SIZE * WARP_SIZE],
+            mask,
+        );
     }
 
-    /// A `__syncthreads()` barrier completed in `block`.
+    /// A `__syncthreads()` barrier completed in `block`: each warp's rows
+    /// join, and the join is the block's view of that warp from now on.
     pub fn on_syncthreads(&mut self, block: u32) {
-        let base = (block * self.threads_per_block) as usize;
-        let threads: Vec<usize> = (base..base + self.threads_per_block as usize).collect();
-        self.join(&threads);
+        for warp in 0..self.threads_per_block / WARP_SIZE as u32 {
+            let base = self.warp_base(block, warp);
+            let rows = &mut self.warp_clocks[base * WARP_SIZE..][..WARP_SIZE * WARP_SIZE];
+            self.block_clocks[base..base + WARP_SIZE].copy_from_slice(&join_rows(rows, FULL_MASK));
+        }
     }
 
-    /// A grid-wide barrier completed.
+    /// A grid-wide barrier completed: every block's barrier, then the
+    /// grid's view of every thread is its block's.
     pub fn on_grid_sync(&mut self) {
-        let threads: Vec<usize> = (0..self.n_threads).collect();
-        self.join(&threads);
+        let blocks = self.block_clocks.len() / self.threads_per_block as usize;
+        for block in 0..blocks as u32 {
+            self.on_syncthreads(block);
+        }
+        self.grid_clocks.copy_from_slice(&self.block_clocks);
     }
+}
+
+/// Join the 32-entry rows of the lanes in `mask` (elementwise max),
+/// write the join back to each of them and return it.
+fn join_rows(rows: &mut [u32], mask: u32) -> [u32; WARP_SIZE] {
+    let mut joined = [0u32; WARP_SIZE];
+    for (l, row) in rows.chunks_exact(WARP_SIZE).enumerate() {
+        if mask & (1 << l) != 0 {
+            for (acc, &v) in joined.iter_mut().zip(row) {
+                *acc = (*acc).max(v);
+            }
+        }
+    }
+    for (l, row) in rows.chunks_exact_mut(WARP_SIZE).enumerate() {
+        if mask & (1 << l) != 0 {
+            row.copy_from_slice(&joined);
+        }
+    }
+    joined
 }
 
 #[cfg(test)]
@@ -948,6 +994,101 @@ mod tests {
         // Executing lanes the mask omits are UB.
         rc.on_syncwarp_exec(site, 0xffff_ffff, 0x0000_ffff);
         assert_eq!(rc.hazard_total(), 16);
+    }
+
+    /// The dense n × n vector clocks the three stores replace: row `t`
+    /// is thread `t`'s view of every thread.
+    struct DenseClocks {
+        n: usize,
+        clocks: Vec<u32>,
+    }
+
+    impl DenseClocks {
+        fn tick(&mut self, t: usize) {
+            self.clocks[t * self.n + t] += 1;
+        }
+
+        /// Join the clocks of `threads` (flat ids): elementwise max,
+        /// distributed back to every participant.
+        fn join(&mut self, threads: &[usize]) {
+            let n = self.n;
+            let mut joined = vec![0; n];
+            for &t in threads {
+                for (acc, &v) in joined.iter_mut().zip(&self.clocks[t * n..(t + 1) * n]) {
+                    *acc = (*acc).max(v);
+                }
+            }
+            for &t in threads {
+                self.clocks[t * n..(t + 1) * n].copy_from_slice(&joined);
+            }
+        }
+    }
+
+    /// Property: after every access and every warp, block and grid
+    /// barrier of a random event sequence over several blocks, each
+    /// thread's view of each thread equals the dense vector clock's.
+    #[test]
+    fn clock_views_match_dense_vector_clocks() {
+        const BLOCKS: u32 = 3;
+        const TPB: u32 = 64;
+        let n = (BLOCKS * TPB) as usize;
+        let tids: Vec<Tid> = (0..n as u32)
+            .map(|f| Tid {
+                block: f / TPB,
+                warp: f % TPB / WARP_SIZE as u32,
+                lane: f % WARP_SIZE as u32,
+            })
+            .collect();
+        testkit::check("clock_views_match_dense_vector_clocks", 24, |g| {
+            let mut rc = Racecheck::new(BLOCKS, TPB, RacecheckConfig::default());
+            let mut dense = DenseClocks {
+                n,
+                clocks: vec![0; n * n],
+            };
+            for _ in 0..g.usize_in(20..100) {
+                let block = g.u8_in(0..BLOCKS as u8) as u32;
+                let warp = g.u8_in(0..(TPB / WARP_SIZE as u32) as u8) as u32;
+                let base = (block * TPB + warp * WARP_SIZE as u32) as usize;
+                match g.u8_in(0..10) {
+                    0..=5 => {
+                        let lane = g.u8_in(0..WARP_SIZE as u8) as u32;
+                        let t = Tid { block, warp, lane };
+                        let addr = g.u8_in(0..8) as u32;
+                        let kind = [AccessKind::Read, AccessKind::Write, AccessKind::Atomic]
+                            [g.usize_in(0..3)];
+                        if g.u8_in(0..2) == 0 {
+                            rc.on_shared(t, addr, 1, "st.shared", kind);
+                        } else {
+                            rc.on_global(t, addr, 1, "st.global", kind);
+                        }
+                        dense.tick(base + lane as usize);
+                    }
+                    6..=7 => {
+                        let mask = g.any_u64() as u32;
+                        rc.on_syncwarp_release(block, warp, mask);
+                        let lanes: Vec<usize> = (0..WARP_SIZE)
+                            .filter(|&l| mask & (1 << l) != 0)
+                            .map(|l| base + l)
+                            .collect();
+                        dense.join(&lanes);
+                    }
+                    8 => {
+                        rc.on_syncthreads(block);
+                        let b = (block * TPB) as usize;
+                        dense.join(&(b..b + TPB as usize).collect::<Vec<_>>());
+                    }
+                    _ => {
+                        rc.on_grid_sync();
+                        dense.join(&(0..n).collect::<Vec<_>>());
+                    }
+                }
+                for (i, &t) in tids.iter().enumerate() {
+                    for (j, &p) in tids.iter().enumerate() {
+                        assert_eq!(rc.view(t, p), dense.clocks[i * n + j], "view of {p} by {t}");
+                    }
+                }
+            }
+        });
     }
 
     #[test]

@@ -264,55 +264,74 @@ fn cross_warp_race_suggests_syncthreads() {
     }
 }
 
+/// Thread 0 of every block atomically bumps a global count that every
+/// thread then reads back, after a grid barrier when `with_barrier`.
+fn cross_block_count(with_barrier: bool) -> Program {
+    let (tid, zero, one, old, out, cond) = (Reg(0), Reg(1), Reg(2), Reg(3), Reg(4), Reg(5));
+    let mut body = vec![
+        Stmt::Op(Op::ThreadId(tid)),
+        Stmt::Op(Op::ConstI(zero, 0)),
+        Stmt::Op(Op::ConstI(one, 1)),
+        Stmt::Op(Op::EqI(cond, tid, zero)),
+        Stmt::If {
+            cond,
+            then: vec![Stmt::Op(Op::AtomicAddGlobal(old, zero, one))],
+            els: vec![],
+        },
+    ];
+    if with_barrier {
+        body.push(Stmt::Op(Op::GridSync));
+    }
+    body.push(Stmt::Op(Op::LdGlobal(out, zero)));
+    Program::compile(&body)
+}
+
+/// Run [`cross_block_count`] on `blocks` × `threads` under the detector:
+/// clean with the grid barrier, and without it flagged with a
+/// write-read race whose suggested fix is the grid-wide barrier.
+fn assert_cross_block_count_checked(blocks: usize, threads: usize, sched: Scheduler) {
+    let p = cross_block_count(false);
+    let mut g = Grid::new(blocks, threads, 4, 4, &p);
+    let (_, rep) = g
+        .run_racechecked(&p, sched, 10_000_000, RacecheckConfig::default())
+        .unwrap();
+    assert!(!rep.is_clean(), "{sched:?}");
+    assert!(
+        rep.records.iter().any(|r| matches!(
+            r.hazard,
+            Hazard::Race {
+                suggested: SyncScope::GridSync,
+                kind: RaceKind::WriteRead,
+                ..
+            }
+        )),
+        "{sched:?}: {rep}"
+    );
+    let p = cross_block_count(true);
+    let mut g = Grid::new(blocks, threads, 4, 4, &p);
+    let (stats, rep) = g
+        .run_racechecked(&p, sched, 10_000_000, RacecheckConfig::default())
+        .unwrap();
+    assert!(rep.is_clean(), "{sched:?}: {rep}");
+    assert_eq!(stats.grid_syncs, 1);
+}
+
 /// Cross-block: an atomic count read back without a grid barrier races,
 /// and the suggested fix is the grid-wide barrier; with `grid.sync()`
 /// the same program is clean (atomic pairs never race among themselves).
 #[test]
 fn cross_block_race_suggests_grid_barrier() {
-    let (tid, zero, one, old, out, cond) = (Reg(0), Reg(1), Reg(2), Reg(3), Reg(4), Reg(5));
-    let build = |with_barrier: bool| {
-        let mut body = vec![
-            Stmt::Op(Op::ThreadId(tid)),
-            Stmt::Op(Op::ConstI(zero, 0)),
-            Stmt::Op(Op::ConstI(one, 1)),
-            Stmt::Op(Op::EqI(cond, tid, zero)),
-            Stmt::If {
-                cond,
-                then: vec![Stmt::Op(Op::AtomicAddGlobal(old, zero, one))],
-                els: vec![],
-            },
-        ];
-        if with_barrier {
-            body.push(Stmt::Op(Op::GridSync));
-        }
-        body.push(Stmt::Op(Op::LdGlobal(out, zero)));
-        Program::compile(&body)
-    };
     for sched in [Scheduler::Lockstep, Scheduler::Independent] {
-        let p = build(false);
-        let mut g = Grid::new(2, 32, 4, 4, &p);
-        let (_, rep) = g
-            .run_racechecked(&p, sched, 10_000_000, RacecheckConfig::default())
-            .unwrap();
-        assert!(!rep.is_clean(), "{sched:?}");
-        assert!(
-            rep.records.iter().any(|r| matches!(
-                r.hazard,
-                Hazard::Race {
-                    suggested: SyncScope::GridSync,
-                    kind: RaceKind::WriteRead,
-                    ..
-                }
-            )),
-            "{sched:?}: {rep}"
-        );
-        let p = build(true);
-        let mut g = Grid::new(2, 32, 4, 4, &p);
-        let (stats, rep) = g
-            .run_racechecked(&p, sched, 10_000_000, RacecheckConfig::default())
-            .unwrap();
-        assert!(rep.is_clean(), "{sched:?}: {rep}");
-        assert_eq!(stats.grid_syncs, 1);
+        assert_cross_block_count_checked(2, 32, sched);
+    }
+}
+
+/// The same check on a 16 × 1024-thread grid: the detector's clocks grow
+/// linearly with the thread count, so a large grid stays cheap to check.
+#[test]
+fn racecheck_covers_a_sixteen_block_grid() {
+    for sched in [Scheduler::Lockstep, Scheduler::Independent] {
+        assert_cross_block_count_checked(16, 1024, sched);
     }
 }
 
