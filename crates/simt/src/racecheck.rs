@@ -739,10 +739,7 @@ impl Racecheck {
     /// (`block`, `warp`) are now mutually ordered.
     pub fn on_syncwarp_release(&mut self, block: u32, warp: u32, mask: u32) {
         let base = self.warp_base(block, warp);
-        join_rows(
-            &mut self.warp_clocks[base * WARP_SIZE..][..WARP_SIZE * WARP_SIZE],
-            mask,
-        );
+        join_warp(&mut self.warp_clocks, base, mask);
     }
 
     /// A `__syncthreads()` barrier completed in `block`: each warp's rows
@@ -750,8 +747,8 @@ impl Racecheck {
     pub fn on_syncthreads(&mut self, block: u32) {
         for warp in 0..self.threads_per_block / WARP_SIZE as u32 {
             let base = self.warp_base(block, warp);
-            let rows = &mut self.warp_clocks[base * WARP_SIZE..][..WARP_SIZE * WARP_SIZE];
-            self.block_clocks[base..base + WARP_SIZE].copy_from_slice(&join_rows(rows, FULL_MASK));
+            let joined = join_warp(&mut self.warp_clocks, base, FULL_MASK);
+            self.block_clocks[base..base + WARP_SIZE].copy_from_slice(&joined);
         }
     }
 
@@ -766,9 +763,11 @@ impl Racecheck {
     }
 }
 
-/// Join the 32-entry rows of the lanes in `mask` (elementwise max),
-/// write the join back to each of them and return it.
-fn join_rows(rows: &mut [u32], mask: u32) -> [u32; WARP_SIZE] {
+/// Join the `warp_clocks` rows of the lanes in `mask` of the warp whose
+/// lane 0 is thread `base` (elementwise max), write the join back to
+/// each of them and return it.
+fn join_warp(warp_clocks: &mut [u32], base: usize, mask: u32) -> [u32; WARP_SIZE] {
+    let rows = &mut warp_clocks[base * WARP_SIZE..(base + WARP_SIZE) * WARP_SIZE];
     let mut joined = [0u32; WARP_SIZE];
     for (l, row) in rows.chunks_exact(WARP_SIZE).enumerate() {
         if mask & (1 << l) != 0 {
