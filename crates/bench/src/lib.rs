@@ -12,7 +12,7 @@
 //!
 //! * `GOTHIC_BENCH_N`      — particle count (default 8192),
 //! * `GOTHIC_BENCH_STEPS`  — measured block steps per configuration
-//!   (default 12),
+//!   (default 24),
 //! * `GOTHIC_BENCH_WARMUP` — skipped leading steps (default 4),
 //! * `GOTHIC_BENCH_FULL_SWEEP=1` — use every Δacc power of Figs. 1–2.
 

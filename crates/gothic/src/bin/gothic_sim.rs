@@ -250,9 +250,8 @@ fn main() {
             }
         }
         None => {
-            if args.metrics || args.profile {
-                // Counter/profile tables without a trace sink: accumulate
-                // only.
+            if args.metrics {
+                // Counter tables without a trace sink: accumulate only.
                 telemetry::set_metrics_enabled(true);
             }
         }

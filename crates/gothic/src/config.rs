@@ -149,11 +149,10 @@ impl RunConfig {
         b
     }
 
-    /// Stable 64-bit FNV-1a hash of [`canonical_bytes`]
-    /// (`RunConfig::canonical_bytes`) — the content-addressed cache key
-    /// used by the `gothicd` result cache. Two configs digest equal iff
-    /// their canonical bytes are equal; the value is pinned by tests so
-    /// it cannot drift silently across PRs.
+    /// Stable 64-bit FNV-1a hash of [`RunConfig::canonical_bytes`] — the
+    /// content-addressed cache key used by the `gothicd` result cache.
+    /// Two configs digest equal iff their canonical bytes are equal; the
+    /// value is pinned by tests so it cannot drift silently across PRs.
     pub fn digest(&self) -> u64 {
         fnv1a64(&self.canonical_bytes())
     }

@@ -217,7 +217,8 @@ impl Gothic {
     /// [`Gothic::new`], after checking the initial conditions: an empty
     /// set, or one failing [`ParticleSet::check_invariants`] (e.g. a
     /// non-finite position, which the tree build would file under Morton
-    /// key 0), is rejected with a message naming the particle.
+    /// key 0, or a non-finite velocity, which the first predict spreads
+    /// to the position), is rejected with a message naming the particle.
     pub fn try_new(mut ps: ParticleSet, cfg: RunConfig) -> Result<Self, String> {
         if ps.is_empty() {
             return Err("invalid initial conditions: no particles".into());
@@ -520,6 +521,19 @@ mod tests {
         );
         let empty = Gothic::try_new(ParticleSet::with_capacity(0), RunConfig::default());
         assert!(empty.is_err());
+    }
+
+    #[test]
+    fn nan_velocity_is_rejected_before_the_tree_build() {
+        let mut ps = plummer_model(4096, 100.0, 1.0, 3);
+        ps.vel[1234].z = Real::NAN;
+        let err = Gothic::try_new(ps, RunConfig::default())
+            .err()
+            .expect("a NaN velocity must be rejected");
+        assert_eq!(
+            err,
+            "invalid initial conditions: non-finite velocity at 1234"
+        );
     }
 
     #[test]

@@ -167,7 +167,7 @@ impl GpuArch {
         }
     }
 
-    /// GeForce GTX TITAN X (Maxwell), measured by the GOTHIC paper [14].
+    /// GeForce GTX TITAN X (Maxwell), measured by the GOTHIC paper \[14\].
     pub fn gtx_titan_x() -> Self {
         GpuArch {
             name: "GeForce GTX TITAN X",

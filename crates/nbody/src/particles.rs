@@ -138,9 +138,9 @@ impl ParticleSet {
             }
             seen[i] = true;
         }
-        for (i, p) in self.pos.iter().enumerate() {
-            if !p.is_finite() {
-                return Err(format!("non-finite position at {i}"));
+        for (name, v) in [("position", &self.pos), ("velocity", &self.vel)] {
+            if let Some(i) = v.iter().position(|p| !p.is_finite()) {
+                return Err(format!("non-finite {name} at {i}"));
             }
         }
         for (i, &m) in self.mass.iter().enumerate() {

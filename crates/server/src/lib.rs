@@ -4,7 +4,7 @@
 //! service: newline-delimited JSON requests in, one JSON response line
 //! per request out. The serving layer composes pieces the workspace
 //! already has — the [`gothic`] pipeline, the bounded worker pool from
-//! [`parallel`], and the [`telemetry`](gothic::telemetry) JSON
+//! [`parallel`], and the [`gothic::telemetry`] JSON
 //! writer/parser, spans, and counters — into a daemon with:
 //!
 //! * **backpressure** — a bounded job queue; a saturated server answers

@@ -7,7 +7,7 @@
 use crate::block::{BlockOutcome, ThreadBlock};
 use crate::ir::Program;
 use crate::prof::{KernelProfile, PipeCounts};
-use crate::racecheck::{Racecheck, RacecheckConfig, RacecheckReport};
+use crate::racecheck::{Racecheck, RacecheckReport};
 use crate::warp::{ExecError, Scheduler, WARP_SIZE};
 
 /// Execution statistics of one grid run.
@@ -98,10 +98,9 @@ impl Grid {
         program: &Program,
         sched: Scheduler,
         max_steps: u64,
-        cfg: RacecheckConfig,
     ) -> Result<(GridStats, RacecheckReport), ExecError> {
         let tpb = (self.blocks[0].warps.len() * WARP_SIZE) as u32;
-        let mut rc = Racecheck::new(self.blocks.len() as u32, tpb, cfg);
+        let mut rc = Racecheck::new(self.blocks.len() as u32, tpb);
         let stats = self.run_inner(program, sched, max_steps, Some(&mut rc))?;
         Ok((stats, rc.finish()))
     }
@@ -159,20 +158,7 @@ impl Grid {
                 }
             }
         }
-        let stats = self.stats();
-        use telemetry::metrics::counters as tm;
-        tm::SIMT_SCHED_STEPS.add(stats.retired);
-        tm::SIMT_SYNCWARPS.add(stats.syncwarps);
-        tm::SIMT_BLOCK_SYNCS.add(stats.block_syncs);
-        tm::SIMT_GRID_BARRIERS.add(stats.grid_syncs);
-        let shuffle_lanes: u64 = self
-            .blocks
-            .iter()
-            .flat_map(|b| b.warps.iter())
-            .map(|w| w.counts.shuffles + w.counts.votes)
-            .sum();
-        tm::SIMT_SHUFFLE_LANES.add(shuffle_lanes);
-        Ok(stats)
+        Ok(self.stats())
     }
 
     /// Collect statistics.

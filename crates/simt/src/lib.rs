@@ -37,7 +37,7 @@ pub use ir::{op_mnemonic, Inst, MaskSpec, Op, Program, Reg, Stmt, FULL_MASK};
 pub use prof::{KernelProfile, PipeCounts};
 pub use racecheck::{
     AccessKind, CollectiveSite, Hazard, HazardRecord, MemSpace, RaceKind, Racecheck,
-    RacecheckConfig, RacecheckReport, SyncScope, Tid,
+    RacecheckReport, SyncScope, Tid,
 };
 pub use warp::{
     ExecEnv, ExecError, Fragment, Scheduler, StepOutcome, Waiting, Warp, POISON, WARP_SIZE,

@@ -12,7 +12,7 @@
 use crate::grid::{Grid, GridStats};
 use crate::ir::{MaskSpec, Op, Program, Reg, Stmt};
 use crate::prof::KernelProfile;
-use crate::racecheck::{RacecheckConfig, RacecheckReport};
+use crate::racecheck::RacecheckReport;
 use crate::warp::Scheduler;
 
 /// Build a block-wide sum reduction over sub-groups of `tsub` lanes.
@@ -163,7 +163,7 @@ fn racechecked(
     check: impl FnOnce(&Grid) -> bool,
 ) -> (BenchRun, RacecheckReport) {
     let (stats, report) = g
-        .run_racechecked(p, sched, MAX_STEPS, RacecheckConfig::default())
+        .run_racechecked(p, sched, MAX_STEPS)
         .unwrap_or_else(|e| panic!("{kernel} kernel must terminate: {e:?}"));
     let correct = check(&g);
     (BenchRun { stats, correct }, report)

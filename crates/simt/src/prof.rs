@@ -4,7 +4,7 @@
 //! hardware counters (`inst_integer`, `flop_count_sp_{fma,add,mul,special}`;
 //! Fig. 6). This module is the interpreter-side analogue: every warp
 //! counts, for every instruction it retires, how many lane-operations each
-//! execution pipe ran ([`PipeCounts::count_inst`] is the interpreter's only
+//! execution pipe ran (`PipeCounts::count_inst` is the interpreter's only
 //! instruction-to-pipe mapping), and [`crate::Grid::profile`] merges a
 //! launch's warps, so the analytic `gpu_model::OpCounts` mixes can be
 //! checked against what the simulated hardware actually executed.

@@ -44,35 +44,19 @@
 //! executing it (the hard-coded `0xffff` in a converged full warp), is
 //! reported as a hazard with the offending mask bits.
 //!
-//! The checker is opt-in (see [`RacecheckConfig`]) and costs nothing
-//! when absent: the interpreter hooks are `Option` checks.
+//! The checker is opt-in ([`crate::Grid::run_racechecked`],
+//! [`crate::ExecEnv::with_racecheck`]) and costs nothing when absent: the
+//! interpreter hooks are `Option` checks. Its counts live in the
+//! [`RacecheckReport`] of the run it checked.
 
 use crate::ir::FULL_MASK;
 use crate::warp::WARP_SIZE;
 use std::collections::HashMap;
 use std::fmt;
 
-/// Configuration of one detector instance.
-#[derive(Clone, Copy, Debug)]
-pub struct RacecheckConfig {
-    /// Distinct hazard sites kept (further occurrences of known sites
-    /// still count; brand-new sites beyond the cap only bump `total`).
-    pub max_records: usize,
-    /// Check `_sync` collective participation masks.
-    pub check_shuffles: bool,
-    /// Track global memory as well as shared memory.
-    pub check_global: bool,
-}
-
-impl Default for RacecheckConfig {
-    fn default() -> Self {
-        RacecheckConfig {
-            max_records: 64,
-            check_shuffles: true,
-            check_global: true,
-        }
-    }
-}
+/// Distinct hazard sites kept in a report: further occurrences of known
+/// sites still count, brand-new sites beyond the cap only bump the totals.
+const MAX_RECORDS: usize = 64;
 
 /// What a memory access did.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -285,7 +269,14 @@ pub struct RacecheckReport {
     pub records: Vec<HazardRecord>,
     /// Total hazard occurrences (>= records.len()).
     pub total: u64,
-    /// True when `max_records` stopped new sites from being recorded.
+    /// Occurrences of shared-memory races.
+    pub shared_races: u64,
+    /// Occurrences of global-memory races.
+    pub global_races: u64,
+    /// Occurrences of `_sync` collective participation hazards, one per
+    /// offending lane.
+    pub collective: u64,
+    /// True when the record cap stopped new sites from being recorded.
     pub truncated: bool,
 }
 
@@ -364,6 +355,9 @@ impl RacecheckReport {
         o.str("type", "racecheck")
             .u64("hazards", self.total)
             .u64("distinct", self.records.len() as u64)
+            .u64("shared_races", self.shared_races)
+            .u64("global_races", self.global_races)
+            .u64("collective", self.collective)
             .bool("truncated", self.truncated);
         telemetry::sink::emit(&o);
     }
@@ -437,7 +431,6 @@ pub struct CollectiveSite {
 /// The happens-before checker. One instance observes one execution
 /// (single warp, block, or grid).
 pub struct Racecheck {
-    cfg: RacecheckConfig,
     threads_per_block: u32,
     /// `thread * WARP_SIZE + lane`: the thread's view of each lane of its
     /// own warp, its own epoch at its own lane. Only `__syncwarp` joins
@@ -450,54 +443,44 @@ pub struct Racecheck {
     /// has seen exactly this much of it.
     grid_clocks: Vec<u32>,
     cells: HashMap<CellKey, Cell>,
-    records: Vec<HazardRecord>,
+    /// Index of each known site in `report.records`.
     sites: HashMap<SiteKey, usize>,
-    total: u64,
-    truncated: bool,
+    report: RacecheckReport,
 }
 
 impl Racecheck {
     /// Checker for a grid of `n_blocks` × `threads_per_block` threads.
-    pub fn new(n_blocks: u32, threads_per_block: u32, cfg: RacecheckConfig) -> Self {
+    pub fn new(n_blocks: u32, threads_per_block: u32) -> Self {
         assert!(threads_per_block > 0 && threads_per_block.is_multiple_of(WARP_SIZE as u32));
         let n = (n_blocks as usize) * (threads_per_block as usize);
         Racecheck {
-            cfg,
             threads_per_block,
             warp_clocks: vec![0; n * WARP_SIZE],
             block_clocks: vec![0; n],
             grid_clocks: vec![0; n],
             cells: HashMap::new(),
-            records: Vec::new(),
             sites: HashMap::new(),
-            total: 0,
-            truncated: false,
+            report: RacecheckReport::default(),
         }
     }
 
     /// Checker for one bare warp (`Warp::step` driven directly).
-    pub fn for_single_warp(cfg: RacecheckConfig) -> Self {
-        Racecheck::new(1, WARP_SIZE as u32, cfg)
+    pub fn for_single_warp() -> Self {
+        Racecheck::new(1, WARP_SIZE as u32)
     }
 
     /// Hazard occurrences so far.
     pub fn hazard_total(&self) -> u64 {
-        self.total
+        self.report.total
     }
 
-    /// Consume the checker into its report. Telemetry counters were
-    /// bumped per occurrence along the way; trace lines (one per site
+    /// Consume the checker into its report. Trace lines (one per site
     /// plus a summary) are emitted now when a sink is active.
     pub fn finish(self) -> RacecheckReport {
-        let report = RacecheckReport {
-            records: self.records,
-            total: self.total,
-            truncated: self.truncated,
-        };
         if telemetry::sink::trace_active() {
-            report.emit_trace();
+            self.report.emit_trace();
         }
-        report
+        self.report
     }
 
     #[inline]
@@ -538,28 +521,23 @@ impl Racecheck {
     }
 
     fn record(&mut self, key: SiteKey, hazard: impl FnOnce() -> Hazard, occurrences: u64) {
-        self.total += occurrences;
-        match &key {
-            SiteKey::Race { shared: true, .. } => {
-                telemetry::metrics::counters::SIMT_HAZARDS_SHARED.add(occurrences)
-            }
-            SiteKey::Race { shared: false, .. } => {
-                telemetry::metrics::counters::SIMT_HAZARDS_GLOBAL.add(occurrences)
-            }
-            SiteKey::Missing { .. } | SiteKey::Omits { .. } => {
-                telemetry::metrics::counters::SIMT_HAZARDS_SHUFFLE.add(occurrences)
-            }
-        }
+        let r = &mut self.report;
+        r.total += occurrences;
+        *match key {
+            SiteKey::Race { shared: true, .. } => &mut r.shared_races,
+            SiteKey::Race { shared: false, .. } => &mut r.global_races,
+            SiteKey::Missing { .. } | SiteKey::Omits { .. } => &mut r.collective,
+        } += occurrences;
         if let Some(&i) = self.sites.get(&key) {
-            self.records[i].count += occurrences;
+            r.records[i].count += occurrences;
             return;
         }
-        if self.records.len() >= self.cfg.max_records {
-            self.truncated = true;
+        if r.records.len() >= MAX_RECORDS {
+            r.truncated = true;
             return;
         }
-        self.sites.insert(key, self.records.len());
-        self.records.push(HazardRecord {
+        self.sites.insert(key, r.records.len());
+        r.records.push(HazardRecord {
             hazard: hazard(),
             count: occurrences,
         });
@@ -584,9 +562,6 @@ impl Racecheck {
 
     /// Observe one global-memory access by one lane.
     pub fn on_global(&mut self, t: Tid, addr: u32, pc: usize, op: &'static str, kind: AccessKind) {
-        if !self.cfg.check_global {
-            return;
-        }
         let key = CellKey::Global { addr };
         self.on_access(key, MemSpace::Global, t, addr, pc, op, kind);
     }
@@ -678,9 +653,6 @@ impl Racecheck {
 
     /// Check the participation mask of a shuffle/vote/ballot.
     pub fn on_collective(&mut self, site: CollectiveSite, exec_mask: u32, mask: u32) {
-        if !self.cfg.check_shuffles {
-            return;
-        }
         let missing = mask & !exec_mask;
         if missing != 0 {
             self.record(
@@ -704,9 +676,6 @@ impl Racecheck {
     /// unnamed direction is a hazard here: lanes the mask names may
     /// legitimately arrive at the barrier later.
     pub fn on_syncwarp_exec(&mut self, site: CollectiveSite, exec_mask: u32, mask: u32) {
-        if !self.cfg.check_shuffles {
-            return;
-        }
         self.check_omits(site, exec_mask, mask);
     }
 
@@ -798,7 +767,7 @@ mod tests {
 
     #[test]
     fn unordered_write_then_read_is_flagged() {
-        let mut rc = Racecheck::for_single_warp(RacecheckConfig::default());
+        let mut rc = Racecheck::for_single_warp();
         rc.on_shared(tid(0), 5, 3, "st.shared", AccessKind::Write);
         rc.on_shared(tid(1), 5, 7, "ld.shared", AccessKind::Read);
         let r = rc.finish();
@@ -824,7 +793,7 @@ mod tests {
 
     #[test]
     fn syncwarp_edge_orders_the_pair() {
-        let mut rc = Racecheck::for_single_warp(RacecheckConfig::default());
+        let mut rc = Racecheck::for_single_warp();
         rc.on_shared(tid(0), 5, 3, "st.shared", AccessKind::Write);
         rc.on_syncwarp_release(0, 0, 0b11);
         rc.on_shared(tid(1), 5, 7, "ld.shared", AccessKind::Read);
@@ -833,7 +802,7 @@ mod tests {
 
     #[test]
     fn same_lane_program_order_is_always_ordered() {
-        let mut rc = Racecheck::for_single_warp(RacecheckConfig::default());
+        let mut rc = Racecheck::for_single_warp();
         rc.on_shared(tid(4), 9, 1, "st.shared", AccessKind::Write);
         rc.on_shared(tid(4), 9, 2, "ld.shared", AccessKind::Read);
         rc.on_shared(tid(4), 9, 3, "st.shared", AccessKind::Write);
@@ -842,7 +811,7 @@ mod tests {
 
     #[test]
     fn read_then_unordered_write_is_flagged_as_read_write() {
-        let mut rc = Racecheck::for_single_warp(RacecheckConfig::default());
+        let mut rc = Racecheck::for_single_warp();
         rc.on_shared(tid(9), 2, 8, "ld.shared", AccessKind::Read);
         rc.on_shared(tid(0), 2, 4, "st.shared", AccessKind::Write);
         let r = rc.finish();
@@ -858,7 +827,7 @@ mod tests {
 
     #[test]
     fn atomic_pairs_are_exempt_but_atomic_vs_plain_is_not() {
-        let mut rc = Racecheck::for_single_warp(RacecheckConfig::default());
+        let mut rc = Racecheck::for_single_warp();
         rc.on_global(tid(0), 0, 1, "atom.global.add", AccessKind::Atomic);
         rc.on_global(tid(1), 0, 1, "atom.global.add", AccessKind::Atomic);
         assert_eq!(rc.hazard_total(), 0);
@@ -868,7 +837,7 @@ mod tests {
 
     #[test]
     fn cross_warp_race_suggests_syncthreads_cross_block_suggests_grid() {
-        let mut rc = Racecheck::new(2, 64, RacecheckConfig::default());
+        let mut rc = Racecheck::new(2, 64);
         let w1 = Tid {
             block: 0,
             warp: 1,
@@ -897,7 +866,7 @@ mod tests {
 
     #[test]
     fn syncthreads_joins_the_whole_block_transitively() {
-        let mut rc = Racecheck::new(1, 64, RacecheckConfig::default());
+        let mut rc = Racecheck::new(1, 64);
         let w1 = Tid {
             block: 0,
             warp: 1,
@@ -911,7 +880,7 @@ mod tests {
 
     #[test]
     fn grid_sync_orders_cross_block_accesses() {
-        let mut rc = Racecheck::new(2, 32, RacecheckConfig::default());
+        let mut rc = Racecheck::new(2, 32);
         let b1 = Tid {
             block: 1,
             warp: 0,
@@ -925,7 +894,7 @@ mod tests {
 
     #[test]
     fn sites_dedup_with_counts() {
-        let mut rc = Racecheck::for_single_warp(RacecheckConfig::default());
+        let mut rc = Racecheck::for_single_warp();
         for lane in 1..17 {
             rc.on_shared(tid(0), lane, 3, "st.shared", AccessKind::Write);
             rc.on_shared(tid(lane), lane, 7, "ld.shared", AccessKind::Read);
@@ -938,25 +907,22 @@ mod tests {
 
     #[test]
     fn max_records_truncates_sites_but_counts_all() {
-        let cfg = RacecheckConfig {
-            max_records: 2,
-            ..RacecheckConfig::default()
-        };
-        let mut rc = Racecheck::for_single_warp(cfg);
-        for i in 0..5u32 {
+        let mut rc = Racecheck::for_single_warp();
+        let sites = MAX_RECORDS as u32 + 1;
+        for i in 0..sites {
             // Distinct PCs → distinct sites.
             rc.on_shared(tid(0), i, (10 + i) as usize, "st.shared", AccessKind::Write);
-            rc.on_shared(tid(1), i, (20 + i) as usize, "ld.shared", AccessKind::Read);
+            rc.on_shared(tid(1), i, (100 + i) as usize, "ld.shared", AccessKind::Read);
         }
         let r = rc.finish();
-        assert_eq!(r.records.len(), 2);
-        assert_eq!(r.total, 5);
+        assert_eq!(r.records.len(), MAX_RECORDS);
+        assert_eq!(r.total, sites as u64);
         assert!(r.truncated);
     }
 
     #[test]
     fn collective_mask_checks_both_directions() {
-        let mut rc = Racecheck::for_single_warp(RacecheckConfig::default());
+        let mut rc = Racecheck::for_single_warp();
         let site = CollectiveSite {
             block: 0,
             warp: 0,
@@ -980,7 +946,7 @@ mod tests {
 
     #[test]
     fn syncwarp_exec_only_flags_omitted_callers() {
-        let mut rc = Racecheck::for_single_warp(RacecheckConfig::default());
+        let mut rc = Racecheck::for_single_warp();
         let site = CollectiveSite {
             block: 0,
             warp: 0,
@@ -1039,7 +1005,7 @@ mod tests {
             })
             .collect();
         testkit::check("clock_views_match_dense_vector_clocks", 24, |g| {
-            let mut rc = Racecheck::new(BLOCKS, TPB, RacecheckConfig::default());
+            let mut rc = Racecheck::new(BLOCKS, TPB);
             let mut dense = DenseClocks {
                 n,
                 clocks: vec![0; n * n],
@@ -1092,7 +1058,7 @@ mod tests {
 
     #[test]
     fn report_displays_fix_and_counts() {
-        let mut rc = Racecheck::for_single_warp(RacecheckConfig::default());
+        let mut rc = Racecheck::for_single_warp();
         rc.on_shared(tid(0), 5, 3, "st.shared", AccessKind::Write);
         rc.on_shared(tid(1), 5, 7, "ld.shared", AccessKind::Read);
         let r = rc.finish();

@@ -7,8 +7,8 @@
 //! the porting recipes.
 
 use simt::{
-    microbench, ExecEnv, Grid, Hazard, MaskSpec, Op, Program, RaceKind, Racecheck, RacecheckConfig,
-    RacecheckReport, Reg, Scheduler, StepOutcome, Stmt, SyncScope, ThreadBlock, Warp, FULL_MASK,
+    microbench, ExecEnv, Grid, Hazard, MaskSpec, Op, Program, RaceKind, Racecheck, RacecheckReport,
+    Reg, Scheduler, StepOutcome, Stmt, SyncScope, ThreadBlock, Warp, FULL_MASK,
 };
 use testkit::check;
 
@@ -22,7 +22,7 @@ fn run_warp_racechecked(
     let mut shared = vec![0u32; 64];
     let mut global = vec![0u32; 16];
     let mut w = Warp::new(0, p);
-    let mut rc = Racecheck::for_single_warp(RacecheckConfig::default());
+    let mut rc = Racecheck::for_single_warp();
     let mut env = ExecEnv::new(&mut shared, &mut global, 0, 1).with_racecheck(&mut rc);
     for _ in 0..500_000 {
         if w.step(p, sched, &mut env).unwrap() == StepOutcome::Done {
@@ -234,7 +234,7 @@ fn cross_warp_exchange(with_sync: bool) -> Program {
 fn run_block_racechecked(p: &Program, sched: Scheduler) -> RacecheckReport {
     let mut b = ThreadBlock::new(0, 64, 64, p);
     let mut global = vec![0u32; 4];
-    let mut rc = Racecheck::new(1, 64, RacecheckConfig::default());
+    let mut rc = Racecheck::new(1, 64);
     for _ in 0..1_000_000 {
         if b.step(p, sched, &mut global, 1, Some(&mut rc)).unwrap() == simt::BlockOutcome::Done {
             break;
@@ -292,9 +292,7 @@ fn cross_block_count(with_barrier: bool) -> Program {
 fn assert_cross_block_count_checked(blocks: usize, threads: usize, sched: Scheduler) {
     let p = cross_block_count(false);
     let mut g = Grid::new(blocks, threads, 4, 4, &p);
-    let (_, rep) = g
-        .run_racechecked(&p, sched, 10_000_000, RacecheckConfig::default())
-        .unwrap();
+    let (_, rep) = g.run_racechecked(&p, sched, 10_000_000).unwrap();
     assert!(!rep.is_clean(), "{sched:?}");
     assert!(
         rep.records.iter().any(|r| matches!(
@@ -309,9 +307,7 @@ fn assert_cross_block_count_checked(blocks: usize, threads: usize, sched: Schedu
     );
     let p = cross_block_count(true);
     let mut g = Grid::new(blocks, threads, 4, 4, &p);
-    let (stats, rep) = g
-        .run_racechecked(&p, sched, 10_000_000, RacecheckConfig::default())
-        .unwrap();
+    let (stats, rep) = g.run_racechecked(&p, sched, 10_000_000).unwrap();
     assert!(rep.is_clean(), "{sched:?}: {rep}");
     assert_eq!(stats.grid_syncs, 1);
 }

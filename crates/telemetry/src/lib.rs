@@ -5,13 +5,13 @@
 //! instruction counts (Fig. 6). This crate provides the host-side
 //! analogue for the Rust reproduction:
 //!
-//! * **Spans** ([`span`]) — RAII scope guards recording monotonic
+//! * **Spans** ([`span()`]) — RAII scope guards recording monotonic
 //!   wall-clock time with nesting, so the five Table-2 phases of every
 //!   block step show up as real measured intervals next to the modeled
 //!   GPU times.
 //! * **Counters and histograms** ([`metrics`]) — a fixed registry of
-//!   named process-scoped counters (SIMT syncwarp and grid-barrier
-//!   executions, pool chunks and steals, gothicd request outcomes) plus
+//!   named process-scoped counters (pool jobs, chunks and steals,
+//!   gothicd request outcomes) plus
 //!   log₂-bucket [`Histogram`]s with p50/p95/p99 snapshots for
 //!   latency-shaped values and a Prometheus text exposition of both. A
 //!   run's own counts (interactions, MAC evaluations, radix passes, …)
@@ -26,7 +26,7 @@
 //!
 //! ## Overhead contract
 //!
-//! Everything is **off by default**. A disabled [`span`] costs one
+//! Everything is **off by default**. A disabled [`span()`] costs one
 //! relaxed atomic load and one monotonic clock read (its
 //! [`SpanGuard::finish`] still returns the interval, which is how the
 //! pipeline times its phases); a disabled [`metrics::Counter::add`]
@@ -67,7 +67,7 @@ static SPANS_ENABLED: AtomicBool = AtomicBool::new(false);
 static METRICS_ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// True when span recording is on (one relaxed load — the disabled fast
-/// path of [`span`]).
+/// path of [`span()`]).
 #[inline(always)]
 pub fn spans_enabled() -> bool {
     SPANS_ENABLED.load(Ordering::Relaxed)

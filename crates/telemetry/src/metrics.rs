@@ -2,11 +2,11 @@
 //! events.
 //!
 //! The registry holds only what belongs to the process rather than to
-//! one run: the SIMT interpreter's executed-instruction counts, the
-//! work-stealing pool's job/chunk/steal tallies and the gothicd request
-//! outcomes. A run's pipeline counts (walk, calc, tree, sort, integrate,
-//! pipeline, model, galaxy) come back in the run's own summary instead,
-//! so concurrent runs never mix. The hottest counter left is bumped
+//! one run: the work-stealing pool's job/chunk/steal tallies and the
+//! gothicd request outcomes. A run's pipeline counts (walk, calc, tree,
+//! sort, integrate, pipeline, model, galaxy) come back in the run's own
+//! summary instead, so concurrent runs never mix; a SIMT launch's counts
+//! come back in its `GridStats`, profile and racecheck report. The hottest counter left is bumped
 //! about once per pool job, so each [`Counter`] is one relaxed
 //! `AtomicU64`.
 //!
@@ -264,16 +264,6 @@ macro_rules! declare_counters {
 /// run reports and of the gothicd Prometheus exposition.
 pub mod counters {
     declare_counters! {
-        // SIMT interpreter (simt) — the executed nvprof analogue.
-        SIMT_SCHED_STEPS => "simt.scheduler_steps",
-        SIMT_SYNCWARPS => "simt.syncwarps",
-        SIMT_BLOCK_SYNCS => "simt.block_syncs",
-        SIMT_GRID_BARRIERS => "simt.grid_barriers",
-        SIMT_SHUFFLE_LANES => "simt.shuffle_lanes",
-        // Racecheck hazard occurrences (simt::racecheck), by class.
-        SIMT_HAZARDS_SHARED => "simt.hazards.shared",
-        SIMT_HAZARDS_GLOBAL => "simt.hazards.global",
-        SIMT_HAZARDS_SHUFFLE => "simt.hazards.shuffle",
         // In-tree work-stealing pool (parallel).
         POOL_JOBS => "pool.jobs",
         POOL_CHUNKS => "pool.chunks",
@@ -389,18 +379,14 @@ mod tests {
         names.dedup();
         assert_eq!(before, names.len(), "duplicate counter names");
         // Schema anchors: pipebench reads the pool counters by name.
-        for key in [
-            "pool.chunks",
-            "pool.steals",
-            "simt.syncwarps",
-            "server.accepted",
-        ] {
+        for key in ["pool.chunks", "pool.steals", "server.accepted"] {
             assert!(names.contains(&key), "missing {key}");
         }
-        // Run-scoped counts live in the run's summary, not here.
+        // Run-scoped counts live in the run's summary and SIMT counts in
+        // the launch's `GridStats` and racecheck report, not here.
         assert!(names
             .iter()
-            .all(|n| n.starts_with("simt.") || n.starts_with("pool.") || n.starts_with("server.")));
+            .all(|n| n.starts_with("pool.") || n.starts_with("server.")));
     }
 
     #[test]

@@ -8,11 +8,11 @@
 //! | `type`     | emitted by                         | fields |
 //! |------------|------------------------------------|--------|
 //! | `meta`     | sink initialisation                | `version`, `schema` |
-//! | `span`     | [`crate::span`] guards on drop     | `name`, `depth`, `thread`, `t_ns`, `dur_ns` |
+//! | `span`     | [`crate::span()`] guards on drop   | `name`, `depth`, `thread`, `t_ns`, `dur_ns` |
 //! | `step`     | `gothic::pipeline` per block step  | `step`, `t`, `n_active`, `rebuilt`, `modeled_s`, `wall_s`, event totals |
 //! | `counters` | [`emit_counters`]                  | the run's counters, then every registry counter, by name |
 //! | `hazard`   | `simt::racecheck` per hazard site  | `class`, access pair / mask bits, `count` |
-//! | `racecheck`| `simt::racecheck` report summary   | `hazards`, `distinct`, `truncated` |
+//! | `racecheck`| `simt::racecheck` report summary   | `hazards`, `distinct`, `shared_races`, `global_races`, `collective`, `truncated` |
 //!
 //! The sink is behind a `Mutex`; span emission is per phase (a handful
 //! of events per block step), so lock traffic is negligible next to the

@@ -7,7 +7,7 @@
 //!   cases ([`Gen`] wraps `prng::StdRng`) and, on failure, report the
 //!   case's seed so `check_seed` can replay it as an explicit
 //!   regression test;
-//! * [`bench`] — a fixed-format micro-benchmark runner (warm-up,
+//! * [`bench`](mod@bench) — a fixed-format micro-benchmark runner (warm-up,
 //!   calibrated batching, median-of-samples) for the `benches/`
 //!   targets, which keep `harness = false`.
 //!
@@ -97,7 +97,7 @@ impl Gen {
 
 /// Run `property` over `cases` deterministic random cases.
 ///
-/// Each case gets an independent seed derived from [`SEED_BASE`], the
+/// Each case gets an independent seed derived from a fixed base seed, the
 /// property name, and the case index. Panics (assertion failures)
 /// inside the property are re-raised with the case seed attached.
 pub fn check(name: &str, cases: u32, mut property: impl FnMut(&mut Gen)) {

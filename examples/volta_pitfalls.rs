@@ -12,7 +12,7 @@
 
 use gothic::simt::{
     carveout_capacity_kib, carveout_percent_for, ExecEnv, MaskSpec, Op, Program, Racecheck,
-    RacecheckConfig, RacecheckReport, Reg, Scheduler, StepOutcome, Stmt, Warp, FULL_MASK, POISON,
+    RacecheckReport, Reg, Scheduler, StepOutcome, Stmt, Warp, FULL_MASK, POISON,
 };
 
 fn run_warp(p: &Program, sched: Scheduler) -> Warp {
@@ -29,7 +29,7 @@ fn diagnose(p: &Program, sched: Scheduler) -> RacecheckReport {
     let mut shared = vec![0u32; 64];
     let mut global = vec![0u32; 16];
     let mut w = Warp::new(0, p);
-    let mut rc = Racecheck::for_single_warp(RacecheckConfig::default());
+    let mut rc = Racecheck::for_single_warp();
     let mut env = ExecEnv::new(&mut shared, &mut global, 0, 1).with_racecheck(&mut rc);
     while w.step(p, sched, &mut env).unwrap() != StepOutcome::Done {}
     let _ = env;

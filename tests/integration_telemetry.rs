@@ -110,7 +110,7 @@ fn counter_snapshot_records_workspace_activity() {
     assert!(get("integrate.predict_particles") > 0);
     assert!(get("integrate.correct_particles") > 0);
     // Registered even when the run exercises them lightly.
-    for name in ["simt.syncwarps", "sort.radix_passes", "model.syncwarps"] {
+    for name in ["sort.radix_passes", "model.syncwarps"] {
         let _ = get(name);
     }
     // The line is the run's counters followed by the whole registry.
@@ -163,14 +163,6 @@ fn counters_line_names_are_pinned() {
         "model.kernel_pricings",
         "model.syncwarps",
         "galaxy.sampled_particles",
-        "simt.scheduler_steps",
-        "simt.syncwarps",
-        "simt.block_syncs",
-        "simt.grid_barriers",
-        "simt.shuffle_lanes",
-        "simt.hazards.shared",
-        "simt.hazards.global",
-        "simt.hazards.shuffle",
         "pool.jobs",
         "pool.chunks",
         "pool.steals",
