@@ -1,7 +1,9 @@
 //! Ablation: GOTHIC's predictor/corrector (predict + correct kernels)
 //! against the symplectic KDK leapfrog, on shared time steps over a
 //! Plummer sphere. Both are second order; the PEC form exists because
-//! block time steps need predicted source positions mid-step.
+//! block time steps need predicted source positions mid-step. The energy
+//! error oscillates along an orbit, so each run reports its peak
+//! |E(t) − E₀|/|E₀| over every step, not the value at the last one.
 
 use gothic::galaxy::plummer_model;
 use gothic::nbody::direct::self_gravity;
@@ -20,13 +22,13 @@ fn drift(
     let mut ps = plummer_model(2048, 100.0, 1.0, 2024);
     self_gravity(&mut ps, eps2);
     let e0 = measure(&ps, eps2);
+    let mut peak = 0.0f64;
     for _ in 0..steps {
         stepper(&mut ps, dt);
+        peak = peak.max(measure(&ps, eps2).relative_energy_drift(&e0));
     }
-    let e1 = measure(&ps, eps2);
-    let d = e1.relative_energy_drift(&e0);
-    println!("{label:<36} dt = {dt:<8} steps = {steps:<6} |dE/E| = {d:.3e}");
-    d
+    println!("{label:<36} dt = {dt:<8} steps = {steps:<6} max |dE/E| = {peak:.3e}");
+    peak
 }
 
 fn main() {
@@ -61,7 +63,7 @@ fn main() {
     println!("# Both schemes conserve at comparable 2nd-order levels:");
     println!("#   PEC/KDK drift ratio = {:.2}", d_pec / d_kdk.max(1e-12));
     println!(
-        "#   PEC convergence factor at dt/2 = {:.2} (ideal 4.0, floor-limited)",
+        "#   PEC convergence factor at dt/2 = {:.2} (ideal 4.0)",
         d_pec / d_pec_fine.max(1e-12)
     );
     assert!(

@@ -71,10 +71,6 @@ pub struct MeasuredRun {
     pub n: usize,
     /// Mean events per block step (rebuild cost amortised over steps).
     pub mean_events: StepEvents,
-    /// Fraction of steps that rebuilt the tree.
-    pub rebuild_fraction: f64,
-    /// Mean number of active particles per step.
-    pub mean_active: f64,
     /// Mean rebuild interval in steps.
     pub mean_rebuild_interval: f64,
     /// The whole run, set-up and warm-up steps included: the source of a
@@ -99,8 +95,6 @@ pub fn measure(
     let n = ps.len();
     let mut sim = Gothic::new(ps, cfg);
     let mut events_acc = EventAcc::default();
-    let mut rebuilds = 0u64;
-    let mut active_acc = 0.0;
     let mut measured = 0u64;
     let mut rebuild_steps: Vec<u64> = Vec::new();
     for s in 0..(scale.warmup + scale.steps) {
@@ -110,17 +104,15 @@ pub fn measure(
         }
         measured += 1;
         events_acc.add(&rep.events);
-        active_acc += rep.n_active as f64;
         if rep.rebuilt {
-            rebuilds += 1;
             rebuild_steps.push(rep.step);
         }
     }
     let mean_rebuild_interval = if rebuild_steps.len() >= 2 {
         let span = rebuild_steps.last().unwrap() - rebuild_steps.first().unwrap();
         span as f64 / (rebuild_steps.len() - 1) as f64
-    } else if rebuilds > 0 {
-        scale.steps as f64 / rebuilds as f64
+    } else if !rebuild_steps.is_empty() {
+        scale.steps as f64 / rebuild_steps.len() as f64
     } else {
         scale.steps as f64
     };
@@ -128,8 +120,6 @@ pub fn measure(
         delta_acc,
         n,
         mean_events: events_acc.mean(measured),
-        rebuild_fraction: rebuilds as f64 / measured.max(1) as f64,
-        mean_active: active_acc / measured.max(1) as f64,
         mean_rebuild_interval,
         summary: sim.summary().clone(),
     }
@@ -373,7 +363,10 @@ mod tests {
         let run = measure(ps, 2.0f32.powi(-6), &scale, None);
         assert!(run.mean_events.walk.interactions > 0);
         assert_eq!(run.summary.steps, 5, "warm-up steps count too");
-        assert!(run.mean_active > 0.0);
+        let counters = run.summary.counters();
+        assert!(counters
+            .iter()
+            .any(|&(name, n)| name == "pipeline.active_particles" && n > 0));
         let p = price(
             &run,
             &GpuArch::tesla_v100(),

@@ -3,15 +3,16 @@
 //! GOTHIC's tree construction spends most of its time in
 //! `cub::DeviceRadixSort::SortPairs`, sorting Morton keys with particle
 //! indices as payloads (§4.1 of the paper). This crate is the from-scratch
-//! substitute: a least-significant-digit radix sort over (key, payload)
-//! pairs with 8-bit digits, in both serial and pool-parallel flavours
-//! (the in-tree `parallel` work-stealing pool).
+//! substitute: one least-significant-digit radix sort over (key, payload)
+//! pairs with 8-bit digits, parallel on the in-tree `parallel`
+//! work-stealing pool.
 //!
-//! The parallel variant follows the classic GPU decomposition that CUB
-//! itself uses: per-chunk digit histograms, a global exclusive scan over
-//! the (digit, chunk) grid, then a stable scatter into disjoint output
+//! It follows the classic GPU decomposition that CUB itself uses:
+//! per-chunk digit histograms, a global exclusive scan over the
+//! (digit, chunk) grid, then a stable scatter into disjoint output
 //! ranges — which is why the scatter can run fully in parallel without
-//! synchronization.
+//! synchronization. Chunk boundaries depend only on the input length,
+//! so the output is the same at any thread count.
 
 mod scatter;
 
@@ -43,88 +44,21 @@ impl RadixKey for u64 {
 
 const RADIX: usize = 256;
 
-/// Sort `keys` and `values` together by key, ascending and stable.
-/// Serial reference implementation. Returns the digit passes applied;
-/// the other `K::PASSES` passes found every key in one digit bucket and
-/// were skipped as identities (all of them when `n <= 1`).
-// The Vec-based signature is kept deliberately so serial and parallel
-// entry points are drop-in interchangeable.
-#[allow(clippy::ptr_arg)]
-pub fn sort_pairs_serial<K: RadixKey>(keys: &mut Vec<K>, values: &mut Vec<u32>) -> u32 {
-    assert_eq!(keys.len(), values.len());
-    let n = keys.len();
-    if n <= 1 {
-        return 0;
-    }
-    let mut keys_alt = vec![keys[0]; n];
-    let mut vals_alt = vec![0u32; n];
-    let mut applied = 0;
-    for pass in 0..K::PASSES {
-        let (ksrc, kdst, vsrc, vdst) = if applied % 2 == 0 {
-            (&keys[..], &mut keys_alt[..], &values[..], &mut vals_alt[..])
-        } else {
-            (&keys_alt[..], &mut keys[..], &vals_alt[..], &mut values[..])
-        };
-        if sort_pass_serial(ksrc, kdst, vsrc, vdst, pass) {
-            applied += 1;
-        }
-    }
-    if applied % 2 == 1 {
-        keys.copy_from_slice(&keys_alt);
-        values.copy_from_slice(&vals_alt);
-    }
-    applied
-}
-
-/// One serial counting pass; returns false (skipping the copy) when all
-/// keys share the same digit, a common case in high passes of Morton keys.
-fn sort_pass_serial<K: RadixKey>(
-    ksrc: &[K],
-    kdst: &mut [K],
-    vsrc: &[u32],
-    vdst: &mut [u32],
-    pass: u32,
-) -> bool {
-    let mut hist = [0usize; RADIX];
-    for &k in ksrc {
-        hist[k.digit(pass)] += 1;
-    }
-    if hist.contains(&ksrc.len()) {
-        return false; // single digit bucket: pass is the identity
-    }
-    // Exclusive prefix sum.
-    let mut sum = 0usize;
-    let mut offs = [0usize; RADIX];
-    for d in 0..RADIX {
-        offs[d] = sum;
-        sum += hist[d];
-    }
-    for i in 0..ksrc.len() {
-        let d = ksrc[i].digit(pass);
-        let dst = offs[d];
-        offs[d] += 1;
-        kdst[dst] = ksrc[i];
-        vdst[dst] = vsrc[i];
-    }
-    true
-}
-
 /// Chunk length targeted by the parallel sort. Each chunk is the unit of
 /// histogram/scatter parallelism (the analogue of a thread block in CUB).
 const PAR_CHUNK: usize = 1 << 15;
 
-/// Inputs below this size fall back to the serial sort (parallel overhead
-/// dominates).
-const PAR_THRESHOLD: usize = 1 << 14;
-
 /// Sort `keys` and `values` together by key, ascending and stable,
-/// in parallel. Matches `sort_pairs_serial` exactly on any input, and
-/// returns the same count of applied digit passes.
-pub fn sort_pairs<K: RadixKey>(keys: &mut Vec<K>, values: &mut Vec<u32>) -> u32 {
+/// in parallel. Returns the digit passes applied; the other `K::PASSES`
+/// passes found every key in one digit bucket and were skipped as
+/// identities (all of them when `n <= 1`). An input of at most
+/// `PAR_CHUNK` keys is one chunk, which the pool runs inline on the
+/// calling thread.
+pub fn sort_pairs<K: RadixKey>(keys: &mut [K], values: &mut [u32]) -> u32 {
     assert_eq!(keys.len(), values.len());
     let n = keys.len();
-    if n < PAR_THRESHOLD {
-        return sort_pairs_serial(keys, values);
+    if n <= 1 {
+        return 0;
     }
     let n_chunks = n.div_ceil(PAR_CHUNK);
     let mut keys_alt = vec![keys[0]; n];
@@ -200,16 +134,6 @@ pub fn sort_pairs<K: RadixKey>(keys: &mut Vec<K>, values: &mut Vec<u32>) -> u32 
     applied
 }
 
-/// Produce the permutation that sorts `keys` (i.e. `perm[i]` is the index
-/// of the element of `keys` that lands at output position `i`) without
-/// mutating the input.
-pub fn argsort<K: RadixKey>(keys: &[K]) -> Vec<u32> {
-    let mut k = keys.to_vec();
-    let mut perm: Vec<u32> = (0..keys.len() as u32).collect();
-    sort_pairs(&mut k, &mut perm);
-    perm
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,7 +169,7 @@ mod tests {
             let (rk, rv) = reference_sort(&keys, &values);
             let mut k = keys.clone();
             let mut v = values.clone();
-            sort_pairs_serial(&mut k, &mut v);
+            sort_pairs(&mut k, &mut v);
             assert_eq!(k, rk);
             assert_eq!(v, rv);
         }
@@ -295,27 +219,27 @@ mod tests {
         let mut k = keys.clone();
         let mut v = values.clone();
         // Only the three low bytes vary: the other five passes are
-        // identities, skipped by both flavours alike.
+        // identities, and skipped.
         assert_eq!(sort_pairs(&mut k, &mut v), 3);
         assert_eq!(k, rk);
         assert_eq!(v, rv);
-        let (mut k, mut v) = (keys.clone(), values.clone());
-        assert_eq!(sort_pairs_serial(&mut k, &mut v), 3);
-        assert_eq!(k, rk);
     }
 
     #[test]
-    fn argsort_is_consistent_permutation() {
-        let mut rng = StdRng::seed_from_u64(77);
-        let keys: Vec<u32> = (0..10_000).map(|_| rng.random()).collect();
-        let perm = argsort(&keys);
-        let mut seen = vec![false; keys.len()];
-        for &p in &perm {
-            assert!(!seen[p as usize]);
-            seen[p as usize] = true;
-        }
-        for w in perm.windows(2) {
-            assert!(keys[w[0] as usize] <= keys[w[1] as usize]);
+    fn chunk_boundary_matches_reference() {
+        // One chunk, exactly one full chunk, and a full chunk plus a
+        // one-key chunk, each run inline and on the pool.
+        let mut rng = StdRng::seed_from_u64(21);
+        for n in [PAR_CHUNK - 1, PAR_CHUNK, PAR_CHUNK + 1] {
+            let keys: Vec<u64> = (0..n).map(|_| rng.random()).collect();
+            let values: Vec<u32> = (0..n as u32).collect();
+            let (rk, rv) = reference_sort(&keys, &values);
+            for threads in [1, 4] {
+                let (mut k, mut v) = (keys.clone(), values.clone());
+                parallel::with_thread_count(threads, || sort_pairs(&mut k, &mut v));
+                assert_eq!(k, rk, "n = {n}, threads = {threads}");
+                assert_eq!(v, rv, "n = {n}, threads = {threads}");
+            }
         }
     }
 

@@ -13,15 +13,14 @@
 //! rewrites before it reads it is not stored: the node summaries
 //! (`com`/`mass`/`bmax`, refreshed by calcNode every step), the predicted
 //! positions (predict overwrites every entry) and the tree's build events
-//! (read only right after a rebuild). The cell geometry is recomputed
-//! from the stored cube, keys and topology on resume.
+//! (read only right after a rebuild).
 
 use crate::pipeline::RebuildTuner;
 use crate::{Gothic, RunConfig, RunSummary};
 use gpu_model::MakeTreeEvents;
 use nbody::blockstep::BlockSteps;
 use nbody::{Aabb, ParticleSet, Vec3};
-use octree::morton::{octant_at_level, MAX_DEPTH};
+use octree::morton::MAX_DEPTH;
 use octree::Octree;
 use std::io::{self, Read, Write};
 use std::path::Path;
@@ -52,7 +51,7 @@ pub struct Snapshot {
     blocks: BlockSteps,
     /// Leaf capacity the tree was built with.
     leaf_cap: u32,
-    /// Tree topology; the cell geometry and node summaries are empty.
+    /// Tree topology; the node summaries are empty.
     tree: Octree,
     tuner: RebuildTuner,
     steps_since_rebuild: u32,
@@ -89,8 +88,6 @@ impl Snapshot {
                 pcount: t.pcount.clone(),
                 child_start: t.child_start.clone(),
                 child_count: t.child_count.clone(),
-                cell_center: Vec::new(),
-                cell_half: Vec::new(),
                 com: Vec::new(),
                 mass: Vec::new(),
                 bmax: Vec::new(),
@@ -222,8 +219,6 @@ impl Snapshot {
             pcount,
             child_start,
             child_count,
-            cell_center: Vec::new(),
-            cell_half: Vec::new(),
             com: Vec::new(),
             mass: Vec::new(),
             bmax: Vec::new(),
@@ -231,7 +226,6 @@ impl Snapshot {
             events: MakeTreeEvents::default(),
             radix_passes: 0,
         };
-        check_tree_bounds(&tree).map_err(invalid)?;
         tree.check_invariants(leaf_cap).map_err(invalid)?;
 
         let excess = f64::from_le_bytes(read_array(r)?);
@@ -347,79 +341,18 @@ impl Snapshot {
                 ));
             }
         }
-        let mut tree = self.tree;
-        let nodes = tree.n_nodes();
-        tree.com = vec![Vec3::ZERO; nodes];
-        tree.mass = vec![0.0; nodes];
-        tree.bmax = vec![0.0; nodes];
-        fill_cell_geometry(&mut tree);
         Ok(Gothic {
             cfg,
             pred_pos: vec![Vec3::ZERO; self.particles.len()],
             ps: self.particles,
             blocks: self.blocks,
-            tree,
+            tree: self.tree,
             steps_since_rebuild: self.steps_since_rebuild,
             tuner: self.tuner,
             step_count: self.step,
             summary: RunSummary::default(),
         })
     }
-}
-
-/// Recompute the cell centres and half-edges from the cube, keys and
-/// topology with the build's arithmetic (a child sits half its parent's
-/// half-edge from the parent's centre, towards its octant), so they are
-/// bit-identical to the built tree's. Parents precede their children in
-/// the breadth-first node order.
-fn fill_cell_geometry(tree: &mut Octree) {
-    let nodes = tree.n_nodes();
-    tree.cell_center = vec![Vec3::ZERO; nodes];
-    tree.cell_half = vec![0.0; nodes];
-    tree.cell_center[0] = tree.cube.center();
-    tree.cell_half[0] = tree.cube.extent().x * 0.5;
-    for v in 0..nodes {
-        if tree.is_leaf(v) {
-            continue;
-        }
-        let centre = tree.cell_center[v];
-        let half = tree.cell_half[v] * 0.5;
-        for c in tree.children(v) {
-            let oct = octant_at_level(tree.keys[tree.pstart[c] as usize], tree.level[v] as u32);
-            let off = |bit: u32| if oct & bit != 0 { half } else { -half };
-            tree.cell_center[c] = Vec3::new(
-                centre.x + off(0b100),
-                centre.y + off(0b010),
-                centre.z + off(0b001),
-            );
-            tree.cell_half[c] = half;
-        }
-    }
-}
-
-/// Index bounds [`Octree::check_invariants`] relies on: node levels within
-/// the key depth, particle ranges inside the particle arrays, children
-/// after their parent and inside the node array, and `level_start`
-/// spanning every node (so calcNode refreshes them all).
-fn check_tree_bounds(t: &Octree) -> Result<(), String> {
-    let nodes = t.n_nodes();
-    if t.level_start.first() != Some(&0) || t.level_start.last().map(|&l| l as usize) != Some(nodes)
-    {
-        return Err(format!("level_start does not span the {nodes} nodes"));
-    }
-    for v in 0..nodes {
-        if t.level[v] as u32 > MAX_DEPTH {
-            return Err(format!("node {v} deeper than the key depth"));
-        }
-        if t.pstart[v] as u64 + t.pcount[v] as u64 > t.keys.len() as u64 {
-            return Err(format!("node {v} particle range out of bounds"));
-        }
-        let (first, count) = (t.child_start[v] as usize, t.child_count[v] as usize);
-        if !t.is_leaf(v) && (first <= v || count > 8 || first + count > nodes) {
-            return Err(format!("node {v} children out of bounds"));
-        }
-    }
-    Ok(())
 }
 
 fn invalid(msg: impl Into<String>) -> io::Error {
@@ -667,24 +600,6 @@ mod tests {
                 });
             }
         });
-    }
-
-    #[test]
-    fn resume_recomputes_the_built_cell_geometry_bit_for_bit() {
-        let mut sim = crate::Gothic::new(plummer_model(3000, 10.0, 1.0, 14), RunConfig::default());
-        sim.run(3);
-        let resumed = Snapshot::capture(&sim).resume(RunConfig::default());
-        let (built, back) = (sim.tree(), resumed.tree());
-        let bits = |t: &octree::Octree| -> Vec<u32> {
-            t.cell_center
-                .iter()
-                .flat_map(|c| [c.x, c.y, c.z])
-                .chain(t.cell_half.iter().copied())
-                .map(f32::to_bits)
-                .collect()
-        };
-        assert_eq!(bits(built), bits(back));
-        assert_eq!(resumed.tree_age(), sim.tree_age());
     }
 
     #[test]

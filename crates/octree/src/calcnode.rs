@@ -12,13 +12,18 @@ use crate::tree::Octree;
 use gpu_model::CalcNodeEvents;
 use nbody::{Real, Vec3};
 
-/// Fill `tree.com`, `tree.mass`, `tree.bmax`. `pos`/`mass` must be the
-/// Morton-ordered particle arrays the tree was built over. Returns the
-/// event counts for the performance model.
+/// Size `tree.com`, `tree.mass` and `tree.bmax` to the node count and
+/// fill every entry. `pos`/`mass` must be the Morton-ordered particle
+/// arrays the tree was built over. Returns the event counts for the
+/// performance model.
 pub fn calc_node(tree: &mut Octree, pos: &[Vec3], mass: &[Real]) -> CalcNodeEvents {
     assert_eq!(pos.len(), tree.keys.len());
+    let nodes = tree.n_nodes();
+    tree.com.resize(nodes, Vec3::ZERO);
+    tree.mass.resize(nodes, 0.0);
+    tree.bmax.resize(nodes, 0.0);
     let mut events = CalcNodeEvents {
-        nodes: tree.n_nodes() as u64,
+        nodes: nodes as u64,
         child_accumulations: 0,
         levels: tree.n_levels() as u64,
         // One grid barrier after every level pass, plus the initial leaf
@@ -112,6 +117,7 @@ pub fn calc_node(tree: &mut Octree, pos: &[Vec3], mass: &[Real]) -> CalcNodeEven
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::morton::cell_size;
     use crate::tree::{build_tree, BuildConfig};
     use nbody::ParticleSet;
     use prng::prelude::*;
@@ -193,7 +199,7 @@ mod tests {
         // sanity against runaway accumulation.
         let (_, tree, _) = tree_fixture(2500, 5);
         for v in 0..tree.n_nodes() {
-            let diag = tree.cell_half[v] * 2.0 * 3.0f32.sqrt();
+            let diag = cell_size(tree.level[v] as u32, &tree.cube) * 3.0f32.sqrt();
             assert!(tree.bmax[v] <= diag * 1.01, "node {v}");
         }
     }

@@ -18,8 +18,11 @@ pub const NO_CHILD: u32 = u32::MAX;
 /// A breadth-first linear octree over a Morton-sorted particle set.
 ///
 /// All per-node arrays are indexed by node id; node 0 is the root. The
-/// centre-of-mass fields (`com`, `mass`, `bmax`) are filled by
-/// [`crate::calcnode::calc_node`], not by the build.
+/// tree holds only what the walk reads: the topology from the build and
+/// the node summaries (`com`, `mass`, `bmax`) that
+/// [`crate::calcnode::calc_node`] sizes and fills; they stay empty until
+/// its first call. A cell's geometric centre and edge follow from its
+/// first key and level ([`morton::cell_center`], [`morton::cell_size`]).
 #[derive(Clone, Debug)]
 pub struct Octree {
     /// Root cube (cubic AABB enclosing all particles).
@@ -36,10 +39,6 @@ pub struct Octree {
     pub child_start: Vec<u32>,
     /// Number of children (0..=8).
     pub child_count: Vec<u8>,
-    /// Geometric cell centre.
-    pub cell_center: Vec<Vec3>,
-    /// Geometric cell half-edge.
-    pub cell_half: Vec<Real>,
     /// Centre of mass (from `calc_node`).
     pub com: Vec<Vec3>,
     /// Total mass (from `calc_node`).
@@ -89,14 +88,37 @@ impl Octree {
         s..s + self.pcount[node] as usize
     }
 
-    /// Validate structural invariants; used by tests and the property
-    /// suite. Checks that every node's particle range is the exact union
-    /// of its children's, leaves are within capacity (or at max depth),
-    /// and the level layout is breadth-first.
+    /// Validate the tree; `Err` names the first violation. Index bounds
+    /// come first, because the structural checks and calcNode index
+    /// through them: node levels within the key depth, particle ranges
+    /// inside `keys`, children after their parent and inside the node
+    /// array, and `level_start` spanning every node (so calcNode refreshes
+    /// them all). A corrupt tree whose node arrays share one length, as
+    /// the build and the snapshot reader make them, is thus an `Err`,
+    /// never a panic. Then the structure: every node's particle range is
+    /// the exact union of its children's, leaves are within capacity (or
+    /// at max depth), and the level layout is breadth-first.
     pub fn check_invariants(&self, leaf_cap: u32) -> Result<(), String> {
         let n = self.n_nodes();
         if n == 0 {
             return Err("empty tree".into());
+        }
+        if self.level_start.first() != Some(&0)
+            || self.level_start.last().map(|&l| l as usize) != Some(n)
+        {
+            return Err(format!("level_start does not span the {n} nodes"));
+        }
+        for v in 0..n {
+            if self.level[v] as u32 > MAX_DEPTH {
+                return Err(format!("node {v} deeper than the key depth"));
+            }
+            if self.pstart[v] as u64 + self.pcount[v] as u64 > self.keys.len() as u64 {
+                return Err(format!("node {v} particle range out of bounds"));
+            }
+            let (first, count) = (self.child_start[v] as usize, self.child_count[v] as usize);
+            if !self.is_leaf(v) && (first <= v || count > 8 || first + count > n) {
+                return Err(format!("node {v} children out of bounds"));
+            }
         }
         if self.pstart[0] != 0 || self.pcount[0] as usize != self.keys.len() {
             return Err("root does not cover all particles".into());
@@ -202,8 +224,6 @@ pub fn build_tree_with_positions(
         pcount: vec![n],
         child_start: vec![NO_CHILD],
         child_count: vec![0],
-        cell_center: vec![cube.center()],
-        cell_half: vec![cube.extent().x * 0.5],
         com: Vec::new(),
         mass: Vec::new(),
         bmax: Vec::new(),
@@ -257,39 +277,13 @@ pub fn build_tree_with_positions(
             let first = tree.level.len() as u32;
             tree.child_start[vi] = first;
             tree.child_count[vi] = ranges.len() as u8;
-            let parent_center = tree.cell_center[vi];
-            let child_half = tree.cell_half[vi] * 0.5;
             for (ps_, pc) in ranges {
-                let key = tree.keys[ps_ as usize];
-                let oct = morton::octant_at_level(key, level);
-                let cc = Vec3::new(
-                    parent_center.x
-                        + if oct & 0b100 != 0 {
-                            child_half
-                        } else {
-                            -child_half
-                        },
-                    parent_center.y
-                        + if oct & 0b010 != 0 {
-                            child_half
-                        } else {
-                            -child_half
-                        },
-                    parent_center.z
-                        + if oct & 0b001 != 0 {
-                            child_half
-                        } else {
-                            -child_half
-                        },
-                );
                 let id = tree.level.len() as u32;
                 tree.level.push((level + 1) as u8);
                 tree.pstart.push(ps_);
                 tree.pcount.push(pc);
                 tree.child_start.push(NO_CHILD);
                 tree.child_count.push(0);
-                tree.cell_center.push(cc);
-                tree.cell_half.push(child_half);
                 next_frontier.push(id);
             }
         }
@@ -301,12 +295,6 @@ pub fn build_tree_with_positions(
         level += 1;
     }
     tree.events.nodes_created = tree.n_nodes() as u64;
-
-    // Size the COM arrays; calc_node fills them.
-    let n_nodes = tree.n_nodes();
-    tree.com = vec![Vec3::ZERO; n_nodes];
-    tree.mass = vec![0.0; n_nodes];
-    tree.bmax = vec![0.0; n_nodes];
     (tree, perm)
 }
 
@@ -358,10 +346,11 @@ mod tests {
             if !tree.is_leaf(v) {
                 continue;
             }
-            let c = tree.cell_center[v];
+            let depth = tree.level[v] as u32;
+            let c = morton::cell_center(tree.keys[tree.pstart[v] as usize], depth, &tree.cube);
             // Tolerance: cell boundaries are quantised to the Morton
             // lattice, not to exact float positions.
-            let h = tree.cell_half[v] * (1.0 + 1e-4) + 1e-6;
+            let h = morton::cell_size(depth, &tree.cube) * 0.5 * (1.0 + 1e-4) + 1e-6;
             for p in tree.particles(v) {
                 let d = ps.pos[p] - c;
                 assert!(
@@ -370,6 +359,16 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn out_of_range_child_is_an_error_not_a_panic() {
+        let mut ps = random_particles(500, 7);
+        let mut tree = build_tree(&mut ps, &BuildConfig::default());
+        tree.check_invariants(16).unwrap();
+        tree.child_start[0] = tree.n_nodes() as u32 + 1;
+        let err = tree.check_invariants(16).unwrap_err();
+        assert!(err.contains("children out of bounds"), "{err}");
     }
 
     #[test]
