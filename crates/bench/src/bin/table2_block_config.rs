@@ -143,8 +143,6 @@ fn optimum(arch: &GpuArch, m: &FnModel) -> (u32, String, f64) {
 }
 
 fn main() {
-    // Count the interpreter work (syncwarps, shuffles) into the report.
-    telemetry::set_metrics_enabled(true);
     println!("# Table 2 — optimal thread-block configuration per function");
     println!("# cost model: simt-interpreter block makespan / (Ttot x blocks-per-SM)");
     println!();

@@ -11,12 +11,12 @@
 //! per-chunk digit histograms, a global exclusive scan over the
 //! (digit, chunk) grid, then a stable scatter into disjoint output
 //! ranges — which is why the scatter can run fully in parallel without
-//! synchronization. Chunk boundaries depend only on the input length,
-//! so the output is the same at any thread count.
+//! synchronization. The scatter writes through the pool's one
+//! disjoint-write handle, [`parallel::DisjointSlice`]. Chunk boundaries
+//! depend only on the input length, so the output is the same at any
+//! thread count.
 
-mod scatter;
-
-pub use scatter::SyncWriteSlice;
+use parallel::DisjointSlice;
 
 /// Keys usable by the radix sort: fixed-width unsigned integers.
 pub trait RadixKey: Copy + Ord + Send + Sync {
@@ -105,8 +105,8 @@ pub fn sort_pairs<K: RadixKey>(keys: &mut [K], values: &mut [u32]) -> u32 {
         }
 
         // 3. Stable parallel scatter into disjoint ranges.
-        let kout = SyncWriteSlice::new(kdst);
-        let vout = SyncWriteSlice::new(vdst);
+        let kout = DisjointSlice::new(kdst);
+        let vout = DisjointSlice::new(vdst);
         let chunk_offsets = &chunk_offsets;
         parallel::run_chunked(n_chunks, |c| {
             let lo = c * PAR_CHUNK;

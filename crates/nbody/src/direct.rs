@@ -15,7 +15,8 @@ use crate::vec3::{Real, Vec3};
 /// `sources`, summed in source order per sink, so the result does not
 /// depend on the pool's thread count. Returns (acc, pot) vectors.
 pub fn direct_parallel(sinks: &[Vec3], sources: &[Source], eps2: Real) -> (Vec<Vec3>, Vec<Real>) {
-    let results: Vec<(Vec3, Real)> = parallel::par_map(sinks, |&p| {
+    let results: Vec<(Vec3, Real)> = parallel::map_range(0..sinks.len(), |i| {
+        let p = sinks[i];
         let mut a = Vec3::ZERO;
         let mut ph = 0.0;
         for &s in sources {

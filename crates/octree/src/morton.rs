@@ -103,7 +103,7 @@ pub fn cell_size(depth: u32, cube: &Aabb) -> Real {
 /// and order-preserving, so the key vector is bit-identical at any
 /// thread count).
 pub fn morton_keys(pos: &[Vec3], cube: &Aabb) -> Vec<u64> {
-    parallel::par_map(pos, |&p| morton_key(p, cube))
+    parallel::map_range(0..pos.len(), |i| morton_key(pos[i], cube))
 }
 
 #[cfg(test)]

@@ -249,7 +249,8 @@ pub fn build_tree_with_positions(
             .copied()
             .filter(|&v| tree.pcount[v as usize] > cfg.leaf_cap)
             .collect();
-        let splits: Vec<(u32, Vec<(u32, u32)>)> = parallel::par_map(&too_big, |&v| {
+        let splits: Vec<(u32, Vec<(u32, u32)>)> = parallel::map_range(0..too_big.len(), |i| {
+            let v = too_big[i];
             let s = tree.pstart[v as usize] as usize;
             let c = tree.pcount[v as usize] as usize;
             let slice = &tree.keys[s..s + c];

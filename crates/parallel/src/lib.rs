@@ -24,9 +24,17 @@
 //! chunks in any order.
 //!
 //! Thread count: the `GOTHIC_THREADS` environment variable, clamped to
-//! at least 1, else [`std::thread::available_parallelism`]. Tests pin a
-//! count for the current thread (only) with [`with_thread_count`], so
-//! concurrently running tests cannot race on a global.
+//! at least 1, else [`std::thread::available_parallelism`], resolved
+//! once per process. Tests pin a count for the current thread (only)
+//! with [`with_thread_count`], so concurrently running tests cannot race
+//! on a global.
+//!
+//! Disjoint writes: every helper that writes shared output — the
+//! per-item and per-chunk result vectors, the in-place sub-slices, and
+//! `devsort`'s radix scatter — goes through one handle,
+//! [`DisjointSlice`]. Its safety argument is the pool's: each chunk
+//! index is claimed exactly once, so the index ranges the chunks write
+//! are disjoint by construction.
 //!
 //! Observability: every parallel region opens a `"pool"` telemetry span
 //! on the *calling* thread, so in traces it nests under whichever
@@ -34,6 +42,8 @@
 //! the `pool.jobs` / `pool.chunks` / `pool.steals` counters.
 
 use std::cell::Cell;
+use std::marker::PhantomData;
+use std::mem::MaybeUninit;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -41,39 +51,35 @@ use std::sync::OnceLock;
 use telemetry::metrics::counters as ctr;
 
 pub mod pool;
-mod slots;
 
 pub use pool::{Bounded, Job, PushError, Submitter, WorkerPool};
-use slots::SlotWriter;
 
-/// Fixed chunk width for the element-wise helpers ([`par_map`],
-/// [`map_range`], [`for_each_mut`], …). Thread-count-independent by
-/// construction; 1024 elements amortise the per-chunk atomics while
-/// still giving the stealer something to take on skewed workloads.
+/// Fixed chunk width for the element-wise helpers ([`map_range`],
+/// [`for_each_mut`]). Thread-count-independent by construction; 1024
+/// elements amortise the per-chunk atomics while still giving the
+/// stealer something to take on skewed workloads.
 pub const DEFAULT_CHUNK: usize = 1024;
 
 thread_local! {
     static OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
-fn env_threads() -> usize {
-    static ENV: OnceLock<Option<usize>> = OnceLock::new();
-    let parsed = *ENV.get_or_init(|| {
+/// The process-wide worker count: `GOTHIC_THREADS`, else the host's
+/// available parallelism, read once.
+fn default_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
         std::env::var("GOTHIC_THREADS")
             .ok()
             .and_then(|v| v.trim().parse::<usize>().ok())
             .map(|n| n.max(1))
-    });
-    parsed.unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
     })
 }
 
 /// The worker count a parallel region started now would use.
 pub fn current_threads() -> usize {
-    OVERRIDE.with(|o| o.get()).unwrap_or_else(env_threads)
+    OVERRIDE.with(|o| o.get()).unwrap_or_else(default_threads)
 }
 
 /// Run `f` with the pool pinned to `n` threads **on this thread only**.
@@ -92,6 +98,61 @@ pub fn with_thread_count<T>(n: usize, f: impl FnOnce() -> T) -> T {
     let prev = OVERRIDE.with(|o| o.replace(Some(n.max(1))));
     let _restore = Restore(prev);
     f()
+}
+
+/// A mutable slice that pool workers write concurrently, each at
+/// indices no other worker touches — the one disjoint-write handle of
+/// the workspace.
+///
+/// The handle borrows the slice mutably for its whole life, so nothing
+/// else reads it until every writer is done. Disjointness itself is the
+/// caller's proof, stated at each `unsafe` call: a chunk claimed once by
+/// [`run_chunked`] owns its index range, and the radix sort's exclusive
+/// scan gives each (digit, chunk) cell its own output range.
+pub struct DisjointSlice<'a, T> {
+    ptr: *mut T,
+    len: usize,
+    _borrow: PhantomData<&'a mut [T]>,
+}
+
+// SAFETY: `ptr` and `len` are never changed after `new`, and shared use
+// reaches the elements only through the `unsafe` methods below, whose
+// callers guarantee that no element is accessed from two threads.
+// Writing and dropping `T`s from other threads needs `T: Send`.
+unsafe impl<T: Send> Sync for DisjointSlice<'_, T> {}
+
+impl<'a, T> DisjointSlice<'a, T> {
+    /// Wrap `slice` for disjoint concurrent writes.
+    pub fn new(slice: &'a mut [T]) -> Self {
+        DisjointSlice {
+            ptr: slice.as_mut_ptr(),
+            len: slice.len(),
+            _borrow: PhantomData,
+        }
+    }
+
+    /// Store `value` at index `i`, dropping the old element.
+    ///
+    /// # Safety
+    /// `i` is in bounds, and no other access to element `i`, on any
+    /// thread, overlaps this call.
+    #[inline(always)]
+    pub unsafe fn write(&self, i: usize, value: T) {
+        debug_assert!(i < self.len);
+        *self.ptr.add(i) = value;
+    }
+
+    /// The elements in `range`, mutably.
+    ///
+    /// # Safety
+    /// `range` is in bounds, and no other access to its elements, on any
+    /// thread, overlaps the returned slice's life.
+    #[inline]
+    #[allow(clippy::mut_from_ref)] // disjointness is the caller's proof
+    pub unsafe fn slice(&self, range: Range<usize>) -> &mut [T] {
+        debug_assert!(range.start <= range.end && range.end <= self.len);
+        std::slice::from_raw_parts_mut(self.ptr.add(range.start), range.end - range.start)
+    }
 }
 
 /// One worker's contiguous sub-range of chunk indices, drained through
@@ -127,6 +188,7 @@ impl Queue {
 /// This is the pool's core primitive; the typed helpers below build
 /// their determinism guarantees on top of it. `body` runs on the
 /// calling thread and on scoped workers; execution order is arbitrary.
+/// A panic in `body` reaches the caller once every worker has joined.
 pub fn run_chunked(n_chunks: usize, body: impl Fn(usize) + Sync) {
     let threads = current_threads().min(n_chunks.max(1));
     if threads <= 1 || n_chunks <= 1 {
@@ -191,6 +253,34 @@ pub fn run_chunked(n_chunks: usize, body: impl Fn(usize) + Sync) {
     });
 }
 
+/// Run `f(lo, part)` on the pool for every `chunk`-wide part
+/// `items[lo..lo + chunk]` (the last one may be shorter).
+fn for_each_part<T: Send>(items: &mut [T], chunk: usize, f: impl Fn(usize, &mut [T]) + Sync) {
+    let n = items.len();
+    let items = DisjointSlice::new(items);
+    run_chunked(n.div_ceil(chunk), |ci| {
+        let lo = ci * chunk;
+        // SAFETY: chunk ranges are disjoint and each chunk index is
+        // claimed exactly once.
+        f(lo, unsafe { items.slice(lo..(lo + chunk).min(n)) });
+    });
+}
+
+/// A `len`-element vector whose `chunk`-wide parts are filled on the
+/// pool by `fill(lo, part)`, which must initialise all of `part`.
+fn collect_parts<U: Send>(
+    len: usize,
+    chunk: usize,
+    fill: impl Fn(usize, &mut [MaybeUninit<U>]) + Sync,
+) -> Vec<U> {
+    let mut out = Vec::with_capacity(len);
+    for_each_part(&mut out.spare_capacity_mut()[..len], chunk, fill);
+    // SAFETY: every part was filled. A panic in `fill` unwinds past this
+    // line, so a partly written vector never escapes: it drops empty.
+    unsafe { out.set_len(len) };
+    out
+}
+
 /// Map `f` over fixed-size chunks of `items`, returning one result per
 /// chunk **in chunk order**. `f` receives the chunk index and slice.
 ///
@@ -203,17 +293,12 @@ where
     F: Fn(usize, &[T]) -> U + Sync,
 {
     assert!(chunk > 0, "chunk size must be positive");
-    let n_chunks = items.len().div_ceil(chunk);
-    let out = SlotWriter::new(n_chunks);
-    run_chunked(n_chunks, |ci| {
+    // Parts one wide: part `ci` is the result slot of chunk `ci`.
+    collect_parts(items.len().div_ceil(chunk), 1, |ci, slot| {
         let lo = ci * chunk;
         let hi = (lo + chunk).min(items.len());
-        // Safety: each chunk index is claimed exactly once, so slot
-        // `ci` is written exactly once and never read concurrently.
-        unsafe { out.write(ci, f(ci, &items[lo..hi])) };
-    });
-    // Safety: run_chunked returns only after every chunk ran.
-    unsafe { out.into_vec() }
+        slot[0].write(f(ci, &items[lo..hi]));
+    })
 }
 
 /// [`map_chunks`] with in-place per-item output: chunk `ci` also gets the
@@ -244,47 +329,19 @@ where
         items.len(),
         "map_chunks_mut2 output b must match items"
     );
-    let pa = slots::SendPtr(a.as_mut_ptr());
-    let pb = slots::SendPtr(b.as_mut_ptr());
+    let (a, b) = (DisjointSlice::new(a), DisjointSlice::new(b));
     map_chunks(items, chunk, |ci, part| {
-        let (pa, pb) = (&pa, &pb);
-        let lo = ci * chunk;
-        // SAFETY: `part` is items[lo..lo + part.len()], inside both
-        // outputs (equal lengths, asserted above); chunk ranges are
-        // disjoint and each is claimed once, so the two &muts are unique.
-        let (a, b) = unsafe {
-            (
-                std::slice::from_raw_parts_mut(pa.0.add(lo), part.len()),
-                std::slice::from_raw_parts_mut(pb.0.add(lo), part.len()),
-            )
-        };
+        let range = ci * chunk..ci * chunk + part.len();
+        // SAFETY: `range` is the chunk's own range of `items`, inside
+        // both outputs (equal lengths, asserted above); chunk ranges are
+        // disjoint and each is claimed once.
+        let (a, b) = unsafe { (a.slice(range.clone()), b.slice(range)) };
         f(ci, part, a, b)
     })
 }
 
-/// Parallel element-wise map preserving order: `items.iter().map(f)`,
-/// chunked at [`DEFAULT_CHUNK`]. Deterministic at any thread count.
-pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    let n = items.len();
-    let out = SlotWriter::new(n);
-    run_chunked(n.div_ceil(DEFAULT_CHUNK), |ci| {
-        let lo = ci * DEFAULT_CHUNK;
-        let hi = (lo + DEFAULT_CHUNK).min(n);
-        for (i, item) in items.iter().enumerate().take(hi).skip(lo) {
-            // Safety: chunks are disjoint → each slot written once.
-            unsafe { out.write(i, f(item)) };
-        }
-    });
-    // Safety: all chunks complete before run_chunked returns.
-    unsafe { out.into_vec() }
-}
-
-/// Parallel map over an index range, preserving order.
+/// Parallel map over an index range, preserving order, chunked at
+/// [`DEFAULT_CHUNK`]. Deterministic at any thread count.
 pub fn map_range<U, F>(range: Range<usize>, f: F) -> Vec<U>
 where
     U: Send,
@@ -292,17 +349,11 @@ where
 {
     let base = range.start;
     let n = range.end.saturating_sub(base);
-    let out = SlotWriter::new(n);
-    run_chunked(n.div_ceil(DEFAULT_CHUNK), |ci| {
-        let lo = ci * DEFAULT_CHUNK;
-        let hi = (lo + DEFAULT_CHUNK).min(n);
-        for i in lo..hi {
-            // Safety: chunks are disjoint → each slot written once.
-            unsafe { out.write(i, f(base + i)) };
+    collect_parts(n, DEFAULT_CHUNK, |lo, part| {
+        for (k, slot) in part.iter_mut().enumerate() {
+            slot.write(f(base + lo + k));
         }
-    });
-    // Safety: all chunks complete before run_chunked returns.
-    unsafe { out.into_vec() }
+    })
 }
 
 /// Parallel in-place update: `f(i, &mut items[i])` for every index.
@@ -311,15 +362,9 @@ where
     T: Send,
     F: Fn(usize, &mut T) + Sync,
 {
-    let n = items.len();
-    let base = slots::SendPtr(items.as_mut_ptr());
-    run_chunked(n.div_ceil(DEFAULT_CHUNK), |ci| {
-        let lo = ci * DEFAULT_CHUNK;
-        let hi = (lo + DEFAULT_CHUNK).min(n);
-        let base = &base;
-        for i in lo..hi {
-            // Safety: chunks are disjoint, so &mut items[i] is unique.
-            f(i, unsafe { &mut *base.0.add(i) });
+    for_each_part(items, DEFAULT_CHUNK, |lo, part| {
+        for (k, x) in part.iter_mut().enumerate() {
+            f(lo + k, x);
         }
     });
 }
@@ -330,13 +375,79 @@ mod tests {
     use telemetry::sink::{TraceFormat, TraceTo};
 
     #[test]
-    fn par_map_matches_serial_at_every_thread_count() {
+    fn map_range_matches_serial_at_every_thread_count() {
         let items: Vec<u64> = (0..10_000).collect();
         let serial: Vec<u64> = items.iter().map(|&x| x.wrapping_mul(x) ^ 0xABCD).collect();
         for threads in [1, 2, 4, 8] {
-            let got =
-                with_thread_count(threads, || par_map(&items, |&x| x.wrapping_mul(x) ^ 0xABCD));
+            let got = with_thread_count(threads, || {
+                map_range(0..items.len(), |i| items[i].wrapping_mul(items[i]) ^ 0xABCD)
+            });
             assert_eq!(got, serial, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn disjoint_parallel_writes_land() {
+        let mut data = vec![0u32; 10_000];
+        {
+            let w = DisjointSlice::new(&mut data);
+            with_thread_count(4, || {
+                // SAFETY: each index is its own chunk, claimed once.
+                run_chunked(10_000, |i| unsafe { w.write(i, i as u32 * 2) })
+            });
+        }
+        for (i, &v) in data.iter().enumerate() {
+            assert_eq!(v, i as u32 * 2);
+        }
+    }
+
+    #[test]
+    fn a_panicking_body_reaches_the_caller_and_the_pool_recovers() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        // A body that panics in the middle of chunk 3 of 5.
+        let boom = |i: usize| {
+            assert!(i != 3 * DEFAULT_CHUNK + 17, "boom at {i}");
+            i
+        };
+        let n = 5 * DEFAULT_CHUNK;
+        for threads in [1, 4] {
+            // On a spawned worker the panic resurfaces as the scope's own
+            // "a scoped thread panicked", so only its arrival is checked.
+            let caught = |f: &dyn Fn()| {
+                catch_unwind(AssertUnwindSafe(|| with_thread_count(threads, f)))
+                    .expect_err("the body's panic must reach the caller");
+            };
+            caught(&|| drop(map_range(0..n, boom)));
+            let mut v = vec![0usize; n];
+            caught(&|| for_each_mut(&mut v.clone(), |i, x| *x = boom(i)));
+            let (mut a, mut b) = (vec![0usize; n], vec![0u8; n]);
+            caught(&|| {
+                let (mut a, mut b) = (a.clone(), b.clone());
+                map_chunks_mut2(&v, 512, &mut a, &mut b, |ci, part, a, _| {
+                    for (k, x) in a.iter_mut().enumerate() {
+                        *x = boom(ci * 512 + k);
+                    }
+                    part.len()
+                });
+            });
+
+            // A following region on the same thread runs normally.
+            let got = with_thread_count(threads, || map_range(0..n, |i| i * 3));
+            assert!(got.iter().enumerate().all(|(i, &x)| x == i * 3));
+            with_thread_count(threads, || for_each_mut(&mut v, |i, x| *x = i + 1));
+            assert!(v.iter().enumerate().all(|(i, &x)| x == i + 1));
+            let lens = with_thread_count(threads, || {
+                map_chunks_mut2(&v, 512, &mut a, &mut b, |_, part, a, b| {
+                    a.copy_from_slice(part);
+                    b.fill(1);
+                    part.len()
+                })
+            });
+            assert_eq!(lens.iter().sum::<usize>(), n);
+            assert_eq!(
+                (a.as_slice(), b.iter().all(|&x| x == 1)),
+                (v.as_slice(), true)
+            );
         }
     }
 
@@ -406,9 +517,8 @@ mod tests {
     #[test]
     fn empty_and_tiny_inputs_work() {
         let empty: Vec<u8> = vec![];
-        assert!(par_map(&empty, |&x| x).is_empty());
         assert!(map_chunks(&empty, 8, |_, c: &[u8]| c.len()).is_empty());
-        assert_eq!(with_thread_count(8, || par_map(&[7u8], |&x| x)), vec![7]);
+        assert_eq!(with_thread_count(8, || map_range(7..8, |i| i)), vec![7]);
         assert_eq!(map_range(5..5, |i| i), Vec::<usize>::new());
     }
 

@@ -355,16 +355,15 @@ fn serve_request_inner(line: &str, shared: &Shared, submitter: &Submitter) -> St
             o.finish()
         }
         Request::Predict(job) => {
-            let payload = jobs::run_predict(&job);
-            let mut o = base_response(&id, "predict", true);
-            o.raw("result", &payload);
-            complete(shared);
-            o.finish()
+            result_response(shared, &id, "predict", None, &jobs::run_predict(&job))
         }
         Request::Racecheck { mode } => {
-            run_on_pool(submitter, shared, &id, "racecheck", move |_token| {
+            match run_on_pool(submitter, shared, &id, CancelToken::new(), move |_token| {
                 Ok(jobs::run_racecheck(mode))
-            })
+            }) {
+                Ok(payload) => result_response(shared, &id, "racecheck", None, &payload),
+                Err(response) => response,
+            }
         }
         Request::Simulate(job) => serve_simulate(shared, submitter, &id, job),
     }
@@ -375,72 +374,80 @@ fn complete(shared: &Shared) {
     ctr::SERVER_COMPLETED.add(1);
 }
 
-/// Submit a closure to the worker pool and wait for its result; a full
-/// queue is an immediate `busy`, a draining pool an immediate `draining`.
+/// The completed `ok` response carrying a job's `result` payload;
+/// simulate responses also say whether the cache served it.
+fn result_response(
+    shared: &Shared,
+    id: &Option<String>,
+    request: &str,
+    cached: Option<bool>,
+    payload: &str,
+) -> String {
+    let mut o = base_response(id, request, true);
+    if let Some(cached) = cached {
+        o.bool("cached", cached);
+    }
+    o.raw("result", payload);
+    complete(shared);
+    o.finish()
+}
+
+/// Submit `work` to the worker pool with `token` and wait for its
+/// payload. A full queue is an immediate `busy`, a draining pool an
+/// immediate `draining`; those and a failed job come back as `Err` with
+/// the finished error response line.
 fn run_on_pool<F>(
     submitter: &Submitter,
     shared: &Shared,
     id: &Option<String>,
-    request: &str,
+    token: CancelToken,
     work: F,
-) -> String
+) -> Result<String, String>
 where
     F: FnOnce(&CancelToken) -> Result<String, JobError> + Send + 'static,
 {
     let (tx, rx) = mpsc::channel::<Result<String, JobError>>();
-    let token = CancelToken::new();
-    let job_token = token.clone();
     let submitted = submitter.try_submit(Box::new(move || {
-        let _ = tx.send(work(&job_token));
+        let _ = tx.send(work(&token));
     }));
     match submitted {
         Err(PushError::Full(_)) => {
             shared.stats.rejected_busy.fetch_add(1, Ordering::Relaxed);
             ctr::SERVER_REJECTED_BUSY.add(1);
-            error_response(id.as_deref(), "busy")
+            Err(error_response(id.as_deref(), "busy"))
         }
-        Err(PushError::Closed(_)) => error_response(id.as_deref(), "draining"),
+        Err(PushError::Closed(_)) => Err(error_response(id.as_deref(), "draining")),
         Ok(()) => match rx.recv() {
-            Ok(Ok(payload)) => {
-                let mut o = base_response(id, request, true);
-                o.raw("result", &payload);
-                complete(shared);
-                o.finish()
-            }
-            Ok(Err(e)) => job_error_response(shared, id, e),
-            Err(_) => error_response(id.as_deref(), "internal: worker dropped the job"),
+            Ok(Ok(payload)) => Ok(payload),
+            Ok(Err(e)) => Err(job_error_response(shared, id, e)),
+            Err(_) => Err(error_response(
+                id.as_deref(),
+                "internal: worker dropped the job",
+            )),
         },
     }
 }
 
 fn job_error_response(shared: &Shared, id: &Option<String>, e: JobError) -> String {
-    match e {
+    let (error, steps_done) = match e {
         JobError::DeadlineExceeded { steps_done } => {
             shared
                 .stats
                 .deadline_exceeded
                 .fetch_add(1, Ordering::Relaxed);
             ctr::SERVER_DEADLINE_EXCEEDED.add(1);
-            let mut o = JsonObject::new();
-            if let Some(id) = id {
-                o.str("id", id);
-            }
-            o.bool("ok", false)
-                .str("error", "deadline_exceeded")
-                .u64("steps_done", steps_done);
-            o.finish()
+            ("deadline_exceeded", steps_done)
         }
-        JobError::Cancelled { steps_done } => {
-            let mut o = JsonObject::new();
-            if let Some(id) = id {
-                o.str("id", id);
-            }
-            o.bool("ok", false)
-                .str("error", "cancelled")
-                .u64("steps_done", steps_done);
-            o.finish()
-        }
+        JobError::Cancelled { steps_done } => ("cancelled", steps_done),
+    };
+    let mut o = JsonObject::new();
+    if let Some(id) = id {
+        o.str("id", id);
     }
+    o.bool("ok", false)
+        .str("error", error)
+        .u64("steps_done", steps_done);
+    o.finish()
 }
 
 fn serve_simulate(
@@ -458,49 +465,30 @@ fn serve_simulate(
         if let Some(payload) = hit {
             shared.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
             ctr::SERVER_CACHE_HITS.add(1);
-            let mut o = base_response(id, "simulate", true);
-            o.bool("cached", true).raw("result", &payload);
-            complete(shared);
-            return o.finish();
+            return result_response(shared, id, "simulate", Some(true), &payload);
         }
     }
 
     let deadline_ms = job.deadline_ms.unwrap_or(shared.default_deadline_ms);
-    let (tx, rx) = mpsc::channel::<Result<String, JobError>>();
-    let run_job = job.clone();
     let token = if deadline_ms > 0 {
         CancelToken::with_deadline(Duration::from_millis(deadline_ms))
     } else {
         CancelToken::new()
     };
-    let job_token = token.clone();
-    let submitted = submitter.try_submit(Box::new(move || {
+    let cache = job.cache;
+    let payload = match run_on_pool(submitter, shared, id, token, move |token| {
         let _span = telemetry::span("serve.simulate");
-        let _ = tx.send(jobs::run_simulate(&run_job, &job_token));
-    }));
-    match submitted {
-        Err(PushError::Full(_)) => {
-            shared.stats.rejected_busy.fetch_add(1, Ordering::Relaxed);
-            ctr::SERVER_REJECTED_BUSY.add(1);
-            error_response(id.as_deref(), "busy")
-        }
-        Err(PushError::Closed(_)) => error_response(id.as_deref(), "draining"),
-        Ok(()) => match rx.recv() {
-            Ok(Ok(payload)) => {
-                if job.cache {
-                    shared
-                        .cache
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .insert(digest, payload.clone());
-                }
-                let mut o = base_response(id, "simulate", true);
-                o.bool("cached", false).raw("result", &payload);
-                complete(shared);
-                o.finish()
-            }
-            Ok(Err(e)) => job_error_response(shared, id, e),
-            Err(_) => error_response(id.as_deref(), "internal: worker dropped the job"),
-        },
+        jobs::run_simulate(&job, token)
+    }) {
+        Ok(payload) => payload,
+        Err(response) => return response,
+    };
+    if cache {
+        shared
+            .cache
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .insert(digest, payload.clone());
     }
+    result_response(shared, id, "simulate", Some(false), &payload)
 }

@@ -8,7 +8,8 @@ use gothic::gpu_model::{
 };
 use gothic::{price_step, Function, Gothic, RunConfig, StepEvents};
 
-/// Run a short M31 simulation and return the mean per-step events.
+/// Run a short M31 simulation and return its events summed over `steps`
+/// steps after a warm-up.
 fn measured_events(n: usize, delta_acc: f32, steps: u64) -> StepEvents {
     let ps = M31Model::paper_model().sample(n, 77);
     let mut sim = Gothic::new(ps, RunConfig::with_delta_acc(delta_acc));
@@ -18,7 +19,6 @@ fn measured_events(n: usize, delta_acc: f32, steps: u64) -> StepEvents {
     }
     // Accumulate into a single event record (counts add; make amortised).
     let mut acc = StepEvents::default();
-    let mut makes = 0;
     for _ in 0..steps {
         let r = sim.step();
         acc.walk.merge(&r.events.walk);
@@ -28,10 +28,8 @@ fn measured_events(n: usize, delta_acc: f32, steps: u64) -> StepEvents {
         if let Some(m) = r.events.make {
             let slot = acc.make.get_or_insert_with(Default::default);
             slot.merge(&m);
-            makes += 1;
         }
     }
-    let _ = makes;
     acc
 }
 
