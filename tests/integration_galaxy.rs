@@ -125,3 +125,19 @@ fn half_mass_radius(sim: &gothic::Gothic) -> f64 {
     radii.sort_by(|a, b| a.total_cmp(b));
     radii[radii.len() / 2]
 }
+
+/// The sampler's realization, bit for bit: FNV-1a over each particle's
+/// `pos.xyz, vel.xyz, mass` as little-endian f32, in index order. Every
+/// pipeline digest starts from these initial conditions.
+#[test]
+fn m31_realization_is_pinned() {
+    let ps = M31Model::paper_model().sample(131_072, 20_190_807);
+    let mut bytes = Vec::with_capacity(ps.len() * 7 * 4);
+    for i in 0..ps.len() {
+        let (p, v) = (ps.pos[i], ps.vel[i]);
+        for x in [p.x, p.y, p.z, v.x, v.y, v.z, ps.mass[i]] {
+            bytes.extend_from_slice(&x.to_le_bytes());
+        }
+    }
+    assert_eq!(gothic::fnv1a64(&bytes), 0x7929_2d4a_3fea_560b);
+}
