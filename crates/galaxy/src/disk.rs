@@ -159,10 +159,6 @@ impl SphericalProfile for DiskAsSpherical {
         self.0.enclosed_mass_2d(r)
     }
 
-    fn total_mass(&self) -> f64 {
-        self.0.enclosed_mass_2d(self.0.rt)
-    }
-
     fn r_max(&self) -> f64 {
         self.0.rt
     }

@@ -85,25 +85,26 @@ impl CompositePotential {
         if r >= self.r[n - 1] {
             return self.mass[n - 1] / r;
         }
-        let i = self.r.partition_point(|&x| x < r).min(n - 1).max(1);
-        let (r0, r1) = (self.r[i - 1], self.r[i]);
-        let t = (r - r0) / (r1 - r0);
-        self.psi[i - 1] * (1.0 - t) + self.psi[i] * t
+        lerp(&self.r, &self.psi, r)
     }
 
     /// Circular velocity at radius `r` from the enclosed mass.
     pub fn v_circ(&self, r: f64) -> f64 {
         let n = self.r.len();
-        let m = if r >= self.r[n - 1] {
-            self.mass[n - 1]
-        } else {
-            let i = self.r.partition_point(|&x| x < r).min(n - 1).max(1);
-            let (r0, r1) = (self.r[i - 1], self.r[i]);
-            let t = ((r - r0) / (r1 - r0)).clamp(0.0, 1.0);
-            self.mass[i - 1] * (1.0 - t) + self.mass[i] * t
-        };
+        let m = lerp(&self.r, &self.mass, r.clamp(self.r[0], self.r[n - 1]));
         (m / r.max(1e-12)).sqrt()
     }
+}
+
+/// Linear interpolation of the table `ys` over the ascending grid `xs`
+/// at `x`. Outside the grid it extends the first or last segment; a
+/// zero-width segment (a flat stretch of an enclosed-mass table) answers
+/// its midpoint. Callers that want another edge rule apply it first.
+fn lerp(xs: &[f64], ys: &[f64], x: f64) -> f64 {
+    let i = xs.partition_point(|&v| v < x).clamp(1, xs.len() - 1);
+    let (x0, x1) = (xs[i - 1], xs[i]);
+    let t = if x1 > x0 { (x - x0) / (x1 - x0) } else { 0.5 };
+    ys[i - 1] * (1.0 - t) + ys[i] * t
 }
 
 /// Tabulated ergodic distribution function of one component.
@@ -125,10 +126,7 @@ impl EddingtonDf {
         if e >= self.e[n - 1] {
             return self.f[n - 1];
         }
-        let i = self.e.partition_point(|&x| x < e).min(n - 1).max(1);
-        let (e0, e1) = (self.e[i - 1], self.e[i]);
-        let t = (e - e0) / (e1 - e0);
-        self.f[i - 1] * (1.0 - t) + self.f[i] * t
+        lerp(&self.e, &self.f, e)
     }
 }
 
@@ -163,19 +161,7 @@ pub fn eddington_df(component: &dyn SphericalProfile, pot: &CompositePotential) 
     let e_grid: Vec<f64> = psi.iter().rev().copied().collect();
     let d2_by_e: Vec<f64> = d2.iter().rev().copied().collect();
 
-    let interp_d2 = |e: f64| -> f64 {
-        let m = e_grid.len();
-        if e <= e_grid[0] {
-            return d2_by_e[0];
-        }
-        if e >= e_grid[m - 1] {
-            return d2_by_e[m - 1];
-        }
-        let i = e_grid.partition_point(|&x| x < e).min(m - 1).max(1);
-        let (e0, e1) = (e_grid[i - 1], e_grid[i]);
-        let t = (e - e0) / (e1 - e0);
-        d2_by_e[i - 1] * (1.0 - t) + d2_by_e[i] * t
-    };
+    let interp_d2 = |e: f64| lerp(&e_grid, &d2_by_e, e.clamp(e_grid[0], e_grid[n - 1]));
 
     // Boundary term uses dρ/dψ at the outer edge (ψ → ψ_min ≈ 0 of the
     // truncated system).
@@ -220,13 +206,7 @@ pub fn sample_component<R: Rng>(
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         // Radius.
-        let u = rng.random::<f64>() * m_tot;
-        let i = m_comp
-            .partition_point(|&m| m < u)
-            .clamp(1, grid_r.len() - 1);
-        let (m0, m1) = (m_comp[i - 1], m_comp[i]);
-        let t = if m1 > m0 { (u - m0) / (m1 - m0) } else { 0.5 };
-        let r = grid_r[i - 1] * (1.0 - t) + grid_r[i] * t;
+        let r = lerp(&m_comp, grid_r, rng.random::<f64>() * m_tot);
 
         // Isotropic direction.
         let cos_t: f64 = rng.random::<f64>() * 2.0 - 1.0;

@@ -14,12 +14,14 @@ pub trait SphericalProfile {
     fn density(&self, r: f64) -> f64;
     /// Mass enclosed within `r`.
     fn enclosed_mass(&self, r: f64) -> f64;
-    /// Total mass (within the truncation radius).
-    fn total_mass(&self) -> f64;
     /// Truncation radius (sampling draws r within it).
     fn r_max(&self) -> f64;
     /// Characteristic scale length (used for grid construction).
     fn scale_length(&self) -> f64;
+    /// Total mass (within the truncation radius).
+    fn total_mass(&self) -> f64 {
+        self.enclosed_mass(self.r_max())
+    }
 }
 
 /// Navarro–Frenk–White halo with an exponentially tapered truncation:
@@ -115,10 +117,6 @@ impl SphericalProfile for Nfw {
         }
     }
 
-    fn total_mass(&self) -> f64 {
-        self.enclosed_mass(self.r_max())
-    }
-
     fn r_max(&self) -> f64 {
         self.rt + 8.0 * self.taper_width()
     }
@@ -162,10 +160,6 @@ impl SphericalProfile for Hernquist {
     fn enclosed_mass(&self, r: f64) -> f64 {
         let r = r.min(self.rt);
         self.mass * r * r / ((r + self.a) * (r + self.a))
-    }
-
-    fn total_mass(&self) -> f64 {
-        self.enclosed_mass(self.rt)
     }
 
     fn r_max(&self) -> f64 {
@@ -258,6 +252,8 @@ impl SphericalProfile for Sersic {
         self.rho_scale * self.raw_mass(r)
     }
 
+    /// The normalisation itself, which `enclosed_mass(rt)` may miss in the
+    /// last bit; the sampler's radius draws scale with it.
     fn total_mass(&self) -> f64 {
         self.mass
     }
@@ -295,10 +291,6 @@ impl SphericalProfile for Plummer {
         let r = r.min(self.rt);
         let x = r / self.a;
         self.mass * x.powi(3) * (1.0 + x * x).powf(-1.5)
-    }
-
-    fn total_mass(&self) -> f64 {
-        self.enclosed_mass(self.rt)
     }
 
     fn r_max(&self) -> f64 {

@@ -75,44 +75,6 @@ impl OpCounts {
         self.ld_bytes + self.st_bytes
     }
 
-    /// Serialize as a JSON object (hand-rolled via `telemetry::json`; the
-    /// workspace has no serde) — the op-mix snapshot format of the bench
-    /// reports.
-    pub fn to_json(&self) -> String {
-        let mut o = telemetry::json::JsonObject::new();
-        o.u64("int_ops", self.int_ops);
-        o.u64("fp_fma", self.fp_fma);
-        o.u64("fp_mul", self.fp_mul);
-        o.u64("fp_add", self.fp_add);
-        o.u64("fp_special", self.fp_special);
-        o.u64("ld_bytes", self.ld_bytes);
-        o.u64("st_bytes", self.st_bytes);
-        o.u64("sync_warp", self.sync_warp);
-        o.u64("sync_block", self.sync_block);
-        o.u64("sync_grid", self.sync_grid);
-        o.u64("serial_rounds", self.serial_rounds);
-        o.u64("launch_units", self.launch_units);
-        o.finish()
-    }
-
-    /// Parse the object form produced by [`OpCounts::to_json`].
-    pub fn from_json(v: &telemetry::json::Value) -> Option<OpCounts> {
-        Some(OpCounts {
-            int_ops: v.get("int_ops")?.as_u64()?,
-            fp_fma: v.get("fp_fma")?.as_u64()?,
-            fp_mul: v.get("fp_mul")?.as_u64()?,
-            fp_add: v.get("fp_add")?.as_u64()?,
-            fp_special: v.get("fp_special")?.as_u64()?,
-            ld_bytes: v.get("ld_bytes")?.as_u64()?,
-            st_bytes: v.get("st_bytes")?.as_u64()?,
-            sync_warp: v.get("sync_warp")?.as_u64()?,
-            sync_block: v.get("sync_block")?.as_u64()?,
-            sync_grid: v.get("sync_grid")?.as_u64()?,
-            serial_rounds: v.get("serial_rounds")?.as_u64()?,
-            launch_units: v.get("launch_units")?.as_u64()?,
-        })
-    }
-
     /// Scale every counter by `k` (e.g. per-event mix × event count).
     pub fn scaled(&self, k: u64) -> OpCounts {
         OpCounts {

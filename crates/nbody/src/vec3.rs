@@ -279,32 +279,6 @@ impl Aabb {
     }
 }
 
-/// JSON round-trip for diagnostics and snapshot sidecars (the in-tree
-/// `telemetry::json` writer — the workspace has no serde).
-impl Vec3 {
-    /// Compact array form `[x,y,z]`.
-    pub fn to_json(&self) -> String {
-        telemetry::json::array(&[
-            telemetry::json::number(self.x as f64),
-            telemetry::json::number(self.y as f64),
-            telemetry::json::number(self.z as f64),
-        ])
-    }
-
-    /// Parse the `[x,y,z]` form produced by [`Vec3::to_json`].
-    pub fn from_json(v: &telemetry::json::Value) -> Option<Vec3> {
-        let arr = v.as_arr()?;
-        if arr.len() != 3 {
-            return None;
-        }
-        Some(Vec3::new(
-            arr[0].as_f64()? as Real,
-            arr[1].as_f64()? as Real,
-            arr[2].as_f64()? as Real,
-        ))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -389,16 +363,5 @@ mod tests {
     fn from_points_empty_is_empty() {
         let b = Aabb::from_points(&[]);
         assert!(b.min.x > b.max.x);
-    }
-
-    #[test]
-    fn vec3_json_round_trips() {
-        let v = Vec3::new(1.5, -2.25, 3.0e-3);
-        let parsed = telemetry::json::parse(&v.to_json()).unwrap();
-        let back = Vec3::from_json(&parsed).unwrap();
-        assert!((back - v).norm() < 1e-7);
-        // Malformed shapes are rejected, not mis-read.
-        assert!(Vec3::from_json(&telemetry::json::parse("[1,2]").unwrap()).is_none());
-        assert!(Vec3::from_json(&telemetry::json::parse("{}").unwrap()).is_none());
     }
 }

@@ -128,19 +128,6 @@ impl JsonObject {
     }
 }
 
-/// Render a JSON array from pre-rendered element strings.
-pub fn array(elems: &[String]) -> String {
-    let mut s = String::from("[");
-    for (i, e) in elems.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(e);
-    }
-    s.push(']');
-    s
-}
-
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {

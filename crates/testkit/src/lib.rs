@@ -68,11 +68,6 @@ impl Gen {
         self.rng.random()
     }
 
-    /// Uniform `f32` in `[0, 1)`.
-    pub fn f32_unit(&mut self) -> f32 {
-        self.rng.random()
-    }
-
     /// Uniform `f64` in `[0, 1)`.
     pub fn f64_unit(&mut self) -> f64 {
         self.rng.random()

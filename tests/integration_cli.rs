@@ -154,20 +154,27 @@ fn chrome_trace_is_a_json_array_of_complete_events() {
 
 #[test]
 fn tiny_valid_run_succeeds() {
-    let out = run(&[
-        "--model",
-        "plummer",
-        "--n",
-        "256",
-        "--steps",
-        "2",
-        "--log-every",
-        "1",
-    ]);
-    let err = stderr(&out);
-    assert_eq!(out.status.code(), Some(0), "stderr: {err}");
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("relative energy drift"), "stdout: {text}");
+    // Every initial-condition path: the analytic Plummer draw, a lone
+    // Eddington component and the four-component M31 model.
+    for model in ["plummer", "hernquist", "m31"] {
+        let out = run(&[
+            "--model",
+            model,
+            "--n",
+            "256",
+            "--steps",
+            "2",
+            "--log-every",
+            "1",
+        ]);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(0), "{model}: stderr: {err}");
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            text.contains("relative energy drift"),
+            "{model}: stdout: {text}"
+        );
+    }
 }
 
 #[test]
