@@ -186,24 +186,17 @@ fn main() {
     }
 
     eprintln!("gothicd: draining (accepted jobs will finish)");
-    let stats = server.stats();
-    let tally = |a: &std::sync::atomic::AtomicU64| a.load(Ordering::Relaxed);
-    let (accepted, busy, hits, deadline, completed) = (
-        tally(&stats.accepted),
-        tally(&stats.rejected_busy),
-        tally(&stats.cache_hits),
-        tally(&stats.deadline_exceeded),
-        tally(&stats.completed),
-    );
     let summary = server.drain();
     eprintln!(
         "gothicd: drained {} queued job(s), joined {} connection(s)",
         summary.backlog_drained, summary.connections_joined
     );
-    eprintln!(
-        "gothicd: accepted = {accepted}, completed = {completed}, cache hits = {hits}, \
-         busy rejections = {busy}, deadlines exceeded = {deadline}"
-    );
+    let tallies: Vec<String> = summary
+        .counters
+        .iter()
+        .map(|(name, v)| format!("{name} = {v}"))
+        .collect();
+    eprintln!("gothicd: {}", tallies.join(", "));
 
     if args.trace.is_some() {
         telemetry::sink::shutdown();
@@ -211,13 +204,9 @@ fn main() {
     if args.report {
         let mut report = telemetry::RunReport::new("gothicd");
         report
-            .meta_u64("accepted", accepted)
-            .meta_u64("completed", completed)
-            .meta_u64("cache_hits", hits)
-            .meta_u64("rejected_busy", busy)
-            .meta_u64("deadline_exceeded", deadline)
             .meta_u64("backlog_drained", summary.backlog_drained as u64)
-            .meta_u64("connections_joined", summary.connections_joined as u64);
+            .meta_u64("connections_joined", summary.connections_joined as u64)
+            .add_counters(&summary.counters);
         if let Err(e) = report.write() {
             eprintln!("gothicd: cannot write run report: {e}");
         }

@@ -33,7 +33,6 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use gothic::telemetry::json::JsonObject;
-use gothic::telemetry::metrics::counters as ctr;
 use gothic::{telemetry, CancelToken};
 use parallel::{PushError, Submitter, WorkerPool};
 
@@ -69,9 +68,9 @@ impl Default for ServerConfig {
     }
 }
 
-/// Request-outcome tallies, independent of the telemetry registry (which
-/// only accumulates when metrics are enabled) so `status` is always
-/// truthful.
+/// Request-outcome tallies of one server. They count whether or not
+/// metrics are enabled, so `status` is always truthful, and they belong
+/// to this server alone: two servers in one process never share them.
 #[derive(Debug, Default)]
 pub struct ServerStats {
     pub accepted: AtomicU64,
@@ -82,14 +81,17 @@ pub struct ServerStats {
 }
 
 impl ServerStats {
-    fn snapshot(&self) -> [(&'static str, u64); 5] {
+    /// The tallies under their `server.*` counter names, as the drain's
+    /// `counters` trace line, the `metrics` text and gothicd's run report
+    /// carry them.
+    fn counters(&self) -> [(&'static str, u64); 5] {
         let g = |a: &AtomicU64| a.load(Ordering::Relaxed);
         [
-            ("accepted", g(&self.accepted)),
-            ("rejected_busy", g(&self.rejected_busy)),
-            ("cache_hits", g(&self.cache_hits)),
-            ("deadline_exceeded", g(&self.deadline_exceeded)),
-            ("completed", g(&self.completed)),
+            ("server.accepted", g(&self.accepted)),
+            ("server.rejected_busy", g(&self.rejected_busy)),
+            ("server.cache_hits", g(&self.cache_hits)),
+            ("server.deadline_exceeded", g(&self.deadline_exceeded)),
+            ("server.completed", g(&self.completed)),
         ]
     }
 }
@@ -110,6 +112,9 @@ pub struct DrainSummary {
     pub backlog_drained: usize,
     /// Connection threads joined.
     pub connections_joined: usize,
+    /// The request tallies once every accepted job has finished, under
+    /// their `server.*` counter names.
+    pub counters: [(&'static str, u64); 5],
 }
 
 /// A running gothicd instance.
@@ -184,8 +189,8 @@ impl Server {
     }
 
     /// Graceful shutdown: stop accepting connections, run every accepted
-    /// job to completion, join all threads, flush counters to the trace
-    /// sink if one is active.
+    /// job to completion, join all threads, flush this server's counters
+    /// to the trace sink if one is active.
     pub fn drain(self) -> DrainSummary {
         self.shared.draining.store(true, Ordering::SeqCst);
         let _ = self.accept_handle.join();
@@ -198,12 +203,14 @@ impl Server {
         for h in handles {
             let _ = h.join();
         }
+        let counters = self.shared.stats.counters();
         if telemetry::sink::trace_active() {
-            telemetry::sink::emit_counters(&[]);
+            telemetry::sink::emit_counters(&counters);
         }
         DrainSummary {
             backlog_drained: backlog,
             connections_joined: n,
+            counters,
         }
     }
 }
@@ -322,7 +329,6 @@ fn serve_request_inner(line: &str, shared: &Shared, submitter: &Submitter) -> St
         Err(e) => return error_response(None, &format!("bad_request: {e}")),
     };
     shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
-    ctr::SERVER_ACCEPTED.add(1);
     match req {
         Request::Status => {
             let mut o = base_response(&id, "status", true);
@@ -335,15 +341,18 @@ fn serve_request_inner(line: &str, shared: &Shared, submitter: &Submitter) -> St
                 o.u64("cache_len", cache.len() as u64)
                     .u64("cache_cap", cache.capacity() as u64);
             }
-            for (k, v) in shared.stats.snapshot() {
-                o.u64(k, v);
+            for (k, v) in shared.stats.counters() {
+                o.u64(k.trim_start_matches("server."), v);
             }
             complete(shared);
             o.finish()
         }
         Request::Metrics => {
             let mut o = base_response(&id, "metrics", true);
-            o.str("metrics", &telemetry::metrics::prometheus_text());
+            o.str(
+                "metrics",
+                &telemetry::metrics::prometheus_text(&shared.stats.counters()),
+            );
             complete(shared);
             o.finish()
         }
@@ -371,7 +380,6 @@ fn serve_request_inner(line: &str, shared: &Shared, submitter: &Submitter) -> St
 
 fn complete(shared: &Shared) {
     shared.stats.completed.fetch_add(1, Ordering::Relaxed);
-    ctr::SERVER_COMPLETED.add(1);
 }
 
 /// The completed `ok` response carrying a job's `result` payload;
@@ -413,7 +421,6 @@ where
     match submitted {
         Err(PushError::Full(_)) => {
             shared.stats.rejected_busy.fetch_add(1, Ordering::Relaxed);
-            ctr::SERVER_REJECTED_BUSY.add(1);
             Err(error_response(id.as_deref(), "busy"))
         }
         Err(PushError::Closed(_)) => Err(error_response(id.as_deref(), "draining")),
@@ -435,7 +442,6 @@ fn job_error_response(shared: &Shared, id: &Option<String>, e: JobError) -> Stri
                 .stats
                 .deadline_exceeded
                 .fetch_add(1, Ordering::Relaxed);
-            ctr::SERVER_DEADLINE_EXCEEDED.add(1);
             ("deadline_exceeded", steps_done)
         }
         JobError::Cancelled { steps_done } => ("cancelled", steps_done),
@@ -464,7 +470,6 @@ fn serve_simulate(
         };
         if let Some(payload) = hit {
             shared.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-            ctr::SERVER_CACHE_HITS.add(1);
             return result_response(shared, id, "simulate", Some(true), &payload);
         }
     }

@@ -2,13 +2,13 @@
 //! events.
 //!
 //! The registry holds only what belongs to the process rather than to
-//! one run: the work-stealing pool's job/chunk/steal tallies and the
-//! gothicd request outcomes. A run's pipeline counts (walk, calc, tree,
-//! sort, integrate, pipeline, model, galaxy) come back in the run's own
-//! summary instead, so concurrent runs never mix; a SIMT launch's counts
-//! come back in its `GridStats`, profile and racecheck report. The hottest counter left is bumped
-//! about once per pool job, so each [`Counter`] is one relaxed
-//! `AtomicU64`.
+//! one run: the work-stealing pool's job/chunk/steal tallies. A run's
+//! pipeline counts (walk, calc, tree, sort, integrate, pipeline, model,
+//! galaxy) come back in the run's own summary instead, so concurrent
+//! runs never mix; a SIMT launch's counts come back in its `GridStats`,
+//! profile and racecheck report; a gothicd server's request outcomes
+//! live in that server. The hottest counter left is bumped about once
+//! per pool job, so each [`Counter`] is one relaxed `AtomicU64`.
 //!
 //! The full workspace registry lives in [`counters`]: the telemetry
 //! crate sits at the base of the crate graph, so every domain crate
@@ -268,12 +268,6 @@ pub mod counters {
         POOL_JOBS => "pool.jobs",
         POOL_CHUNKS => "pool.chunks",
         POOL_STEALS => "pool.steals",
-        // Simulation job service (server / gothicd).
-        SERVER_ACCEPTED => "server.accepted",
-        SERVER_REJECTED_BUSY => "server.rejected_busy",
-        SERVER_CACHE_HITS => "server.cache_hits",
-        SERVER_DEADLINE_EXCEEDED => "server.deadline_exceeded",
-        SERVER_COMPLETED => "server.completed",
     }
 }
 
@@ -309,14 +303,15 @@ fn prometheus_name(name: &str) -> String {
     name.replace('.', "_")
 }
 
-/// Render both registries in the Prometheus text exposition format:
-/// one `counter` line per counter, and per histogram a `summary` with
+/// Render `run`'s counters (e.g. one gothicd server's request tallies)
+/// and both registries in the Prometheus text exposition format: one
+/// `counter` line per counter, and per histogram a `summary` with
 /// `{quantile="0.5"|"0.95"|"0.99"}` gauges plus `_sum`/`_count`. This
 /// is the payload of the gothicd `metrics` request.
-pub fn prometheus_text() -> String {
+pub fn prometheus_text(run: &[(&'static str, u64)]) -> String {
     use std::fmt::Write;
     let mut out = String::new();
-    for (name, v) in snapshot() {
+    for (name, v) in crate::sink::with_registry(run) {
         let n = prometheus_name(name);
         let _ = writeln!(out, "# TYPE {n} counter\n{n} {v}");
     }
@@ -378,15 +373,11 @@ mod tests {
         let before = names.len();
         names.dedup();
         assert_eq!(before, names.len(), "duplicate counter names");
-        // Schema anchors: pipebench reads the pool counters by name.
-        for key in ["pool.chunks", "pool.steals", "server.accepted"] {
-            assert!(names.contains(&key), "missing {key}");
-        }
-        // Run-scoped counts live in the run's summary and SIMT counts in
-        // the launch's `GridStats` and racecheck report, not here.
-        assert!(names
-            .iter()
-            .all(|n| n.starts_with("pool.") || n.starts_with("server.")));
+        // Only the pool's counters (pipebench reads them by name): run
+        // counts live in the run's summary, SIMT counts in the launch's
+        // `GridStats` and racecheck report, and request outcomes in their
+        // gothicd server.
+        assert_eq!(names, ["pool.chunks", "pool.jobs", "pool.steals"]);
     }
 
     #[test]
@@ -452,12 +443,13 @@ mod tests {
         let _g = crate::sink::test_lock();
         crate::set_metrics_enabled(true);
         reset_all();
-        counters::SERVER_ACCEPTED.add(2);
+        counters::POOL_CHUNKS.add(2);
         for v in [100u64, 200, 400_000] {
             histograms::SERVE_REQUEST_NS.record(v);
         }
-        let text = prometheus_text();
-        assert!(text.contains("# TYPE server_accepted counter\nserver_accepted 2"));
+        let text = prometheus_text(&[("server.accepted", 3)]);
+        assert!(text.contains("# TYPE server_accepted counter\nserver_accepted 3"));
+        assert!(text.contains("# TYPE pool_chunks counter\npool_chunks 2"));
         assert!(text.contains("# TYPE serve_request_ns summary"));
         for q in ["0.5", "0.95", "0.99"] {
             assert!(

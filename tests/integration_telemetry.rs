@@ -166,11 +166,6 @@ fn counters_line_names_are_pinned() {
         "pool.jobs",
         "pool.chunks",
         "pool.steals",
-        "server.accepted",
-        "server.rejected_busy",
-        "server.cache_hits",
-        "server.deadline_exceeded",
-        "server.completed",
     ];
     schema.sort_unstable();
     assert_eq!(names, schema);
