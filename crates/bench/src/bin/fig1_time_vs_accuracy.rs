@@ -30,7 +30,9 @@ fn main() {
     let mut fiducial_row: Option<Vec<f64>> = None;
     for dacc in delta_acc_sweep() {
         let run = measure(m31_particles(scale.n), dacc, &scale, None);
-        report.add_counters(&run.summary.counters());
+        report
+            .add_counters(&run.summary.counters())
+            .add_histogram("step.wall.ns", &run.summary.step_wall);
         print!("{:>8}", fmt_dacc(dacc));
         let mut row = Vec::new();
         let mut jrow = JsonObject::new();

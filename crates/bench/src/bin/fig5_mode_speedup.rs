@@ -30,7 +30,9 @@ fn main() {
     let mut calc_gains = Vec::new();
     for dacc in delta_acc_sweep() {
         let run = measure(m31_particles(scale.n), dacc, &scale, None);
-        report.add_counters(&run.summary.counters());
+        report
+            .add_counters(&run.summary.counters())
+            .add_histogram("step.wall.ns", &run.summary.step_wall);
         let pm = price_paper_scale(&run, &v100, ExecMode::PascalMode, default_barrier());
         let vm = price_paper_scale(&run, &v100, ExecMode::VoltaMode, default_barrier());
         let gain = |f: Function| {

@@ -19,7 +19,9 @@
 //! `1 - configs / (clients × requests)` when caching is on and 0 when it
 //! is off. The run report (`results/loadgen.json`) carries throughput,
 //! p50/p95/p99 latency, and the busy-rejection rate — the numbers quoted
-//! in EXPERIMENTS.md §Service.
+//! in EXPERIMENTS.md §Service. With an in-process daemon it also carries
+//! that daemon's `server.*` counters and its request-latency and
+//! step-wall histograms, taken from its drain.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -282,6 +284,7 @@ fn main() {
         eprintln!("loadgen: daemon did not answer the metrics request (old server?)");
     }
 
+    let drained = local.map(|srv| srv.drain());
     let mut report = RunReport::new("loadgen");
     report
         .meta_str("addr", &addr)
@@ -313,14 +316,17 @@ fn main() {
             );
     }
     report.add_row(row);
+    if let Some(d) = &drained {
+        report.add_counters(&d.counters);
+        for (name, h) in &d.histograms {
+            report.add_histogram(name, h);
+        }
+    }
     if let Err(e) = report.write() {
         eprintln!("loadgen: cannot write report: {e}");
         std::process::exit(1);
     }
 
-    if let Some(srv) = local {
-        srv.drain();
-    }
     if tally.errors > 0 {
         std::process::exit(1);
     }

@@ -298,7 +298,7 @@ pub fn default_barrier() -> GridBarrier {
 /// Start a structured run report for a table/figure binary, pre-filled
 /// with the scale metadata, with counter collection switched on so the
 /// registry part of the report's `counters` section reflects the run
-/// (the binaries add each measured run's own counters).
+/// (the binaries add each measured run's own counters and histograms).
 pub fn report(name: &str, scale: &BenchScale) -> telemetry::RunReport {
     telemetry::set_metrics_enabled(true);
     telemetry::metrics::reset_all();

@@ -392,7 +392,7 @@ impl Gothic {
 
         self.steps_since_rebuild += 1;
         self.step_count += 1;
-        telemetry::metrics::histograms::STEP_WALL_NS.record_duration(step_span.finish());
+        self.summary.step_wall.record_duration(step_span.finish());
 
         let report = StepReport {
             step: self.step_count,

@@ -6,6 +6,7 @@ use crate::pipeline::{StepReport, WallTimes};
 use crate::profile::{Function, Profile, StepEvents};
 use devsort::RadixKey;
 use gpu_model::{CalcNodeEvents, IntegrateEvents, MakeTreeEvents, WalkEvents};
+use telemetry::Histogram;
 
 /// Counts and times of one run: the set-up `Gothic::new` did (zero for
 /// a run resumed from a snapshot) plus every [`StepReport`] since.
@@ -33,6 +34,8 @@ pub struct RunSummary {
     /// Modeled cost and host phase walls, summed over the steps.
     pub profile: Profile,
     pub wall: WallTimes,
+    /// Each block step's `step` span, in nanoseconds.
+    pub step_wall: Histogram,
 }
 
 impl RunSummary {
@@ -136,6 +139,7 @@ mod tests {
             setup.walk.interactions + sum(|r| r.events.walk.interactions)
         );
         assert_eq!(get(&c, "pipeline.steps"), 6);
+        assert_eq!(sim.summary().step_wall.count, 6);
         assert_eq!(get(&c, "pipeline.rebuilds"), sum(|r| u64::from(r.rebuilt)));
         assert_eq!(get(&c, "tree.builds"), 1 + get(&c, "pipeline.rebuilds"));
         assert_eq!(
@@ -159,9 +163,12 @@ mod tests {
         let mut resumed = Snapshot::capture(&sim).resume(RunConfig::default());
         assert!(resumed.summary().counters().iter().all(|&(_, v)| v == 0));
         assert_eq!(resumed.summary().setup_wall.total(), 0.0);
+        assert_eq!(resumed.summary().step_wall.count, 0);
         let r = resumed.step();
         let c = resumed.summary().counters();
         assert_eq!(get(&c, "pipeline.steps"), 1);
+        assert_eq!(resumed.summary().step_wall.count, 1);
+        assert_eq!(sim.summary().step_wall.count, 2);
         assert_eq!(get(&c, "walk.interactions"), r.events.walk.interactions);
         assert_eq!(get(&c, "galaxy.sampled_particles"), 0);
     }

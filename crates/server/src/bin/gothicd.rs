@@ -141,21 +141,14 @@ fn main() {
         }
     };
 
-    match args.trace.as_deref() {
-        Some(path) => {
-            let to = match path {
-                "-" => TraceTo::Stderr,
-                _ => TraceTo::File(std::path::Path::new(path)),
-            };
-            if let Err(e) = telemetry::sink::init_trace(to, TraceFormat::JsonLines) {
-                eprintln!("gothicd: cannot open trace file {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-        None => {
-            if args.report {
-                telemetry::set_metrics_enabled(true);
-            }
+    if let Some(path) = args.trace.as_deref() {
+        let to = match path {
+            "-" => TraceTo::Stderr,
+            _ => TraceTo::File(std::path::Path::new(path)),
+        };
+        if let Err(e) = telemetry::sink::init_trace(to, TraceFormat::JsonLines) {
+            eprintln!("gothicd: cannot open trace file {path}: {e}");
+            std::process::exit(1);
         }
     }
 
@@ -207,6 +200,9 @@ fn main() {
             .meta_u64("backlog_drained", summary.backlog_drained as u64)
             .meta_u64("connections_joined", summary.connections_joined as u64)
             .add_counters(&summary.counters);
+        for (name, h) in &summary.histograms {
+            report.add_histogram(name, h);
+        }
         if let Err(e) = report.write() {
             eprintln!("gothicd: cannot write run report: {e}");
         }

@@ -28,11 +28,12 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use gothic::telemetry::json::JsonObject;
+use gothic::telemetry::Histogram;
 use gothic::{telemetry, CancelToken};
 use parallel::{PushError, Submitter, WorkerPool};
 
@@ -68,9 +69,10 @@ impl Default for ServerConfig {
     }
 }
 
-/// Request-outcome tallies of one server. They count whether or not
-/// metrics are enabled, so `status` is always truthful, and they belong
-/// to this server alone: two servers in one process never share them.
+/// Request-outcome tallies and latency histograms of one server. They
+/// count whether or not metrics are enabled, so `status` is always
+/// truthful, and they belong to this server alone: two servers in one
+/// process never share them.
 #[derive(Debug, Default)]
 pub struct ServerStats {
     pub accepted: AtomicU64,
@@ -78,6 +80,10 @@ pub struct ServerStats {
     pub cache_hits: AtomicU64,
     pub deadline_exceeded: AtomicU64,
     pub completed: AtomicU64,
+    /// Every request's service latency, accept to response.
+    pub request_ns: Mutex<Histogram>,
+    /// The block-step walls of every simulate this server ran.
+    pub step_wall: Mutex<Histogram>,
 }
 
 impl ServerStats {
@@ -94,6 +100,19 @@ impl ServerStats {
             ("server.completed", g(&self.completed)),
         ]
     }
+
+    /// The histograms under their report and exposition names.
+    fn histograms(&self) -> [(&'static str, Histogram); 2] {
+        [
+            ("serve.request.ns", lock(&self.request_ns).clone()),
+            ("step.wall.ns", lock(&self.step_wall).clone()),
+        ]
+    }
+}
+
+/// Lock `m`, taking the data of a poisoned lock as it is.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Shared state every connection thread sees.
@@ -106,7 +125,7 @@ struct Shared {
 }
 
 /// What [`Server::drain`] accomplished.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct DrainSummary {
     /// Jobs that were still queued when the drain began (all ran).
     pub backlog_drained: usize,
@@ -115,6 +134,8 @@ pub struct DrainSummary {
     /// The request tallies once every accepted job has finished, under
     /// their `server.*` counter names.
     pub counters: [(&'static str, u64); 5],
+    /// The request-latency and step-wall histograms at the same point.
+    pub histograms: [(&'static str, Histogram); 2],
 }
 
 /// A running gothicd instance.
@@ -128,9 +149,8 @@ pub struct Server {
 
 impl Server {
     /// Bind, spawn the worker pool and the accept loop, return a handle.
-    /// Metrics collection is switched on for the process: a daemon always
-    /// accumulates counters and latency histograms so the `metrics`
-    /// request has something to expose.
+    /// Metrics collection is switched on for the process, so the
+    /// registry's pool counters in the `metrics` request count too.
     pub fn start(cfg: ServerConfig) -> std::io::Result<Server> {
         telemetry::set_metrics_enabled(true);
         let listener = TcpListener::bind(&cfg.addr)?;
@@ -195,10 +215,7 @@ impl Server {
         self.shared.draining.store(true, Ordering::SeqCst);
         let _ = self.accept_handle.join();
         let backlog = self.pool.drain();
-        let handles: Vec<_> = {
-            let mut g = self.conns.lock().unwrap_or_else(|e| e.into_inner());
-            g.drain(..).collect()
-        };
+        let handles: Vec<_> = lock(&self.conns).drain(..).collect();
         let n = handles.len();
         for h in handles {
             let _ = h.join();
@@ -211,6 +228,7 @@ impl Server {
             backlog_drained: backlog,
             connections_joined: n,
             counters,
+            histograms: self.shared.stats.histograms(),
         }
     }
 }
@@ -233,7 +251,7 @@ fn accept_loop(
                     .name("gothicd-conn".into())
                     .spawn(move || handle_conn(stream, s, sub))
                     .expect("spawn connection thread");
-                conns.lock().unwrap_or_else(|e| e.into_inner()).push(handle);
+                lock(&conns).push(handle);
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(5));
@@ -314,12 +332,12 @@ fn error_response(id: Option<&str>, error: &str) -> String {
 
 /// Dispatch one parsed line to its handler; always returns a response
 /// line. Every request (well-formed or not) is wrapped in a
-/// `serve.request` span and its latency is recorded in the
-/// `serve.request.ns` histogram (exposed via the `metrics` request).
+/// `serve.request` span and its latency is recorded in this server's
+/// `request_ns` histogram (exposed via the `metrics` request).
 fn serve_request(line: &str, shared: &Shared, submitter: &Submitter) -> String {
     let span = telemetry::span("serve.request");
     let response = serve_request_inner(line, shared, submitter);
-    telemetry::metrics::histograms::SERVE_REQUEST_NS.record_duration(span.finish());
+    lock(&shared.stats.request_ns).record_duration(span.finish());
     response
 }
 
@@ -337,7 +355,7 @@ fn serve_request_inner(line: &str, shared: &Shared, submitter: &Submitter) -> St
                 .u64("queue_len", submitter.queue_len() as u64)
                 .u64("queue_cap", submitter.queue_capacity() as u64);
             {
-                let cache = shared.cache.lock().unwrap_or_else(|e| e.into_inner());
+                let cache = lock(&shared.cache);
                 o.u64("cache_len", cache.len() as u64)
                     .u64("cache_cap", cache.capacity() as u64);
             }
@@ -351,7 +369,10 @@ fn serve_request_inner(line: &str, shared: &Shared, submitter: &Submitter) -> St
             let mut o = base_response(&id, "metrics", true);
             o.str(
                 "metrics",
-                &telemetry::metrics::prometheus_text(&shared.stats.counters()),
+                &telemetry::metrics::prometheus_text(
+                    &shared.stats.counters(),
+                    &shared.stats.histograms(),
+                ),
             );
             complete(shared);
             o.finish()
@@ -404,17 +425,18 @@ fn result_response(
 /// payload. A full queue is an immediate `busy`, a draining pool an
 /// immediate `draining`; those and a failed job come back as `Err` with
 /// the finished error response line.
-fn run_on_pool<F>(
+fn run_on_pool<T, F>(
     submitter: &Submitter,
     shared: &Shared,
     id: &Option<String>,
     token: CancelToken,
     work: F,
-) -> Result<String, String>
+) -> Result<T, String>
 where
-    F: FnOnce(&CancelToken) -> Result<String, JobError> + Send + 'static,
+    T: Send + 'static,
+    F: FnOnce(&CancelToken) -> Result<T, JobError> + Send + 'static,
 {
-    let (tx, rx) = mpsc::channel::<Result<String, JobError>>();
+    let (tx, rx) = mpsc::channel::<Result<T, JobError>>();
     let submitted = submitter.try_submit(Box::new(move || {
         let _ = tx.send(work(&token));
     }));
@@ -464,10 +486,7 @@ fn serve_simulate(
 ) -> String {
     let digest = job.digest();
     if job.cache {
-        let hit = {
-            let mut cache = shared.cache.lock().unwrap_or_else(|e| e.into_inner());
-            cache.get(digest)
-        };
+        let hit = lock(&shared.cache).get(digest);
         if let Some(payload) = hit {
             shared.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
             return result_response(shared, id, "simulate", Some(true), &payload);
@@ -481,19 +500,16 @@ fn serve_simulate(
         CancelToken::new()
     };
     let cache = job.cache;
-    let payload = match run_on_pool(submitter, shared, id, token, move |token| {
+    let (payload, step_wall) = match run_on_pool(submitter, shared, id, token, move |token| {
         let _span = telemetry::span("serve.simulate");
         jobs::run_simulate(&job, token)
     }) {
-        Ok(payload) => payload,
+        Ok(done) => done,
         Err(response) => return response,
     };
+    lock(&shared.stats.step_wall).merge(&step_wall);
     if cache {
-        shared
-            .cache
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(digest, payload.clone());
+        lock(&shared.cache).insert(digest, payload.clone());
     }
     result_response(shared, id, "simulate", Some(false), &payload)
 }

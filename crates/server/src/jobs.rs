@@ -7,6 +7,7 @@ use std::sync::OnceLock;
 use gothic::galaxy::{plummer_model, M31Model};
 use gothic::gpu_model::ExecMode;
 use gothic::telemetry::json::JsonObject;
+use gothic::telemetry::Histogram;
 use gothic::{price_step, CancelReason, CancelToken, Function, Gothic, StepEvents};
 
 use crate::protocol::{PredictJob, SimJob};
@@ -51,8 +52,8 @@ fn sample(model: &str, n: usize, seed: u64) -> gothic::nbody::ParticleSet {
 ///
 /// The payload's counters, breakdown and walls come from the job's own
 /// [`gothic::RunSummary`], so concurrent jobs never see each other's
-/// work.
-pub fn run_simulate(job: &SimJob, token: &CancelToken) -> Result<String, JobError> {
+/// work; so does the run's step-wall histogram, returned beside it.
+pub fn run_simulate(job: &SimJob, token: &CancelToken) -> Result<(String, Histogram), JobError> {
     let ps = sample(&job.model, job.n, job.seed);
     let mut sim = Gothic::new(ps, job.cfg.clone());
     let e0 = sim.diagnostics();
@@ -96,7 +97,7 @@ pub fn run_simulate(job: &SimJob, token: &CancelToken) -> Result<String, JobErro
         counters.u64(name, value);
     }
     o.raw("counters", &counters.finish());
-    Ok(o.finish())
+    Ok((o.finish(), run.step_wall.clone()))
 }
 
 /// The reference step the GPU-model-only `predict` endpoint scales from:
@@ -170,9 +171,10 @@ mod tests {
     #[test]
     fn simulate_payload_has_energies_and_the_table2_breakdown() {
         let job = sim_job(r#"{"type":"simulate","model":"plummer","n":1024,"steps":3,"seed":5}"#);
-        let payload = run_simulate(&job, &CancelToken::new()).unwrap();
+        let (payload, step_wall) = run_simulate(&job, &CancelToken::new()).unwrap();
         let v = parse(&payload).unwrap();
         assert_eq!(v.get("steps").unwrap().as_u64(), Some(3));
+        assert_eq!(step_wall.count, 3);
         assert!(
             v.get("e_initial").unwrap().as_f64().unwrap() < 0.0,
             "bound system"
@@ -219,8 +221,8 @@ mod tests {
             assert!(m.remove("setup_seconds").is_some());
             m
         };
-        let pa = run_simulate(&a, &CancelToken::new()).unwrap();
-        let pb = run_simulate(&b, &CancelToken::new()).unwrap();
+        let (pa, _) = run_simulate(&a, &CancelToken::new()).unwrap();
+        let (pb, _) = run_simulate(&b, &CancelToken::new()).unwrap();
         assert_eq!(strip_wall(&pa), strip_wall(&pb));
     }
 

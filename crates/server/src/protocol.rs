@@ -89,8 +89,9 @@ pub enum Request {
         mode: ExecMode,
     },
     Status,
-    /// Prometheus-style text exposition of every telemetry counter and
-    /// histogram (with p50/p95/p99 summary quantiles).
+    /// Prometheus-style text exposition of this server's counters and
+    /// histograms (with p50/p95/p99 summary quantiles) and the registry's
+    /// counters.
     Metrics,
     Shutdown,
 }

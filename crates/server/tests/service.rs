@@ -214,6 +214,17 @@ fn shutdown_request_drains_gracefully() {
     );
     let summary = srv.drain();
     assert_eq!(summary.connections_joined, 2);
+    // The drain carries this server's histograms: both requests'
+    // latencies and the simulate's 30 block steps.
+    let count = |name: &str| {
+        summary
+            .histograms
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map_or(0, |(_, h)| h.count)
+    };
+    assert_eq!(count("serve.request.ns"), 2);
+    assert_eq!(count("step.wall.ns"), 30);
 
     // And the port no longer accepts connections.
     let refused = TcpStream::connect_timeout(&addr, Duration::from_millis(500));
@@ -262,15 +273,29 @@ fn metrics_request_exposes_prometheus_text_with_latency_quantiles() {
     let (p50, p95, p99) = (quantile("0.5"), quantile("0.95"), quantile("0.99"));
     assert!(p50 > 0, "p50 must be positive once requests were served");
     assert!(p50 <= p95 && p95 <= p99, "quantiles must be monotone");
-    let count_line = text
-        .lines()
-        .find(|l| l.starts_with("serve_request_ns_count "))
-        .expect("summary must include a _count line");
-    let count: u64 = count_line["serve_request_ns_count ".len()..]
-        .trim()
-        .parse()
-        .unwrap();
-    assert!(count >= 2, "at least the two prior requests are recorded");
+    let count = |text: &str| -> u64 {
+        let count_line = text
+            .lines()
+            .find(|l| l.starts_with("serve_request_ns_count "))
+            .expect("summary must include a _count line");
+        count_line["serve_request_ns_count ".len()..]
+            .trim()
+            .parse()
+            .unwrap()
+    };
+    assert!(
+        count(&text) >= 2,
+        "at least the two prior requests are recorded"
+    );
+    srv.drain();
+
+    // A second server in the same process exposes only its own traffic.
+    let srv = start(1, 4, 16);
+    let mut c = Client::connect(srv.addr());
+    c.roundtrip(r#"{"type":"status"}"#);
+    let resp = c.roundtrip(r#"{"type":"metrics"}"#);
+    let text = resp.get("metrics").unwrap().as_str().unwrap();
+    assert_eq!(count(text), 1, "only this server's one status:\n{text}");
     srv.drain();
 }
 

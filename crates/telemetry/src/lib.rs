@@ -10,13 +10,13 @@
 //!   block step show up as real measured intervals next to the modeled
 //!   GPU times.
 //! * **Counters and histograms** ([`metrics`]) — a fixed registry of
-//!   named process-scoped counters (pool jobs, chunks and steals,
-//!   gothicd request outcomes) plus
-//!   log₂-bucket [`Histogram`]s with p50/p95/p99 snapshots for
-//!   latency-shaped values and a Prometheus text exposition of both. A
+//!   named process-scoped counters (pool jobs, chunks and steals), the
+//!   log₂-bucket [`Histogram`] with p50/p95/p99 estimates for
+//!   latency-shaped values, and a Prometheus text exposition of both. A
 //!   run's own counts (interactions, MAC evaluations, radix passes, …)
-//!   are not registered here: the run returns them, and the sinks take
-//!   them as `(name, value)` pairs.
+//!   and histograms are not registered here: the run or server that
+//!   produced them owns them, and the sinks and reports take them from
+//!   it.
 //! * **Sinks** ([`sink`]) — a process-wide trace sink rendering either
 //!   JSON-lines structured events (one object per line: spans, step
 //!   records, counter snapshots) or human-readable breakdown tables.
@@ -57,7 +57,7 @@ pub mod report;
 pub mod sink;
 pub mod span;
 
-pub use metrics::{Counter, Histogram, HistogramSnapshot};
+pub use metrics::{Counter, Histogram};
 pub use report::RunReport;
 pub use span::{span, SpanGuard};
 

@@ -1,5 +1,5 @@
-//! Named monotonic counters and log₂ histograms for process-scoped
-//! events.
+//! Named monotonic counters for process-scoped events, and the log₂
+//! [`Histogram`] that runs and servers own.
 //!
 //! The registry holds only what belongs to the process rather than to
 //! one run: the work-stealing pool's job/chunk/steal tallies. A run's
@@ -15,12 +15,11 @@
 //! bumps centrally declared counters and enumeration (for the JSON
 //! counter snapshot) needs no cross-crate registration machinery.
 //!
-//! [`Histogram`] joins [`Counter`] for latency-shaped values: fixed
-//! log₂ buckets (no allocation, const-constructible statics), relaxed
-//! atomic recording, and p50/p95/p99 quantile estimates from a
-//! [`HistogramSnapshot`]. The histogram registry lives in
-//! [`histograms`]; [`prometheus_text`] renders both registries in the
-//! Prometheus text exposition format for the gothicd `metrics` request.
+//! Latency-shaped values go in a [`Histogram`]: fixed log₂ buckets and
+//! p50/p95/p99 quantile estimates. It is not registered: a run's step
+//! walls live in its summary and a server's request latencies in that
+//! server, and [`prometheus_text`] takes the owner's histograms next to
+//! its counters for the gothicd `metrics` request.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -84,89 +83,23 @@ fn bucket_upper(b: usize) -> u64 {
     }
 }
 
-/// A named fixed-log₂-bucket histogram.
+/// A fixed-log₂-bucket histogram, owned by the run or server it
+/// measures: a [`crate::RunReport`] or [`prometheus_text`] takes it from
+/// its owner, so two runs or servers in one process never share one.
 ///
-/// Recording is lock-free (one relaxed `fetch_add` per field touched)
-/// and gated on [`crate::metrics_enabled`] like [`Counter::add`], so a
-/// disabled run pays one load and a branch. Quantiles are bucket upper
-/// bounds — exact to within a factor of 2, which is the right fidelity
-/// for latency distributions spanning µs to seconds.
-pub struct Histogram {
-    name: &'static str,
-    buckets: [AtomicU64; N_BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-}
-
-impl Histogram {
-    pub const fn new(name: &'static str) -> Self {
-        Histogram {
-            name,
-            buckets: [const { AtomicU64::new(0) }; N_BUCKETS],
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-        }
-    }
-
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Record one observation. Disabled fast path: one relaxed load and
-    /// a branch.
-    #[inline]
-    pub fn record(&self, v: u64) {
-        if !crate::metrics_enabled() {
-            return;
-        }
-        self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Record a wall-clock duration in nanoseconds.
-    #[inline]
-    pub fn record_duration(&self, d: std::time::Duration) {
-        self.record(d.as_nanos().min(u64::MAX as u128) as u64);
-    }
-
-    /// A point-in-time copy of the distribution. Concurrent recording
-    /// may leave `count`/`sum`/buckets off by in-flight observations;
-    /// once recording threads are joined the snapshot is exact.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        let mut buckets = [0u64; N_BUCKETS];
-        for (dst, src) in buckets.iter_mut().zip(&self.buckets) {
-            *dst = src.load(Ordering::Relaxed);
-        }
-        HistogramSnapshot {
-            count: self.count.load(Ordering::Relaxed),
-            sum: self.sum.load(Ordering::Relaxed),
-            buckets,
-        }
-    }
-
-    /// Reset to empty (between runs / tests).
-    pub fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-    }
-}
-
-/// An owned copy of a [`Histogram`]'s state, for quantile queries and
-/// cross-run merging.
+/// Quantiles are bucket upper bounds — exact to within a factor of 2,
+/// which is the right fidelity for latency distributions spanning µs to
+/// seconds.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct HistogramSnapshot {
+pub struct Histogram {
     pub count: u64,
     pub sum: u64,
     pub buckets: [u64; N_BUCKETS],
 }
 
-impl Default for HistogramSnapshot {
+impl Default for Histogram {
     fn default() -> Self {
-        HistogramSnapshot {
+        Histogram {
             count: 0,
             sum: 0,
             buckets: [0; N_BUCKETS],
@@ -174,10 +107,24 @@ impl Default for HistogramSnapshot {
     }
 }
 
-impl HistogramSnapshot {
+impl Histogram {
+    /// Record one observation. `sum` wraps rather than overflows.
+    #[inline]
+    pub fn record(&mut self, v: u64) {
+        self.buckets[bucket_of(v)] += 1;
+        self.count += 1;
+        self.sum = self.sum.wrapping_add(v);
+    }
+
+    /// Record a wall-clock duration in nanoseconds.
+    #[inline]
+    pub fn record_duration(&mut self, d: std::time::Duration) {
+        self.record(d.as_nanos().min(u64::MAX as u128) as u64);
+    }
+
     /// The value at quantile `q ∈ [0, 1]` — the inclusive upper bound of
     /// the bucket holding the `⌈q·count⌉`-th smallest observation.
-    /// Returns 0 for an empty snapshot.
+    /// Returns 0 for an empty histogram.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -202,48 +149,14 @@ impl HistogramSnapshot {
         )
     }
 
-    /// Mean observation, 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Element-wise merge — associative and commutative, so threads or
-    /// per-run snapshots combine in any order. `sum` wraps like the
-    /// atomic `fetch_add` it mirrors.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
+    /// Element-wise merge — associative and commutative, so runs combine
+    /// in any order. `sum` wraps like [`Histogram::record`].
+    pub fn merge(&mut self, other: &Histogram) {
         self.count += other.count;
         self.sum = self.sum.wrapping_add(other.sum);
         for (dst, src) in self.buckets.iter_mut().zip(&other.buckets) {
             *dst += src;
         }
-    }
-}
-
-macro_rules! declare_histograms {
-    ($($ident:ident => $name:literal),+ $(,)?) => {
-        $(pub static $ident: $crate::metrics::Histogram =
-            $crate::metrics::Histogram::new($name);)+
-
-        /// Every histogram of the workspace registry, in declaration order.
-        pub static ALL: &[&$crate::metrics::Histogram] = &[$(&$ident),+];
-    };
-}
-
-/// The workspace histogram registry.
-///
-/// Names are `subsystem.event.unit`, stable across PRs — they are the
-/// schema of the run-report `histograms` section and of the gothicd
-/// Prometheus exposition.
-pub mod histograms {
-    declare_histograms! {
-        // gothicd per-request service latency (accept to response write).
-        SERVE_REQUEST_NS => "serve.request.ns",
-        // GOTHIC pipeline per-block-step wall time.
-        STEP_WALL_NS => "step.wall.ns",
     }
 }
 
@@ -279,21 +192,10 @@ pub fn snapshot() -> Vec<(&'static str, u64)> {
         .collect()
 }
 
-/// Snapshot of every registered histogram, in declaration order.
-pub fn snapshot_histograms() -> Vec<(&'static str, HistogramSnapshot)> {
-    histograms::ALL
-        .iter()
-        .map(|h| (h.name(), h.snapshot()))
-        .collect()
-}
-
-/// Reset every registered counter and histogram to zero.
+/// Reset every registered counter to zero.
 pub fn reset_all() {
     for c in counters::ALL {
         c.reset();
-    }
-    for h in histograms::ALL {
-        h.reset();
     }
 }
 
@@ -303,26 +205,30 @@ fn prometheus_name(name: &str) -> String {
     name.replace('.', "_")
 }
 
-/// Render `run`'s counters (e.g. one gothicd server's request tallies)
-/// and both registries in the Prometheus text exposition format: one
-/// `counter` line per counter, and per histogram a `summary` with
+/// Render an owner's counters (e.g. one gothicd server's request
+/// tallies) followed by the registry, and the owner's `histograms`, in
+/// the Prometheus text exposition format: one `counter` line per
+/// counter, and per histogram a `summary` with
 /// `{quantile="0.5"|"0.95"|"0.99"}` gauges plus `_sum`/`_count`. This
 /// is the payload of the gothicd `metrics` request.
-pub fn prometheus_text(run: &[(&'static str, u64)]) -> String {
+pub fn prometheus_text(
+    counters: &[(&'static str, u64)],
+    histograms: &[(&'static str, Histogram)],
+) -> String {
     use std::fmt::Write;
     let mut out = String::new();
-    for (name, v) in crate::sink::with_registry(run) {
+    for (name, v) in crate::sink::with_registry(counters) {
         let n = prometheus_name(name);
         let _ = writeln!(out, "# TYPE {n} counter\n{n} {v}");
     }
-    for (name, snap) in snapshot_histograms() {
+    for (name, h) in histograms {
         let n = prometheus_name(name);
-        let (p50, p95, p99) = snap.quantiles();
+        let (p50, p95, p99) = h.quantiles();
         let _ = writeln!(out, "# TYPE {n} summary");
         for (label, v) in [("0.5", p50), ("0.95", p95), ("0.99", p99)] {
             let _ = writeln!(out, "{n}{{quantile=\"{label}\"}} {v}");
         }
-        let _ = writeln!(out, "{n}_sum {}\n{n}_count {}", snap.sum, snap.count);
+        let _ = writeln!(out, "{n}_sum {}\n{n}_count {}", h.sum, h.count);
     }
     out
 }
@@ -385,10 +291,8 @@ mod tests {
         let _g = crate::sink::test_lock();
         crate::set_metrics_enabled(true);
         counters::POOL_CHUNKS.add(3);
-        histograms::STEP_WALL_NS.record(7);
         reset_all();
         assert!(snapshot().iter().all(|&(_, v)| v == 0));
-        assert!(snapshot_histograms().iter().all(|(_, s)| s.count == 0));
         crate::set_metrics_enabled(false);
     }
 
@@ -408,34 +312,20 @@ mod tests {
     }
 
     #[test]
-    fn disabled_histogram_stays_empty() {
-        let _g = crate::sink::test_lock();
-        crate::set_metrics_enabled(false);
-        static H: Histogram = Histogram::new("test.h.disabled");
-        H.record(9);
-        assert_eq!(H.snapshot().count, 0);
-    }
-
-    #[test]
     fn quantiles_report_bucket_upper_bounds() {
-        let _g = crate::sink::test_lock();
-        crate::set_metrics_enabled(true);
-        static H: Histogram = Histogram::new("test.h.quantiles");
-        H.reset();
         // 99 observations of 5 (bucket 3, upper bound 7) and one of
         // 1000 (bucket 10, upper bound 1023).
+        let mut s = Histogram::default();
         for _ in 0..99 {
-            H.record(5);
+            s.record(5);
         }
-        H.record(1000);
-        let s = H.snapshot();
+        s.record(1000);
         assert_eq!(s.count, 100);
         assert_eq!(s.sum, 99 * 5 + 1000);
         assert_eq!(s.quantile(0.50), 7);
         assert_eq!(s.quantile(0.95), 7);
         assert_eq!(s.quantile(1.0), 1023);
-        assert_eq!(HistogramSnapshot::default().quantile(0.5), 0);
-        crate::set_metrics_enabled(false);
+        assert_eq!(Histogram::default().quantile(0.5), 0);
     }
 
     #[test]
@@ -444,10 +334,11 @@ mod tests {
         crate::set_metrics_enabled(true);
         reset_all();
         counters::POOL_CHUNKS.add(2);
+        let mut latency = Histogram::default();
         for v in [100u64, 200, 400_000] {
-            histograms::SERVE_REQUEST_NS.record(v);
+            latency.record(v);
         }
-        let text = prometheus_text(&[("server.accepted", 3)]);
+        let text = prometheus_text(&[("server.accepted", 3)], &[("serve.request.ns", latency)]);
         assert!(text.contains("# TYPE server_accepted counter\nserver_accepted 3"));
         assert!(text.contains("# TYPE pool_chunks counter\npool_chunks 2"));
         assert!(text.contains("# TYPE serve_request_ns summary"));

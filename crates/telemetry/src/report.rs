@@ -9,17 +9,18 @@
 //!   "meta": { "n": 16384, "steps": 24, "...": "free-form" },
 //!   "rows": [ { "...": "one object per table row" } ],
 //!   "counters": { "walk.interactions": 123, "...": 0 },
-//!   "histograms": { "serve.request.ns": { "count": 8, "sum": 0, "p50": 0, "p95": 0, "p99": 0 } }
+//!   "histograms": { "step.wall.ns": { "count": 8, "sum": 0, "p50": 0, "p95": 0, "p99": 0 } }
 //! }
 //! ```
 //!
 //! `rows` carries the same numbers as the printed table; `counters`
 //! holds the run-scoped counts added with [`RunReport::add_counters`]
-//! followed by the process-scoped registry, and `histograms` snapshots
-//! the histogram registry at write time, so a report is a
-//! self-contained record of what a run did, diffable across PRs.
+//! followed by the process-scoped registry, and `histograms` holds only
+//! the histograms added with [`RunReport::add_histogram`], so a report
+//! is a self-contained record of what a run did, diffable across PRs.
 
 use crate::json::JsonObject;
+use crate::metrics::Histogram;
 use std::path::{Path, PathBuf};
 
 /// Accumulates metadata and rows, then renders/writes the document.
@@ -28,6 +29,7 @@ pub struct RunReport {
     meta: JsonObject,
     rows: Vec<String>,
     counters: Vec<(&'static str, u64)>,
+    histograms: Vec<(&'static str, Histogram)>,
 }
 
 impl RunReport {
@@ -37,6 +39,7 @@ impl RunReport {
             meta: JsonObject::new(),
             rows: Vec::new(),
             counters: Vec::new(),
+            histograms: Vec::new(),
         }
     }
 
@@ -74,6 +77,16 @@ impl RunReport {
         self
     }
 
+    /// Add one owner's histogram (e.g. `gothic::RunSummary::step_wall`),
+    /// merging by name with those added before. Chainable.
+    pub fn add_histogram(&mut self, name: &'static str, h: &Histogram) -> &mut Self {
+        match self.histograms.iter_mut().find(|(n, _)| *n == name) {
+            Some((_, total)) => total.merge(h),
+            None => self.histograms.push((name, h.clone())),
+        }
+        self
+    }
+
     pub fn name(&self) -> &str {
         &self.name
     }
@@ -85,11 +98,11 @@ impl RunReport {
             counters.u64(name, value);
         }
         let mut hists = JsonObject::new();
-        for (name, snap) in crate::metrics::snapshot_histograms() {
-            let (p50, p95, p99) = snap.quantiles();
+        for (name, hist) in &self.histograms {
+            let (p50, p95, p99) = hist.quantiles();
             let mut h = JsonObject::new();
-            h.u64("count", snap.count)
-                .u64("sum", snap.sum)
+            h.u64("count", hist.count)
+                .u64("sum", hist.sum)
                 .u64("p50", p50)
                 .u64("p95", p95)
                 .u64("p99", p99);
@@ -135,6 +148,10 @@ mod tests {
         r.meta_u64("n", 16384).meta_str("mode", "volta");
         r.add_counters(&[("walk.interactions", 5), ("pipeline.steps", 2)])
             .add_counters(&[("walk.interactions", 7)]);
+        let mut wall = Histogram::default();
+        wall.record(3);
+        r.add_histogram("step.wall.ns", &wall)
+            .add_histogram("step.wall.ns", &wall);
         let mut row = JsonObject::new();
         row.u64("n_tot", 16384).f64("t_total", 0.125);
         r.add_row(row);
@@ -158,15 +175,15 @@ mod tests {
             Some(12)
         );
         assert_eq!(counters.get("pipeline.steps").unwrap().as_u64(), Some(2));
+        // Only the added histograms, merged by name.
         let hists = doc.get("histograms").unwrap();
-        assert_eq!(
-            hists.as_obj().unwrap().len(),
-            crate::metrics::histograms::ALL.len()
-        );
-        let h = hists.get("serve.request.ns").unwrap();
+        assert_eq!(hists.as_obj().unwrap().len(), 1);
+        let h = hists.get("step.wall.ns").unwrap();
         for k in ["count", "sum", "p50", "p95", "p99"] {
             assert!(h.get(k).is_some(), "histogram entry missing {k}");
         }
+        assert_eq!(h.get("count").unwrap().as_u64(), Some(2));
+        assert_eq!(h.get("sum").unwrap().as_u64(), Some(6));
     }
 
     #[test]

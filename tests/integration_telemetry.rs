@@ -192,20 +192,17 @@ fn disabled_telemetry_is_inert() {
 }
 
 /// The phase walls in each `StepReport` are the intervals the phase spans
-/// recorded, the set-up walls are those of the set-up's spans, and
-/// `step.wall.ns` is the step spans' total.
+/// recorded, the set-up walls are those of the set-up's spans, and the
+/// run's `step_wall` histogram is the step spans' total.
 #[test]
 fn step_report_walls_are_the_span_durations() {
     let _g = telemetry::sink::test_lock();
-    telemetry::metrics::reset_all();
     telemetry::sink::init_trace(TraceTo::Memory, TraceFormat::JsonLines).unwrap();
     let particles = plummer_model(512, 100.0, 1.0, 7);
     let mut sim = Gothic::new(particles, RunConfig::default());
     let reports = sim.run(STEPS);
     let lines = telemetry::sink::drain_memory();
-    let step_hist = telemetry::metrics::histograms::STEP_WALL_NS.snapshot();
     telemetry::sink::shutdown();
-    telemetry::metrics::reset_all();
 
     let mut dur_ns: HashMap<String, Vec<u64>> = HashMap::new();
     for d in lines.iter().map(|l| json::parse(l).unwrap()) {
@@ -233,6 +230,7 @@ fn step_report_walls_are_the_span_durations() {
             .collect();
         assert_eq!(dur_ns[f.name()], walls, "{}", f.name());
     }
-    assert_eq!(step_hist.count, STEPS);
-    assert_eq!(step_hist.sum, dur_ns["step"].iter().sum::<u64>());
+    let step_wall = &sim.summary().step_wall;
+    assert_eq!(step_wall.count, STEPS);
+    assert_eq!(step_wall.sum, dur_ns["step"].iter().sum::<u64>());
 }
