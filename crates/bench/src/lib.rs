@@ -12,7 +12,7 @@
 //!
 //! * `GOTHIC_BENCH_N`      — particle count (default 8192),
 //! * `GOTHIC_BENCH_STEPS`  — measured block steps per configuration
-//!   (default 24),
+//!   (default 36),
 //! * `GOTHIC_BENCH_WARMUP` — skipped leading steps (default 4),
 //! * `GOTHIC_BENCH_FULL_SWEEP=1` — use every Δacc power of Figs. 1–2.
 
@@ -39,7 +39,7 @@ impl BenchScale {
         };
         BenchScale {
             n: get("GOTHIC_BENCH_N", 8192) as usize,
-            steps: get("GOTHIC_BENCH_STEPS", 24),
+            steps: get("GOTHIC_BENCH_STEPS", 36),
             warmup: get("GOTHIC_BENCH_WARMUP", 4),
         }
     }
