@@ -326,20 +326,56 @@ pub fn write_report(r: &telemetry::RunReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gothic::gpu_model::MakeTreeEvents;
 
     #[test]
     fn event_acc_averages() {
         let mut acc = EventAcc::default();
         let mut ev = StepEvents::default();
         ev.walk.interactions = 100;
-        ev.predict.particles = 10;
+        ev.walk.peak_queue_len = 2;
+        ev.calc.levels = 10;
+        ev.predict.particles = 1;
+        ev.correct.particles = 10;
         acc.add(&ev);
+        assert!(acc.mean(1).make.is_none());
         ev.walk.interactions = 300;
+        ev.walk.peak_queue_len = 6;
+        ev.calc.levels = 20;
+        ev.predict.particles = 2;
+        ev.make = Some(MakeTreeEvents {
+            particles: 100,
+            sort_passes: 8,
+            nodes_created: 0,
+        });
         acc.add(&ev);
         let mean = acc.mean(2);
         assert_eq!(mean.walk.interactions, 200);
-        assert_eq!(mean.predict.particles, 10);
-        assert!(mean.make.is_none());
+        assert_eq!(mean.correct.particles, 10);
+        // Peaks are averaged over the steps, not kept at their maximum.
+        assert_eq!(mean.walk.peak_queue_len, 4);
+        assert_eq!(mean.calc.levels, 15);
+        // An exact half rounds up.
+        assert_eq!(mean.predict.particles, 2);
+        // One rebuild in two steps: its work is amortised over both, its
+        // sort passes are the build's own.
+        let make = mean.make.expect("one step rebuilt");
+        assert_eq!((make.particles, make.sort_passes), (50, 8));
+    }
+
+    /// A mean step's `sort_passes` is the one value every build records
+    /// (CUB runs all 8 digit passes), so averaging it over the rebuild
+    /// steps and taking its maximum agree. This pins that it is one value.
+    #[test]
+    fn every_build_records_eight_sort_passes() {
+        let cfg = RunConfig {
+            rebuild: RebuildPolicy::Fixed(2),
+            ..RunConfig::default()
+        };
+        let mut sim = Gothic::new(m31_particles(2048), cfg);
+        let builds: Vec<_> = (0..6).filter_map(|_| sim.step().events.make).collect();
+        assert!(builds.len() >= 2, "{} rebuilds", builds.len());
+        assert!(builds.iter().all(|m| m.sort_passes == 8), "{builds:?}");
     }
 
     #[test]
