@@ -161,80 +161,38 @@ pub fn price_paper_scale(
 /// all steps, matching the paper's time-per-step accounting).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct EventAcc {
-    walk: [f64; 9],
-    calc: [f64; 4],
-    make: [f64; 3],
-    predict: f64,
-    correct: f64,
-    make_steps: u64,
+    /// The steps folded by [`StepEvents::merge`].
+    sum: StepEvents,
+    /// Sums of the per-step values `merge` keeps the maximum of, which a
+    /// mean step averages instead.
+    peaks: [u64; 2],
+}
+
+/// The per-step values [`EventAcc`] sums although `merge` keeps their
+/// maximum.
+fn peaks(ev: &mut StepEvents) -> [&mut u64; 2] {
+    [&mut ev.walk.peak_queue_len, &mut ev.calc.levels]
 }
 
 impl EventAcc {
     pub fn add(&mut self, ev: &StepEvents) {
-        let w = &ev.walk;
-        for (slot, v) in self.walk.iter_mut().zip([
-            w.groups,
-            w.sinks,
-            w.interactions,
-            w.mac_evals,
-            w.list_pushes,
-            w.opens,
-            w.queue_rounds,
-            w.flushes,
-            w.peak_queue_len,
-        ]) {
-            *slot += v as f64;
+        self.sum.merge(ev);
+        let mut ev = *ev;
+        for (sum, v) in self.peaks.iter_mut().zip(peaks(&mut ev)) {
+            *sum += *v;
         }
-        let c = &ev.calc;
-        for (slot, v) in
-            self.calc
-                .iter_mut()
-                .zip([c.nodes, c.child_accumulations, c.levels, c.grid_syncs])
-        {
-            *slot += v as f64;
-        }
-        if let Some(m) = &ev.make {
-            for (slot, v) in self
-                .make
-                .iter_mut()
-                .zip([m.particles, m.sort_passes, m.nodes_created])
-            {
-                *slot += v as f64;
-            }
-            self.make_steps += 1;
-        }
-        self.predict += ev.predict.particles as f64;
-        self.correct += ev.correct.particles as f64;
     }
 
-    /// Mean events per step over `steps` steps (rebuild cost amortised).
+    /// Mean events per step over `steps` steps (rebuild cost amortised),
+    /// each rounded half up. A rebuild's sort passes are kept as the
+    /// builds recorded them.
     pub fn mean(&self, steps: u64) -> StepEvents {
-        let steps_f = steps.max(1) as f64;
-        let r = |x: f64| (x / steps_f).round() as u64;
-        let mut ev = StepEvents::default();
-        ev.walk.groups = r(self.walk[0]);
-        ev.walk.sinks = r(self.walk[1]);
-        ev.walk.interactions = r(self.walk[2]);
-        ev.walk.mac_evals = r(self.walk[3]);
-        ev.walk.list_pushes = r(self.walk[4]);
-        ev.walk.opens = r(self.walk[5]);
-        ev.walk.queue_rounds = r(self.walk[6]);
-        ev.walk.flushes = r(self.walk[7]);
-        ev.walk.peak_queue_len = r(self.walk[8]);
-        ev.calc.nodes = r(self.calc[0]);
-        ev.calc.child_accumulations = r(self.calc[1]);
-        ev.calc.levels = r(self.calc[2]);
-        ev.calc.grid_syncs = r(self.calc[3]);
-        if self.make_steps > 0 {
-            // Amortised: total make-tree work divided over all steps.
-            ev.make = Some(gothic::gpu_model::MakeTreeEvents {
-                particles: r(self.make[0]),
-                sort_passes: (self.make[1] / self.make_steps as f64).round() as u64,
-                nodes_created: r(self.make[2]),
-            });
+        let steps = steps.max(1);
+        let div = |x: u64| (x + steps / 2) / steps;
+        let mut ev = self.sum.map_counts(div);
+        for (v, sum) in peaks(&mut ev).into_iter().zip(self.peaks) {
+            *v = div(sum);
         }
-        ev.predict.particles = r(self.predict);
-        ev.correct.particles = r(self.correct);
         ev
     }
 }

@@ -54,6 +54,52 @@ pub struct StepEvents {
 }
 
 impl StepEvents {
+    /// Fold another step's events into these: the one rule for combining
+    /// steps. Counts add; the peak queue length, tree levels and sort
+    /// passes keep their maximum. The result has make-tree events if
+    /// either side rebuilt.
+    pub fn merge(&mut self, o: &StepEvents) {
+        self.walk.merge(&o.walk);
+        self.calc.merge(&o.calc);
+        if let Some(m) = &o.make {
+            self.make
+                .get_or_insert_with(MakeTreeEvents::default)
+                .merge(m);
+        }
+        self.predict.merge(&o.predict);
+        self.correct.merge(&o.correct);
+    }
+
+    /// Apply `f` to every count [`StepEvents::merge`] adds; the values it
+    /// keeps the maximum of are left as they are.
+    pub fn map_counts(&self, f: impl Fn(u64) -> u64) -> StepEvents {
+        let mut out = *self;
+        let (w, c) = (&mut out.walk, &mut out.calc);
+        let make = out
+            .make
+            .as_mut()
+            .map(|m| [&mut m.particles, &mut m.nodes_created]);
+        let counts = [
+            &mut w.groups,
+            &mut w.sinks,
+            &mut w.interactions,
+            &mut w.mac_evals,
+            &mut w.list_pushes,
+            &mut w.opens,
+            &mut w.queue_rounds,
+            &mut w.flushes,
+            &mut c.nodes,
+            &mut c.child_accumulations,
+            &mut c.grid_syncs,
+            &mut out.predict.particles,
+            &mut out.correct.particles,
+        ];
+        for x in counts.into_iter().chain(make.into_iter().flatten()) {
+            *x = f(*x);
+        }
+        out
+    }
+
     /// Extrapolate this step from a run with `from_n` particles to a run
     /// with `to_n`, holding the per-particle event *rates* fixed (they
     /// actually grow ∝ log N in a Barnes–Hut walk, so this slightly
@@ -66,27 +112,10 @@ impl StepEvents {
     /// architecture ratio toward 1.
     pub fn scaled_to(&self, from_n: u64, to_n: u64) -> StepEvents {
         let f = to_n as f64 / from_n as f64;
-        let s = |x: u64| (x as f64 * f).round() as u64;
         let depth_extra = (f.ln() / 8f64.ln()).round().max(0.0) as u64;
-        let mut out = *self;
-        out.walk.groups = s(self.walk.groups);
-        out.walk.sinks = s(self.walk.sinks);
-        out.walk.interactions = s(self.walk.interactions);
-        out.walk.mac_evals = s(self.walk.mac_evals);
-        out.walk.list_pushes = s(self.walk.list_pushes);
-        out.walk.opens = s(self.walk.opens);
-        out.walk.queue_rounds = s(self.walk.queue_rounds);
-        out.walk.flushes = s(self.walk.flushes);
-        out.calc.nodes = s(self.calc.nodes);
-        out.calc.child_accumulations = s(self.calc.child_accumulations);
-        out.calc.levels = self.calc.levels + depth_extra;
+        let mut out = self.map_counts(|x| (x as f64 * f).round() as u64);
+        out.calc.levels += depth_extra;
         out.calc.grid_syncs = self.calc.grid_syncs + depth_extra;
-        if let Some(m) = &mut out.make {
-            m.particles = s(m.particles);
-            m.nodes_created = s(m.nodes_created);
-        }
-        out.predict.particles = s(self.predict.particles);
-        out.correct.particles = s(self.correct.particles);
         out
     }
 }
@@ -123,20 +152,14 @@ pub struct Profile {
 impl Profile {
     /// Total modeled seconds across functions.
     pub fn total_seconds(&self) -> f64 {
-        self.walk_tree.seconds
-            + self.calc_node.seconds
-            + self.make_tree.seconds
-            + self.predict.seconds
-            + self.correct.seconds
+        Function::ALL.iter().map(|&f| self.get(f).seconds).sum()
     }
 
     /// Accumulate another profile.
     pub fn add(&mut self, o: &Profile) {
-        self.walk_tree.add(&o.walk_tree);
-        self.calc_node.add(&o.calc_node);
-        self.make_tree.add(&o.make_tree);
-        self.predict.add(&o.predict);
-        self.correct.add(&o.correct);
+        for f in Function::ALL {
+            self.get_mut(f).add(o.get(f));
+        }
     }
 
     /// Access by function id.
@@ -147,6 +170,16 @@ impl Profile {
             Function::MakeTree => &self.make_tree,
             Function::Predict => &self.predict,
             Function::Correct => &self.correct,
+        }
+    }
+
+    fn get_mut(&mut self, f: Function) -> &mut KernelCost {
+        match f {
+            Function::WalkTree => &mut self.walk_tree,
+            Function::CalcNode => &mut self.calc_node,
+            Function::MakeTree => &mut self.make_tree,
+            Function::Predict => &mut self.predict,
+            Function::Correct => &mut self.correct,
         }
     }
 }
@@ -166,39 +199,23 @@ pub fn price_step(
 ) -> Profile {
     let volta_binary = arch.has_split_int_pipe() && mode == ExecMode::VoltaMode;
     let mut p = Profile::default();
-
-    let walk_ops = ev.walk.to_ops(volta_binary);
-    p.walk_tree = KernelCost {
-        seconds: kernel_time(arch, mode, barrier, &walk_ops).total,
-        ops: walk_ops,
-        calls: 1,
-    };
-    let calc_ops = ev.calc.to_ops(volta_binary);
-    p.calc_node = KernelCost {
-        seconds: kernel_time(arch, mode, barrier, &calc_ops).total,
-        ops: calc_ops,
-        calls: 1,
-    };
-    if let Some(make) = &ev.make {
-        let make_ops = make.to_ops(volta_binary);
-        p.make_tree = KernelCost {
-            seconds: kernel_time(arch, mode, barrier, &make_ops).total,
-            ops: make_ops,
+    for f in Function::ALL {
+        let ops = match f {
+            Function::WalkTree => ev.walk.to_ops(volta_binary),
+            Function::CalcNode => ev.calc.to_ops(volta_binary),
+            Function::MakeTree => match &ev.make {
+                Some(make) => make.to_ops(volta_binary),
+                None => continue,
+            },
+            Function::Predict => ev.predict.to_ops(volta_binary),
+            Function::Correct => ev.correct.to_ops(volta_binary),
+        };
+        *p.get_mut(f) = KernelCost {
+            seconds: kernel_time(arch, mode, barrier, &ops).total,
+            ops,
             calls: 1,
         };
     }
-    let pred_ops = ev.predict.to_ops(volta_binary);
-    p.predict = KernelCost {
-        seconds: kernel_time(arch, mode, barrier, &pred_ops).total,
-        ops: pred_ops,
-        calls: 1,
-    };
-    let corr_ops = ev.correct.to_ops(volta_binary);
-    p.correct = KernelCost {
-        seconds: kernel_time(arch, mode, barrier, &corr_ops).total,
-        ops: corr_ops,
-        calls: 1,
-    };
     p
 }
 
@@ -233,6 +250,28 @@ mod tests {
             predict: IntegrateEvents { particles: 32_000 },
             correct: IntegrateEvents { particles: 32_000 },
         }
+    }
+
+    #[test]
+    fn merge_adds_counts_and_keeps_the_peaks() {
+        let ev = sample_events();
+        let mut acc = StepEvents { make: None, ..ev };
+        acc.merge(&StepEvents { make: None, ..ev });
+        assert!(acc.make.is_none());
+        acc.merge(&ev);
+        assert_eq!(acc.make, ev.make, "no build + a build");
+        let mut other = ev;
+        other.walk.peak_queue_len = 900;
+        other.calc.levels = 9;
+        acc.merge(&other);
+        let make = acc.make.expect("two builds");
+        assert_eq!((make.particles, make.nodes_created), (64_000, 80_000));
+        assert_eq!(make.sort_passes, 8);
+        assert_eq!(acc.walk.interactions, 4 * ev.walk.interactions);
+        assert_eq!(acc.calc.grid_syncs, 4 * ev.calc.grid_syncs);
+        assert_eq!(acc.correct.particles, 4 * ev.correct.particles);
+        assert_eq!(acc.walk.peak_queue_len, 900);
+        assert_eq!(acc.calc.levels, 14);
     }
 
     #[test]

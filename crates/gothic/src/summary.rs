@@ -5,7 +5,6 @@
 use crate::pipeline::{StepReport, WallTimes};
 use crate::profile::{Function, Profile, StepEvents};
 use devsort::RadixKey;
-use gpu_model::{CalcNodeEvents, IntegrateEvents, MakeTreeEvents, WalkEvents};
 use telemetry::Histogram;
 
 /// Counts and times of one run: the set-up `Gothic::new` did (zero for
@@ -17,12 +16,8 @@ pub struct RunSummary {
     /// Set-up walls of the `make tree`, `calc node` and `bootstrap`
     /// (force walk, in `walk_tree`) spans.
     pub setup_wall: WallTimes,
-    /// Set-up and step events, summed by the `*Events::merge` rules.
-    pub(crate) walk: WalkEvents,
-    pub(crate) calc: CalcNodeEvents,
-    pub(crate) make: MakeTreeEvents,
-    pub(crate) predict: IntegrateEvents,
-    pub(crate) correct: IntegrateEvents,
+    /// Set-up and step events, folded by [`StepEvents::merge`].
+    pub(crate) events: StepEvents,
     /// Tree builds (the set-up's included) and the digit passes their
     /// key sorts applied; the other passes were skipped as identities.
     pub(crate) builds: u64,
@@ -66,15 +61,11 @@ impl RunSummary {
     }
 
     fn add_events(&mut self, e: &StepEvents, radix_passes: u64) {
-        self.walk.merge(&e.walk);
-        self.calc.merge(&e.calc);
-        if let Some(make) = &e.make {
-            self.make.merge(make);
+        self.events.merge(e);
+        if e.make.is_some() {
             self.builds += 1;
             self.radix_passes += radix_passes;
         }
-        self.predict.merge(&e.predict);
-        self.correct.merge(&e.correct);
     }
 
     /// The run's counters by name, in the `counters` schema order.
@@ -86,24 +77,32 @@ impl RunSummary {
                 .sum()
         };
         let passes = self.builds * u64::from(<u64 as RadixKey>::PASSES);
+        let StepEvents {
+            walk,
+            calc,
+            make,
+            predict,
+            correct,
+        } = self.events;
+        let make = make.unwrap_or_default();
         [
-            ("walk.groups", self.walk.groups),
-            ("walk.interactions", self.walk.interactions),
-            ("walk.mac_evals", self.walk.mac_evals),
-            ("walk.list_pushes", self.walk.list_pushes),
-            ("walk.opens", self.walk.opens),
-            ("walk.flushes", self.walk.flushes),
-            ("calc.nodes", self.calc.nodes),
-            ("calc.child_accumulations", self.calc.child_accumulations),
-            ("calc.grid_syncs", self.calc.grid_syncs),
+            ("walk.groups", walk.groups),
+            ("walk.interactions", walk.interactions),
+            ("walk.mac_evals", walk.mac_evals),
+            ("walk.list_pushes", walk.list_pushes),
+            ("walk.opens", walk.opens),
+            ("walk.flushes", walk.flushes),
+            ("calc.nodes", calc.nodes),
+            ("calc.child_accumulations", calc.child_accumulations),
+            ("calc.grid_syncs", calc.grid_syncs),
             ("tree.builds", self.builds),
-            ("tree.nodes_created", self.make.nodes_created),
+            ("tree.nodes_created", make.nodes_created),
             ("sort.calls", self.builds),
-            ("sort.elements", self.make.particles),
+            ("sort.elements", make.particles),
             ("sort.radix_passes", self.radix_passes),
             ("sort.skipped_passes", passes - self.radix_passes),
-            ("integrate.predict_particles", self.predict.particles),
-            ("integrate.correct_particles", self.correct.particles),
+            ("integrate.predict_particles", predict.particles),
+            ("integrate.correct_particles", correct.particles),
             ("pipeline.steps", self.steps),
             ("pipeline.rebuilds", self.rebuilds),
             ("pipeline.active_particles", self.active_particles),
@@ -129,14 +128,14 @@ mod tests {
         let mut sim = Gothic::new(plummer_model(2048, 100.0, 1.0, 5), RunConfig::default());
         let setup = sim.summary().clone();
         assert_eq!((setup.particles, setup.builds, setup.steps), (2048, 1, 0));
-        assert!(setup.walk.interactions > 0 && setup.setup_wall.total() > 0.0);
+        assert!(setup.events.walk.interactions > 0 && setup.setup_wall.total() > 0.0);
         let reports = sim.run(6);
 
         let c = sim.summary().counters();
         let sum = |f: fn(&crate::StepReport) -> u64| reports.iter().map(f).sum::<u64>();
         assert_eq!(
             get(&c, "walk.interactions"),
-            setup.walk.interactions + sum(|r| r.events.walk.interactions)
+            setup.events.walk.interactions + sum(|r| r.events.walk.interactions)
         );
         assert_eq!(get(&c, "pipeline.steps"), 6);
         assert_eq!(sim.summary().step_wall.count, 6);

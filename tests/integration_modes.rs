@@ -17,50 +17,22 @@ fn measured_events(n: usize, delta_acc: f32, steps: u64) -> StepEvents {
     for _ in 0..3 {
         sim.step();
     }
-    // Accumulate into a single event record (counts add; make amortised).
     let mut acc = StepEvents::default();
     for _ in 0..steps {
-        let r = sim.step();
-        acc.walk.merge(&r.events.walk);
-        acc.calc.merge(&r.events.calc);
-        acc.predict.merge(&r.events.predict);
-        acc.correct.merge(&r.events.correct);
-        if let Some(m) = r.events.make {
-            let slot = acc.make.get_or_insert_with(Default::default);
-            slot.merge(&m);
-        }
+        acc.merge(&sim.step().events);
     }
     acc
 }
 
-/// Scale events to the paper's regime so fixed overheads don't dominate.
-fn at_paper_scale(ev: &StepEvents, from_n: u64) -> StepEvents {
-    let f = (1u64 << 23) / from_n;
-    let mut out = *ev;
-    out.walk.groups *= f;
-    out.walk.sinks *= f;
-    out.walk.interactions *= f;
-    out.walk.mac_evals *= f;
-    out.walk.list_pushes *= f;
-    out.walk.opens *= f;
-    out.walk.queue_rounds *= f;
-    out.walk.flushes *= f;
-    out.calc.nodes *= f;
-    out.calc.child_accumulations *= f;
-    if let Some(m) = &mut out.make {
-        m.particles *= f;
-        m.nodes_created *= f;
-    }
-    out.predict.particles *= f;
-    out.correct.particles *= f;
-    out
-}
+/// The paper's particle count, N = 2²³: events are scaled there so fixed
+/// overheads don't dominate.
+const PAPER_N: u64 = 1 << 23;
 
 #[test]
 fn pascal_mode_beats_volta_mode_at_every_accuracy() {
     let v100 = GpuArch::tesla_v100();
     for exp in [1i32, 9, 16] {
-        let ev = at_paper_scale(&measured_events(2048, 2.0f32.powi(-exp), 8), 2048);
+        let ev = measured_events(2048, 2.0f32.powi(-exp), 8).scaled_to(2048, PAPER_N);
         let pm = price_step(&ev, &v100, ExecMode::PascalMode, GridBarrier::LockFree);
         let vm = price_step(&ev, &v100, ExecMode::VoltaMode, GridBarrier::LockFree);
         let gain = vm.total_seconds() / pm.total_seconds();
@@ -79,7 +51,7 @@ fn v100_speedup_band_matches_paper() {
     let peak_ratio = v100.peak_sp_tflops() / p100.peak_sp_tflops();
     let mut speedups = Vec::new();
     for exp in [1i32, 9, 20] {
-        let ev = at_paper_scale(&measured_events(2048, 2.0f32.powi(-exp), 8), 2048);
+        let ev = measured_events(2048, 2.0f32.powi(-exp), 8).scaled_to(2048, PAPER_N);
         let tv = price_step(&ev, &v100, ExecMode::PascalMode, GridBarrier::LockFree);
         let tp = price_step(&ev, &p100, ExecMode::PascalMode, GridBarrier::LockFree);
         speedups.push(tp.total_seconds() / tv.total_seconds());
@@ -104,7 +76,7 @@ fn v100_speedup_band_matches_paper() {
 #[test]
 fn per_function_mode_gains_follow_fig5_ordering() {
     let v100 = GpuArch::tesla_v100();
-    let ev = at_paper_scale(&measured_events(2048, 2.0f32.powi(-9), 8), 2048);
+    let ev = measured_events(2048, 2.0f32.powi(-9), 8).scaled_to(2048, PAPER_N);
     let pm = price_step(&ev, &v100, ExecMode::PascalMode, GridBarrier::LockFree);
     let vm = price_step(&ev, &v100, ExecMode::VoltaMode, GridBarrier::LockFree);
     let gain = |f: Function| vm.get(f).seconds / pm.get(f).seconds.max(1e-30);
@@ -131,7 +103,7 @@ fn fig8_model_supports_the_observed_speedup() {
 
 #[test]
 fn older_gpus_are_slower_across_the_lineup() {
-    let ev = at_paper_scale(&measured_events(2048, 2.0f32.powi(-9), 8), 2048);
+    let ev = measured_events(2048, 2.0f32.powi(-9), 8).scaled_to(2048, PAPER_N);
     let mut last = 0.0;
     for arch in GpuArch::paper_lineup() {
         let t = price_step(&ev, &arch, ExecMode::PascalMode, GridBarrier::LockFree).total_seconds();
@@ -144,7 +116,7 @@ fn older_gpus_are_slower_across_the_lineup() {
 fn gravity_kernel_efficiency_peaks_over_40_percent() {
     // Fig. 9: ~45% of the SP peak at tight accuracy.
     let v100 = GpuArch::tesla_v100();
-    let ev = at_paper_scale(&measured_events(2048, 2.0f32.powi(-18), 8), 2048);
+    let ev = measured_events(2048, 2.0f32.powi(-18), 8).scaled_to(2048, PAPER_N);
     let p = price_step(&ev, &v100, ExecMode::PascalMode, GridBarrier::LockFree);
     let tf = sustained_tflops(&p.walk_tree.ops, p.walk_tree.seconds);
     let frac = tf / v100.peak_sp_tflops();
@@ -162,7 +134,7 @@ fn capacity_limits_match_section3() {
 #[test]
 fn cooperative_groups_pricing_matches_appendix_a() {
     let v100 = GpuArch::tesla_v100();
-    let ev = at_paper_scale(&measured_events(2048, 2.0f32.powi(-9), 8), 2048);
+    let ev = measured_events(2048, 2.0f32.powi(-9), 8).scaled_to(2048, PAPER_N);
     let lf = price_step(&ev, &v100, ExecMode::PascalMode, GridBarrier::LockFree);
     let cg = price_step(
         &ev,
