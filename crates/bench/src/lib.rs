@@ -14,7 +14,15 @@
 //! * `GOTHIC_BENCH_STEPS`  — measured block steps per configuration
 //!   (default 36),
 //! * `GOTHIC_BENCH_WARMUP` — skipped leading steps (default 4),
-//! * `GOTHIC_BENCH_FULL_SWEEP=1` — use every Δacc power of Figs. 1–2.
+//! * `GOTHIC_BENCH_FULL_SWEEP=1` — use every Δacc power of Figs. 1–2,
+//! * `GOTHIC_BENCH_MAX_POW` — fig3's largest N as a power of two
+//!   (default 14),
+//! * `GOTHIC_BENCH_NO_REPORT=1` — print the table without writing
+//!   `results/<name>.json`.
+//!
+//! The defaults are the scale `results/` was recorded at: each table
+//! there is byte for byte what its binary prints with
+//! `GOTHIC_BENCH_NO_REPORT=1`.
 
 use gothic::galaxy::M31Model;
 use gothic::gpu_model::{ExecMode, GpuArch, GridBarrier};
