@@ -16,7 +16,8 @@ pub struct RunSummary {
     /// Set-up walls of the `make tree`, `calc node` and `bootstrap`
     /// (force walk, in `walk_tree`) spans.
     pub setup_wall: WallTimes,
-    /// Set-up and step events, folded by [`StepEvents::merge`].
+    /// Set-up and step events, folded by [`StepEvents::merge`], the one
+    /// rule for combining steps.
     pub(crate) events: StepEvents,
     /// Tree builds (the set-up's included) and the digit passes their
     /// key sorts applied; the other passes were skipped as identities.
@@ -77,14 +78,8 @@ impl RunSummary {
                 .sum()
         };
         let passes = self.builds * u64::from(<u64 as RadixKey>::PASSES);
-        let StepEvents {
-            walk,
-            calc,
-            make,
-            predict,
-            correct,
-        } = self.events;
-        let make = make.unwrap_or_default();
+        let (walk, calc) = (&self.events.walk, &self.events.calc);
+        let make = self.events.make.unwrap_or_default();
         [
             ("walk.groups", walk.groups),
             ("walk.interactions", walk.interactions),
@@ -101,8 +96,8 @@ impl RunSummary {
             ("sort.elements", make.particles),
             ("sort.radix_passes", self.radix_passes),
             ("sort.skipped_passes", passes - self.radix_passes),
-            ("integrate.predict_particles", predict.particles),
-            ("integrate.correct_particles", correct.particles),
+            ("integrate.predict_particles", self.events.predict.particles),
+            ("integrate.correct_particles", self.events.correct.particles),
             ("pipeline.steps", self.steps),
             ("pipeline.rebuilds", self.rebuilds),
             ("pipeline.active_particles", self.active_particles),
