@@ -141,3 +141,22 @@ fn m31_realization_is_pinned() {
     }
     assert_eq!(gothic::fnv1a64(&bytes), 0x7929_2d4a_3fea_560b);
 }
+
+/// The N = 8192 realization that `paper_sweep` and the Fig. 1–10 sweeps
+/// sample once per Δacc point, hashed like `m31_realization_is_pinned`.
+/// It is sampled twice in one process, so that a second call, whatever
+/// it reuses from the first, must draw the same particles.
+#[test]
+fn m31_sweep_realization_is_pinned() {
+    for _ in 0..2 {
+        let ps = M31Model::paper_model().sample(8192, 20_190_807);
+        let mut bytes = Vec::with_capacity(ps.len() * 7 * 4);
+        for i in 0..ps.len() {
+            let (p, v) = (ps.pos[i], ps.vel[i]);
+            for x in [p.x, p.y, p.z, v.x, v.y, v.z, ps.mass[i]] {
+                bytes.extend_from_slice(&x.to_le_bytes());
+            }
+        }
+        assert_eq!(gothic::fnv1a64(&bytes), 0x9f74_4ecb_f482_ece9);
+    }
+}
