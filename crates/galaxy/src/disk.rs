@@ -11,7 +11,7 @@ use prng::Rng;
 use prng::{Distribution, Normal};
 
 /// Exponential disk parameters.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ExponentialDisk {
     /// Total mass.
     pub mass: f64,

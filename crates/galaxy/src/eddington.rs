@@ -20,17 +20,19 @@ use nbody::{Real, Vec3};
 use prng::Rng;
 
 /// Number of radial grid points.
-const N_GRID: usize = 256;
+pub(crate) const N_GRID: usize = 256;
 
-/// Composite (total) spherical potential on a log-radial grid.
+/// Composite (total) spherical potential on a log-radial grid. The
+/// tables are inline arrays, so a potential kept for the life of the
+/// process holds no heap.
 #[derive(Clone, Debug)]
 pub struct CompositePotential {
     /// Radii, ascending (log-spaced).
-    pub r: Vec<f64>,
+    pub r: [f64; N_GRID],
     /// Relative potential ψ(r) = −Φ(r) ≥ 0, with Φ → 0 at infinity.
-    pub psi: Vec<f64>,
+    pub psi: [f64; N_GRID],
     /// Total enclosed mass.
-    pub mass: Vec<f64>,
+    pub mass: [f64; N_GRID],
 }
 
 impl CompositePotential {
@@ -46,20 +48,16 @@ impl CompositePotential {
             .fold(f64::INFINITY, f64::min)
             * 1e-4;
         let r_max = components.iter().map(|c| c.r_max()).fold(0.0, f64::max);
-        let mut r = Vec::with_capacity(N_GRID);
         let (lo, hi) = (r_min.ln(), r_max.ln());
-        for i in 0..N_GRID {
-            r.push((lo + (hi - lo) * i as f64 / (N_GRID - 1) as f64).exp());
-        }
+        let r: [f64; N_GRID] =
+            std::array::from_fn(|i| (lo + (hi - lo) * i as f64 / (N_GRID - 1) as f64).exp());
         // Total enclosed mass at grid radii.
-        let mass: Vec<f64> = r
-            .iter()
-            .map(|&ri| components.iter().map(|c| c.enclosed_mass(ri)).sum())
-            .collect();
+        let mass: [f64; N_GRID] =
+            std::array::from_fn(|i| components.iter().map(|c| c.enclosed_mass(r[i])).sum());
         // ψ(r) = M(r)/r + ∫_r^∞ 4π r' ρ(r') dr'  (G = 1). The outer
         // integral accumulates backwards over the grid (zero beyond the
         // outermost truncation).
-        let mut outer = vec![0.0; N_GRID];
+        let mut outer = [0.0; N_GRID];
         for i in (0..N_GRID - 1).rev() {
             let (ra, rb) = (r[i], r[i + 1]);
             let fa: f64 = components
@@ -72,7 +70,7 @@ impl CompositePotential {
                 .sum();
             outer[i] = outer[i + 1] + 0.5 * (fa + fb) * (rb - ra);
         }
-        let psi: Vec<f64> = (0..N_GRID).map(|i| mass[i] / r[i] + outer[i]).collect();
+        let psi = std::array::from_fn(|i| mass[i] / r[i] + outer[i]);
         CompositePotential { r, psi, mass }
     }
 
@@ -101,7 +99,14 @@ impl CompositePotential {
 /// zero-width segment (a flat stretch of an enclosed-mass table) answers
 /// its midpoint. Callers that want another edge rule apply it first.
 fn lerp(xs: &[f64], ys: &[f64], x: f64) -> f64 {
-    let i = xs.partition_point(|&v| v < x).clamp(1, xs.len() - 1);
+    lerp_at(xs, ys, x, xs.partition_point(|&v| v < x))
+}
+
+/// [`lerp`] on the segment ending at `i`, the index of the first grid
+/// value not below `x`; outside the grid that is the first or last
+/// segment.
+fn lerp_at(xs: &[f64], ys: &[f64], x: f64, i: usize) -> f64 {
+    let i = i.clamp(1, xs.len() - 1);
     let (x0, x1) = (xs[i - 1], xs[i]);
     let t = if x1 > x0 { (x - x0) / (x1 - x0) } else { 0.5 };
     ys[i - 1] * (1.0 - t) + ys[i] * t
@@ -111,9 +116,9 @@ fn lerp(xs: &[f64], ys: &[f64], x: f64) -> f64 {
 #[derive(Clone, Debug)]
 pub struct EddingtonDf {
     /// Energy grid (ascending, = ψ values of the radial grid reversed).
-    pub e: Vec<f64>,
+    pub e: [f64; N_GRID],
     /// f(E) ≥ 0.
-    pub f: Vec<f64>,
+    pub f: [f64; N_GRID],
 }
 
 impl EddingtonDf {
@@ -127,6 +132,25 @@ impl EddingtonDf {
             return self.f[n - 1];
         }
         lerp(&self.e, &self.f, e)
+    }
+
+    /// [`f_at`](Self::f_at) for energies that fall from call to call.
+    /// `i` carries the bracket index of the previous call and must start
+    /// at or above that of the first energy (`N_GRID` always is); the
+    /// walk down from it stops at the index `f_at`'s search finds, so
+    /// the answer is the same to the bit.
+    fn f_at_falling(&self, e: f64, i: &mut usize) -> f64 {
+        let n = self.e.len();
+        if e <= self.e[0] {
+            return 0.0;
+        }
+        if e >= self.e[n - 1] {
+            return self.f[n - 1];
+        }
+        while self.e[*i - 1] >= e {
+            *i -= 1;
+        }
+        lerp_at(&self.e, &self.f, e, *i)
     }
 }
 
@@ -158,7 +182,7 @@ pub fn eddington_df(component: &dyn SphericalProfile, pot: &CompositePotential) 
     d2[n - 1] = d2[n - 2];
 
     // Energies ascending.
-    let e_grid: Vec<f64> = psi.iter().rev().copied().collect();
+    let e_grid: [f64; N_GRID] = std::array::from_fn(|i| psi[n - 1 - i]);
     let d2_by_e: Vec<f64> = d2.iter().rev().copied().collect();
 
     let interp_d2 = |e: f64| lerp(&e_grid, &d2_by_e, e.clamp(e_grid[0], e_grid[n - 1]));
@@ -169,8 +193,7 @@ pub fn eddington_df(component: &dyn SphericalProfile, pot: &CompositePotential) 
 
     let c = 1.0 / (8.0f64.sqrt() * std::f64::consts::PI * std::f64::consts::PI);
     let n_theta = 64;
-    let mut f = Vec::with_capacity(n);
-    for &e in &e_grid {
+    let f = e_grid.map(|e| {
         // ∫₀^E d²ρ/dψ² dψ/√(E−ψ) with ψ = E sin²θ.
         let mut s = 0.0;
         for k in 0..n_theta {
@@ -184,8 +207,8 @@ pub fn eddington_df(component: &dyn SphericalProfile, pot: &CompositePotential) 
         } else {
             0.0
         };
-        f.push((c * (s + boundary)).max(0.0));
-    }
+        (c * (s + boundary)).max(0.0)
+    });
     EddingtonDf { e: e_grid, f }
 }
 
@@ -198,15 +221,34 @@ pub fn sample_component<R: Rng>(
     n: usize,
     rng: &mut R,
 ) -> Vec<(Vec3, Vec3)> {
-    // Inverse-transform table for the component's M(r).
-    let m_tot = component.total_mass();
-    let grid_r = &pot.r;
-    let m_comp: Vec<f64> = grid_r.iter().map(|&r| component.enclosed_mass(r)).collect();
+    let m_comp = mass_table(component, pot);
+    draw_component(pot, df, component.total_mass(), &m_comp, n, rng)
+}
 
+/// The component's M(r) at the potential's grid radii: the
+/// inverse-transform table of its radius draws.
+pub(crate) fn mass_table(
+    component: &dyn SphericalProfile,
+    pot: &CompositePotential,
+) -> [f64; N_GRID] {
+    pot.r.map(|r| component.enclosed_mass(r))
+}
+
+/// [`sample_component`] from tables already built: `m_tot` is the
+/// component's total mass and `m_comp` its [`mass_table`].
+pub(crate) fn draw_component<R: Rng>(
+    pot: &CompositePotential,
+    df: &EddingtonDf,
+    m_tot: f64,
+    m_comp: &[f64; N_GRID],
+    n: usize,
+    rng: &mut R,
+) -> Vec<(Vec3, Vec3)> {
+    let grid_r = &pot.r;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         // Radius.
-        let r = lerp(&m_comp, grid_r, rng.random::<f64>() * m_tot);
+        let r = lerp(m_comp, grid_r, rng.random::<f64>() * m_tot);
 
         // Isotropic direction.
         let cos_t: f64 = rng.random::<f64>() * 2.0 - 1.0;
@@ -217,11 +259,14 @@ pub fn sample_component<R: Rng>(
         // Speed by rejection from p(v) ∝ v² f(ψ − v²/2).
         let psi_r = pot.psi_at(r);
         let v_esc = (2.0 * psi_r).sqrt();
-        // Envelope: scan for the maximum of the target.
+        // Envelope: scan for the maximum of the target. Its energies
+        // fall from ψ(r) as v grows, so each bracket is found by walking
+        // down from the last one, starting at ψ(r)'s.
         let mut p_max = 0.0;
+        let mut bracket = df.e.partition_point(|&x| x < psi_r);
         for k in 1..64 {
             let v = v_esc * k as f64 / 64.0;
-            let p = v * v * df.f_at(psi_r - 0.5 * v * v);
+            let p = v * v * df.f_at_falling(psi_r - 0.5 * v * v, &mut bracket);
             if p > p_max {
                 p_max = p;
             }
@@ -305,6 +350,51 @@ mod tests {
         let q1 = df.f[df.f.len() / 4];
         let q3 = df.f[3 * df.f.len() / 4];
         assert!(q3 > q1, "f must grow with E: {q1} vs {q3}");
+    }
+
+    /// The envelope scan's walk finds `f_at`'s bracket. Falling energy
+    /// sequences start above the grid, land on grid values, repeat and
+    /// end below it; every answer must be `f_at`'s to the bit, whether
+    /// the walk starts at `N_GRID` or at the first energy's bracket.
+    #[test]
+    fn falling_lookup_matches_f_at_bit_for_bit() {
+        let h = Hernquist::new(100.0, 2.0, 2000.0);
+        let pot = CompositePotential::build(&[&h]);
+        let df = eddington_df(&h, &pot);
+        let (lo, hi) = (df.e[0], df.e[N_GRID - 1]);
+        let mut rng = StdRng::seed_from_u64(23);
+        let [mut below, mut above, mut on_grid, mut repeats] = [0; 4];
+        for seq in 0..64 {
+            let mut e = hi + 0.01 * (hi - lo) * rng.random::<f64>();
+            let mut i = if seq % 2 == 0 {
+                N_GRID
+            } else {
+                df.e.partition_point(|&v| v < e)
+            };
+            let mut tail = 0;
+            while tail < 3 {
+                let got = df.f_at_falling(e, &mut i);
+                assert_eq!(got.to_bits(), df.f_at(e).to_bits(), "E = {e}");
+                below += usize::from(e <= lo);
+                above += usize::from(e >= hi);
+                on_grid += usize::from(df.e.contains(&e));
+                tail += usize::from(e <= lo);
+                e = match rng.random_range(0..4) {
+                    0 => {
+                        repeats += 1;
+                        e
+                    }
+                    // The largest grid energy below e, or a step of 1
+                    // once e is at or below the bottom of the grid.
+                    1 => df.e[..df.e.partition_point(|&v| v < e)]
+                        .last()
+                        .copied()
+                        .unwrap_or(e - 1.0),
+                    _ => e - 8.0 * (hi - lo) / N_GRID as f64 * rng.random::<f64>(),
+                };
+            }
+        }
+        assert!(below > 0 && above > 0 && on_grid > 100 && repeats > 100);
     }
 
     #[test]

@@ -11,13 +11,16 @@
 //! particle masses** across all components, as MAGI does.
 
 use crate::disk::{DiskAsSpherical, ExponentialDisk};
-use crate::eddington::{eddington_df, sample_component, CompositePotential};
+use crate::eddington::{
+    draw_component, eddington_df, mass_table, CompositePotential, EddingtonDf, N_GRID,
+};
 use crate::profiles::{Hernquist, Nfw, Sersic, SphericalProfile};
 use nbody::{ParticleSet, Real, Vec3};
 use prng::prelude::*;
+use std::sync::OnceLock;
 
 /// The four-component M31 model.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct M31Model {
     pub halo: Nfw,
     pub stellar_halo: Sersic,
@@ -62,11 +65,29 @@ impl M31Model {
     /// Sample `n_total` equal-mass particles in dynamical equilibrium.
     /// Particle counts per component are proportional to the component
     /// masses (the MAGI constraint quoted in §2.2).
+    ///
+    /// The paper model's tables (potential, M(r) and DF of each
+    /// spheroid) are built by the first call in the process and kept in
+    /// a static; any other model builds its own for the call. The
+    /// particles are drawn afresh every time.
     pub fn sample(&self, n_total: usize, seed: u64) -> ParticleSet {
+        static PAPER_TABLES: OnceLock<ModelTables> = OnceLock::new();
         assert!(n_total >= 16, "need at least a handful of particles");
         let _span = telemetry::span("ics");
+        let own;
+        let tables = if *self == M31Model::paper_model() {
+            PAPER_TABLES.get_or_init(|| ModelTables::build(self))
+        } else {
+            own = ModelTables::build(self);
+            &own
+        };
+        self.draw(tables, n_total, seed)
+    }
+
+    /// Draw `n_total` particles from this model's `tables`.
+    fn draw(&self, tables: &ModelTables, n_total: usize, seed: u64) -> ParticleSet {
         let mut rng = StdRng::seed_from_u64(seed);
-        let pot = self.potential();
+        let pot = &tables.pot;
         let m_tot = self.total_mass();
         let m_particle = (m_tot / n_total as f64) as Real;
 
@@ -83,24 +104,54 @@ impl M31Model {
             }
         };
 
-        for (profile, n) in [
-            (&self.halo as &dyn SphericalProfile, n_halo),
-            (&self.stellar_halo as &dyn SphericalProfile, n_sersic),
-            (&self.bulge as &dyn SphericalProfile, n_bulge),
-        ] {
+        for (t, n) in tables.spheroids.iter().zip([n_halo, n_sersic, n_bulge]) {
             if n == 0 {
                 continue;
             }
-            let df = eddington_df(profile, &pot);
-            add(sample_component(profile, &pot, &df, n, &mut rng), &mut ps);
+            let pairs = draw_component(pot, &t.df, t.total_mass, &t.mass, n, &mut rng);
+            add(pairs, &mut ps);
         }
         if n_disk > 0 {
-            add(self.disk.sample(&pot, n_disk, &mut rng), &mut ps);
+            add(self.disk.sample(pot, n_disk, &mut rng), &mut ps);
         }
 
         // Zero the centre of mass and the net momentum.
         zero_com(&mut ps);
         ps
+    }
+}
+
+/// Everything [`M31Model::sample`] draws from that depends only on the
+/// model: the composite potential and the tables of the dark halo, the
+/// stellar halo and the bulge, in that order. All inline arrays, so the
+/// paper model's copy lives in a static without holding heap.
+struct ModelTables {
+    pot: CompositePotential,
+    spheroids: [SpheroidTables; 3],
+}
+
+/// One spheroid's total mass, M(r) on the potential's radii and
+/// Eddington DF in the composite potential.
+struct SpheroidTables {
+    total_mass: f64,
+    mass: [f64; N_GRID],
+    df: EddingtonDf,
+}
+
+impl ModelTables {
+    fn build(model: &M31Model) -> Self {
+        let pot = model.potential();
+        let spheroid = |c: &dyn SphericalProfile| SpheroidTables {
+            total_mass: c.total_mass(),
+            mass: mass_table(c, &pot),
+            df: eddington_df(c, &pot),
+        };
+        let spheroids = [
+            spheroid(&model.halo),
+            spheroid(&model.stellar_halo),
+            spheroid(&model.bulge),
+        ];
+        ModelTables { pot, spheroids }
     }
 }
 
@@ -170,6 +221,38 @@ mod tests {
         let rel = (ps.total_mass() - m31.total_mass()).abs() / m31.total_mass();
         assert!(rel < 1e-3, "rel = {rel}");
         ps.check_invariants().unwrap();
+    }
+
+    /// Only the paper model reads the kept tables: a model that differs
+    /// in one field, sampled after the paper model, gets what a cold
+    /// build of its own tables gives.
+    #[test]
+    fn kept_tables_serve_only_the_paper_model() {
+        let paper = M31Model::paper_model();
+        let mut heavy_bulge = paper;
+        heavy_bulge.bulge = Hernquist::new(2.0 * paper.bulge.mass, paper.bulge.a, R_TRUNC);
+        assert_ne!(heavy_bulge, paper);
+        let from_paper = paper.sample(2048, 5);
+        let warm = heavy_bulge.sample(2048, 5);
+        let cold = heavy_bulge.draw(&ModelTables::build(&heavy_bulge), 2048, 5);
+        assert_eq!(warm, cold);
+        assert_ne!(warm, from_paper);
+        assert_eq!(from_paper, paper.draw(&ModelTables::build(&paper), 2048, 5));
+    }
+
+    /// Concurrent first calls (as `gothicd` jobs make) race to build the
+    /// kept tables; every caller must get the same particles.
+    #[test]
+    fn concurrent_paper_samples_are_identical() {
+        let sets: Vec<ParticleSet> = std::thread::scope(|s| {
+            let jobs: Vec<_> = (0..2)
+                .map(|_| s.spawn(|| M31Model::paper_model().sample(1024, 11)))
+                .collect();
+            jobs.into_iter().map(|j| j.join().unwrap()).collect()
+        });
+        assert_eq!(sets[0], sets[1]);
+        let paper = M31Model::paper_model();
+        assert_eq!(sets[0], paper.draw(&ModelTables::build(&paper), 1024, 11));
     }
 
     #[test]

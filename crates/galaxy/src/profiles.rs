@@ -33,7 +33,7 @@ pub trait SphericalProfile {
 /// halo — exactly where an NFW profile keeps a large share of its mass —
 /// so equilibrium sampling requires the smooth cutoff (the same device
 /// MAGI and Kazantzidis-style initialisers use).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Nfw {
     /// Scale density ρ₀.
     pub rho0: f64,
@@ -127,7 +127,7 @@ impl SphericalProfile for Nfw {
 }
 
 /// Hernquist (1990) bulge: ρ = M a / [2π r (r + a)³].
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Hernquist {
     pub mass: f64,
     pub a: f64,
@@ -175,7 +175,7 @@ impl SphericalProfile for Hernquist {
 /// (1997) approximation:
 /// ρ(r) ∝ (r/Re)^{-p} exp(−b (r/Re)^{1/n}),
 /// with p = 1 − 0.6097/n + 0.05463/n² and b = 2n − 1/3 + 0.009876/n.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Sersic {
     pub mass: f64,
     /// Effective (projected half-light) radius.
