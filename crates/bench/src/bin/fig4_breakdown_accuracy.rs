@@ -28,15 +28,21 @@ fn main() {
     for dacc in delta_acc_sweep() {
         let run = measure(m31_particles(scale.n), dacc, &scale, None);
         let p = price_paper_scale(&run, &v100, ExecMode::PascalMode, default_barrier());
+        // A run that built its tree only once, at its first step, bounds
+        // the interval by its length.
+        let rebuild_interval = match run.mean_rebuild_interval {
+            Some(k) => format!("{k:.1}"),
+            None => format!(">{}", scale.warmup + scale.steps - 1),
+        };
         println!(
-            "{:>8}  {:>12.4e}  {:>12.4e}  {:>12.4e}  {:>12.4e}  {:>12.4e}  {:>10.1}",
+            "{:>8}  {:>12.4e}  {:>12.4e}  {:>12.4e}  {:>12.4e}  {:>12.4e}  {:>10}",
             fmt_dacc(dacc),
             p.total_seconds(),
             p.walk_tree.seconds,
             p.calc_node.seconds,
             p.make_tree.seconds,
             p.predict.seconds + p.correct.seconds,
-            run.mean_rebuild_interval,
+            rebuild_interval,
         );
         if walk_first.is_none() {
             walk_first = Some(p.walk_tree.seconds);

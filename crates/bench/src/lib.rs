@@ -79,8 +79,10 @@ pub struct MeasuredRun {
     pub n: usize,
     /// Mean events per block step (rebuild cost amortised over steps).
     pub mean_events: StepEvents,
-    /// Mean rebuild interval in steps.
-    pub mean_rebuild_interval: f64,
+    /// Mean interval in steps between the run's tree builds, from the
+    /// build every run starts with (in the warm-up) to the last one;
+    /// `None` if the tree was never rebuilt after it.
+    pub mean_rebuild_interval: Option<f64>,
     /// The whole run, set-up and warm-up steps included: the source of a
     /// report's counters.
     pub summary: RunSummary,
@@ -107,22 +109,18 @@ pub fn measure(
     let mut rebuild_steps: Vec<u64> = Vec::new();
     for s in 0..(scale.warmup + scale.steps) {
         let rep = sim.step();
+        if rep.rebuilt {
+            rebuild_steps.push(rep.step);
+        }
         if s < scale.warmup {
             continue;
         }
         measured += 1;
         events_acc.add(&rep.events);
-        if rep.rebuilt {
-            rebuild_steps.push(rep.step);
-        }
     }
-    let mean_rebuild_interval = if rebuild_steps.len() >= 2 {
-        let span = rebuild_steps.last().unwrap() - rebuild_steps.first().unwrap();
-        span as f64 / (rebuild_steps.len() - 1) as f64
-    } else if !rebuild_steps.is_empty() {
-        scale.steps as f64 / rebuild_steps.len() as f64
-    } else {
-        scale.steps as f64
+    let mean_rebuild_interval = match rebuild_steps[..] {
+        [first, .., last] => Some((last - first) as f64 / (rebuild_steps.len() - 1) as f64),
+        _ => None,
     };
     MeasuredRun {
         delta_acc,
@@ -352,6 +350,23 @@ mod tests {
         assert!(sweep.iter().any(|&d| (d - 2.0f32.powi(-20)).abs() < 1e-12));
         // Fiducial Δacc = 2⁻⁹ present.
         assert!(sweep.iter().any(|&d| (d - 2.0f32.powi(-9)).abs() < 1e-9));
+    }
+
+    /// The rebuild interval counts the build every run makes at its
+    /// first step: a fixed interval of 3 over 1 + 8 steps builds at
+    /// steps 1, 4 and 7, and a run that never rebuilds measures none.
+    #[test]
+    fn rebuild_interval_counts_the_first_build() {
+        let scale = BenchScale {
+            n: 2048,
+            steps: 8,
+            warmup: 1,
+        };
+        let interval = |k| {
+            measure(m31_particles(2048), 2.0f32.powi(-6), &scale, Some(k)).mean_rebuild_interval
+        };
+        assert_eq!(interval(3), Some(3.0));
+        assert_eq!(interval(100), None);
     }
 
     #[test]
