@@ -7,6 +7,12 @@
 //! disk with epicyclic velocities and a Toomre-Q floor ([`disk`]), the
 //! paper's M31 model ([`m31`]) and a Plummer reference sphere
 //! ([`plummer`]).
+//!
+//! The paper model's tables (the composite potential and each
+//! spheroid's M(r) and Eddington DF) are built once per process and kept
+//! in a static; any other model builds its own for each call. The
+//! particle set itself is never cached: every
+//! [`M31Model::sample`] call draws it afresh.
 
 pub mod analytic;
 pub mod diagnostics;

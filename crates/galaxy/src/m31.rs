@@ -240,13 +240,20 @@ mod tests {
         assert_eq!(from_paper, paper.draw(&ModelTables::build(&paper), 2048, 5));
     }
 
-    /// Concurrent first calls (as `gothicd` jobs make) race to build the
-    /// kept tables; every caller must get the same particles.
+    /// Concurrent calls (as `gothicd` jobs make), released together by a
+    /// barrier, may race to build the kept tables; every caller must get
+    /// the same particles.
     #[test]
     fn concurrent_paper_samples_are_identical() {
+        let start = std::sync::Barrier::new(2);
         let sets: Vec<ParticleSet> = std::thread::scope(|s| {
             let jobs: Vec<_> = (0..2)
-                .map(|_| s.spawn(|| M31Model::paper_model().sample(1024, 11)))
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        M31Model::paper_model().sample(1024, 11)
+                    })
+                })
                 .collect();
             jobs.into_iter().map(|j| j.join().unwrap()).collect()
         });
