@@ -36,7 +36,7 @@ pub use cancel::{CancelReason, CancelToken, Cancelled};
 pub use config::{fnv1a64, RebuildPolicy, RunConfig};
 pub use pipeline::{CancelledRun, Gothic, StepReport, WallTimes};
 pub use profile::{price_step, Function, KernelCost, Profile, StepEvents};
-pub use snapshot::Snapshot;
+pub use snapshot::{Capture, Snapshot};
 pub use summary::RunSummary;
 
 // Re-export the workspace's public surface so downstream users need a

@@ -14,6 +14,14 @@
 //! (`com`/`mass`/`bmax`, refreshed by calcNode every step), the predicted
 //! positions (predict overwrites every entry) and the tree's build events
 //! (read only right after a rebuild).
+//!
+//! Writing copies no state. [`Snapshot::capture`] returns a [`Capture`],
+//! a view that borrows the running simulation's arrays, and its
+//! [`Capture::write_to`] is the one serialiser: an owned [`Snapshot`]
+//! (the read side, from [`Snapshot::read_from`] or [`Snapshot::load`])
+//! writes through a view of itself. Equality streams one side's bytes
+//! against the other's serialised bytes, so comparing holds one
+//! serialised copy, not two.
 
 use crate::pipeline::RebuildTuner;
 use crate::{Gothic, RunConfig, RunSummary};
@@ -30,13 +38,18 @@ const MAGIC: &[u8; 8] = b"GOTHICSN";
 /// clock; version 1 files cannot be resumed exactly and are rejected.
 const VERSION: u32 = 2;
 
-/// Records moved per `read_exact` / `write_all` call.
+/// Records moved per `read_exact` call.
 const BATCH: usize = 1 << 14;
+/// Bytes encoded per `write_all` call, staged on the stack so that
+/// writing allocates nothing.
+const WRITE_BYTES: usize = 1 << 16;
 /// Most records an array reserves before its bytes arrive, so a corrupt
 /// count fails with a truncation error instead of a huge allocation.
 const MAX_RESERVE: usize = 1 << 20;
 
-/// A simulation checkpoint: particles, clock and integrator state.
+/// A simulation checkpoint read back from bytes: particles, clock and
+/// integrator state, owned so that [`Snapshot::resume`] can move them
+/// into a new run.
 #[derive(Clone, Debug)]
 pub struct Snapshot {
     /// Simulation time (simulation units).
@@ -57,52 +70,83 @@ pub struct Snapshot {
     steps_since_rebuild: u32,
 }
 
+/// The state a snapshot holds, borrowed from a running simulation (see
+/// [`Snapshot::capture`]) or from an owned [`Snapshot`]. Writing it
+/// reads the arrays in place; of the tree only the topology is written.
+#[derive(Debug)]
+pub struct Capture<'a> {
+    time: f64,
+    step: u64,
+    leaf_cap: u32,
+    steps_since_rebuild: u32,
+    particles: &'a ParticleSet,
+    blocks: &'a BlockSteps,
+    tree: &'a Octree,
+    tuner: &'a RebuildTuner,
+}
+
 /// Two snapshots are equal when they serialise to the same bytes: the
 /// format defines the state a snapshot holds.
-impl PartialEq for Snapshot {
-    fn eq(&self, other: &Snapshot) -> bool {
-        let bytes = |s: &Snapshot| {
-            let mut b = Vec::new();
-            s.write_to(&mut b).expect("writing to a Vec cannot fail");
-            b
-        };
-        bytes(self) == bytes(other)
+impl PartialEq<Capture<'_>> for Snapshot {
+    fn eq(&self, other: &Capture<'_>) -> bool {
+        // Sized by a counting pass first: a `Vec` grown by doubling can
+        // hold twice the bytes it is given.
+        let mut len = Counted(0);
+        other.write_to(&mut len).expect("counting cannot fail");
+        let mut bytes = Vec::with_capacity(len.0);
+        other
+            .write_to(&mut bytes)
+            .expect("writing to a Vec cannot fail");
+        let mut rest = Remaining(&bytes);
+        self.write_to(&mut rest).is_ok() && rest.0.is_empty()
     }
 }
 
-impl Snapshot {
-    /// Capture the current state of a simulation.
-    pub fn capture(sim: &Gothic) -> Snapshot {
-        let t = &sim.tree;
-        Snapshot {
-            time: sim.time(),
-            step: sim.step_count,
-            particles: sim.ps.clone(),
-            blocks: sim.blocks.clone(),
-            leaf_cap: sim.cfg.leaf_cap,
-            tree: Octree {
-                cube: t.cube,
-                keys: t.keys.clone(),
-                level: t.level.clone(),
-                pstart: t.pstart.clone(),
-                pcount: t.pcount.clone(),
-                child_start: t.child_start.clone(),
-                child_count: t.child_count.clone(),
-                com: Vec::new(),
-                mass: Vec::new(),
-                bmax: Vec::new(),
-                level_start: t.level_start.clone(),
-                events: MakeTreeEvents::default(),
-                radix_passes: 0,
-            },
-            tuner: sim.tuner.clone(),
-            steps_since_rebuild: sim.steps_since_rebuild,
+impl PartialEq for Snapshot {
+    fn eq(&self, other: &Snapshot) -> bool {
+        *self == other.view()
+    }
+}
+
+/// A writer that checks each chunk written to it against the front of
+/// the bytes still expected, and fails at the first chunk that differs
+/// or overruns them.
+struct Remaining<'a>(&'a [u8]);
+
+impl Write for Remaining<'_> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        match self.0.strip_prefix(buf) {
+            Some(rest) => {
+                self.0 = rest;
+                Ok(buf.len())
+            }
+            None => Err(io::ErrorKind::InvalidData.into()),
         }
     }
 
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A writer that only counts the bytes written to it.
+struct Counted(usize);
+
+impl Write for Counted {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.0 += buf.len();
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+impl Capture<'_> {
     /// Serialise to any writer.
     pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        let (ps, b, t) = (&self.particles, &self.blocks, &self.tree);
+        let (ps, b, t) = (self.particles, self.blocks, self.tree);
         w.write_all(MAGIC)?;
         w.write_all(&VERSION.to_le_bytes())?;
         w.write_all(&self.time.to_le_bytes())?;
@@ -140,6 +184,68 @@ impl Snapshot {
         w.write_all(&self.steps_since_rebuild.to_le_bytes())?;
         w.write_all(&(self.tuner.fresh_leaf_bmax.len() as u64).to_le_bytes())?;
         write_vec(w, &self.tuner.fresh_leaf_bmax, |x| x.to_le_bytes())
+    }
+
+    /// Write to a file path, crash-safely.
+    ///
+    /// The snapshot is staged to a sibling `<path>.tmp`, flushed and
+    /// fsynced, then renamed over the target. A crash (or full disk)
+    /// mid-write therefore never leaves a truncated snapshot at `path`:
+    /// readers see either the old complete file or the new complete
+    /// file, and a stale `.tmp` from an interrupted run is simply
+    /// overwritten by the next save.
+    pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
+        let path = path.as_ref();
+        let mut tmp = path.as_os_str().to_os_string();
+        tmp.push(".tmp");
+        let tmp = std::path::PathBuf::from(tmp);
+        let result = (|| {
+            let mut w = io::BufWriter::new(std::fs::File::create(&tmp)?);
+            self.write_to(&mut w)?;
+            w.flush()?;
+            let f = w.into_inner().map_err(|e| e.into_error())?;
+            f.sync_all()?;
+            std::fs::rename(&tmp, path)
+        })();
+        if result.is_err() {
+            std::fs::remove_file(&tmp).ok();
+        }
+        result
+    }
+}
+
+impl Snapshot {
+    /// Capture the current state of a simulation as a view that borrows
+    /// it; nothing is copied until the view is written.
+    pub fn capture(sim: &Gothic) -> Capture<'_> {
+        Capture {
+            time: sim.time(),
+            step: sim.step_count,
+            leaf_cap: sim.cfg.leaf_cap,
+            steps_since_rebuild: sim.steps_since_rebuild,
+            particles: &sim.ps,
+            blocks: &sim.blocks,
+            tree: &sim.tree,
+            tuner: &sim.tuner,
+        }
+    }
+
+    fn view(&self) -> Capture<'_> {
+        Capture {
+            time: self.time,
+            step: self.step,
+            leaf_cap: self.leaf_cap,
+            steps_since_rebuild: self.steps_since_rebuild,
+            particles: &self.particles,
+            blocks: &self.blocks,
+            tree: &self.tree,
+            tuner: &self.tuner,
+        }
+    }
+
+    /// Serialise to any writer; see [`Capture::write_to`].
+    pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
+        self.view().write_to(w)
     }
 
     /// Deserialise from any reader, validating magic, version, every
@@ -255,31 +361,9 @@ impl Snapshot {
         })
     }
 
-    /// Write to a file path, crash-safely.
-    ///
-    /// The snapshot is staged to a sibling `<path>.tmp`, flushed and
-    /// fsynced, then renamed over the target. A crash (or full disk)
-    /// mid-write therefore never leaves a truncated snapshot at `path`:
-    /// readers see either the old complete file or the new complete
-    /// file, and a stale `.tmp` from an interrupted run is simply
-    /// overwritten by the next save.
+    /// Write to a file path, crash-safely; see [`Capture::save`].
     pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        let path = path.as_ref();
-        let mut tmp = path.as_os_str().to_os_string();
-        tmp.push(".tmp");
-        let tmp = std::path::PathBuf::from(tmp);
-        let result = (|| {
-            let mut w = io::BufWriter::new(std::fs::File::create(&tmp)?);
-            self.write_to(&mut w)?;
-            w.flush()?;
-            let f = w.into_inner().map_err(|e| e.into_error())?;
-            f.sync_all()?;
-            std::fs::rename(&tmp, path)
-        })();
-        if result.is_err() {
-            std::fs::remove_file(&tmp).ok();
-        }
-        result
+        self.view().save(path)
     }
 
     /// Read from a file path.
@@ -378,13 +462,12 @@ fn write_vec<W: Write, T, const B: usize>(
     v: &[T],
     encode: impl Fn(&T) -> [u8; B],
 ) -> io::Result<()> {
-    let mut buf = Vec::with_capacity(B * v.len().min(BATCH));
-    for chunk in v.chunks(BATCH) {
-        buf.clear();
-        for x in chunk {
-            buf.extend_from_slice(&encode(x));
+    let mut buf = [0u8; WRITE_BYTES];
+    for chunk in v.chunks(WRITE_BYTES / B) {
+        for (out, x) in buf.chunks_exact_mut(B).zip(chunk) {
+            out.copy_from_slice(&encode(x));
         }
-        w.write_all(&buf)?;
+        w.write_all(&buf[..B * chunk.len()])?;
     }
     Ok(())
 }
@@ -452,6 +535,17 @@ mod tests {
         std::env::temp_dir().join(format!("gothic-snap-{}-{name}", std::process::id()))
     }
 
+    fn snapshot_bytes(sim: &crate::Gothic) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        Snapshot::capture(sim).write_to(&mut bytes).unwrap();
+        bytes
+    }
+
+    /// An owned snapshot of `sim`, through a byte round trip.
+    fn owned(sim: &crate::Gothic) -> Snapshot {
+        Snapshot::read_from(&mut snapshot_bytes(sim).as_slice()).unwrap()
+    }
+
     #[test]
     fn roundtrip_preserves_state_exactly() {
         let mut sim = crate::Gothic::new(plummer_model(512, 10.0, 1.0, 5), RunConfig::default());
@@ -461,9 +555,75 @@ mod tests {
         snap.save(&path).unwrap();
         let back = Snapshot::load(&path).unwrap();
         std::fs::remove_file(&path).ok();
-        assert_eq!(snap, back);
+        assert_eq!(back, snap);
         assert_eq!(back.particles.len(), 512);
         assert!(back.time > 0.0);
+    }
+
+    #[test]
+    fn round_tripped_snapshot_equals_its_capture() {
+        let mut sim = crate::Gothic::new(plummer_model(300, 10.0, 1.0, 17), RunConfig::default());
+        sim.run(3);
+        assert_eq!(owned(&sim), Snapshot::capture(&sim));
+    }
+
+    #[test]
+    fn one_flipped_position_byte_makes_it_unequal() {
+        let mut sim = crate::Gothic::new(plummer_model(300, 10.0, 1.0, 18), RunConfig::default());
+        sim.run(3);
+        let mut bytes = snapshot_bytes(&sim);
+        // Header: magic 8 + version 4 + time 8 + step 8 + count 8 bytes;
+        // the positions follow. Flip the low mantissa bit of one.
+        let at = 36 + 12 * 150 + 4;
+        bytes[at] ^= 1;
+        let back = Snapshot::read_from(&mut bytes.as_slice()).unwrap();
+        assert_ne!(back.particles.pos[150], sim.ps.pos[150]);
+        assert!(back != Snapshot::capture(&sim));
+    }
+
+    #[test]
+    fn runs_of_different_n_are_unequal_either_way() {
+        let cfg = RunConfig::default;
+        let a = crate::Gothic::new(plummer_model(64, 10.0, 1.0, 19), cfg());
+        let b = crate::Gothic::new(plummer_model(65, 10.0, 1.0, 19), cfg());
+        assert!(owned(&a) != Snapshot::capture(&b));
+        assert!(owned(&b) != Snapshot::capture(&a));
+        assert!(owned(&a) != owned(&b) && owned(&b) != owned(&a));
+    }
+
+    #[test]
+    fn stream_comparison_refuses_a_prefix_either_way() {
+        let write = |expected: &[u8], chunks: &[&[u8]]| {
+            let mut rest = Remaining(expected);
+            let ok = chunks.iter().all(|c| rest.write_all(c).is_ok());
+            ok && rest.0.is_empty()
+        };
+        assert!(write(b"abcdef", &[b"abc", b"def"]));
+        assert!(!write(b"abcdef", &[b"abc", b"de"]), "bytes left over");
+        assert!(!write(b"abcde", &[b"abc", b"def"]), "chunk overruns");
+        assert!(!write(b"abcdef", &[b"abd", b"def"]), "chunk differs");
+    }
+
+    #[test]
+    fn snapshot_equality_agrees_with_comparing_bytes() {
+        let mut sim = crate::Gothic::new(plummer_model(200, 10.0, 1.0, 20), RunConfig::default());
+        let early = owned(&sim);
+        sim.run(2);
+        let late = owned(&sim);
+        let mut moved = late.clone();
+        moved.particles.vel[7].y = -moved.particles.vel[7].y;
+        let all = [&early, &late, &moved];
+        let bytes = |s: &Snapshot| {
+            let mut b = Vec::new();
+            s.write_to(&mut b).unwrap();
+            b
+        };
+        for x in all {
+            for y in all {
+                assert_eq!(*x == *y, bytes(x) == bytes(y));
+            }
+        }
+        assert!(late == late.clone() && late != moved && early != late);
     }
 
     #[test]
@@ -539,8 +699,7 @@ mod tests {
         let sim_a = crate::Gothic::new(plummer_model(256, 10.0, 1.0, 12), RunConfig::default());
         let mut sim_b = crate::Gothic::new(plummer_model(256, 10.0, 1.0, 13), RunConfig::default());
         sim_b.run(2);
-        let a = Snapshot::capture(&sim_a);
-        let b = Snapshot::capture(&sim_b);
+        let (a, b) = (owned(&sim_a), owned(&sim_b));
         let path = tmp("atomic");
         a.save(&path).unwrap();
 
@@ -561,12 +720,6 @@ mod tests {
         }
         reader.join().unwrap();
         std::fs::remove_file(&path).ok();
-    }
-
-    fn snapshot_bytes(sim: &crate::Gothic) -> Vec<u8> {
-        let mut bytes = Vec::new();
-        Snapshot::capture(sim).write_to(&mut bytes).unwrap();
-        bytes
     }
 
     #[test]
@@ -626,7 +779,7 @@ mod tests {
 
     #[test]
     fn resume_names_the_config_field_that_disagrees() {
-        let snap = Snapshot::capture(&crate::Gothic::new(
+        let snap = owned(&crate::Gothic::new(
             plummer_model(64, 10.0, 1.0, 15),
             RunConfig::default(),
         ));
@@ -693,7 +846,7 @@ mod tests {
         let mut sim = crate::Gothic::new(plummer_model(1024, 100.0, 1.0, 7), RunConfig::default());
         sim.run(6);
         let t_snap = sim.time();
-        let snap = Snapshot::capture(&sim);
+        let snap = owned(&sim);
 
         let mut resumed = snap.resume(RunConfig::default());
         assert_eq!(resumed.time(), t_snap);
@@ -709,7 +862,7 @@ mod tests {
         let mut sim = crate::Gothic::new(plummer_model(1024, 100.0, 1.0, 8), RunConfig::default());
         let e0 = sim.diagnostics();
         sim.run(10);
-        let snap = Snapshot::capture(&sim);
+        let snap = owned(&sim);
         let mut resumed = snap.resume(RunConfig::default());
         resumed.run(10);
         let drift = resumed.diagnostics().relative_energy_drift(&e0);

@@ -154,7 +154,11 @@ mod tests {
     fn resumed_run_starts_from_a_zero_set_up() {
         let mut sim = Gothic::new(plummer_model(1024, 100.0, 1.0, 6), RunConfig::default());
         sim.run(2);
-        let mut resumed = Snapshot::capture(&sim).resume(RunConfig::default());
+        let mut bytes = Vec::new();
+        Snapshot::capture(&sim).write_to(&mut bytes).unwrap();
+        let mut resumed = Snapshot::read_from(&mut bytes.as_slice())
+            .unwrap()
+            .resume(RunConfig::default());
         assert!(resumed.summary().counters().iter().all(|&(_, v)| v == 0));
         assert_eq!(resumed.summary().setup_wall.total(), 0.0);
         assert_eq!(resumed.summary().step_wall.count, 0);
