@@ -1,10 +1,16 @@
-//! In-tree work-stealing scoped thread pool (std-only).
+//! In-tree work-stealing fork-join pool on persistent workers (std-only).
 //!
 //! This crate replaces rayon in the octree/devsort/nbody hot paths. It
 //! is built from three pieces, all standard library:
 //!
-//! 1. [`std::thread::scope`] — workers borrow the caller's data, so no
-//!    `'static` bounds, no channels, no `Arc` plumbing;
+//! 1. a persistent per-caller crew — each thread that opens a parallel
+//!    region owns the workers that serve it, created by its first region
+//!    and joined when it exits, so a region costs a hand-off, not a
+//!    spawn. Workers and the waiting caller spin for a bounded time and
+//!    then park on a condvar. The region borrows the caller's data for
+//!    its duration: it does not return, nor unwind, before every worker
+//!    has finished with the body, which is what makes lending the body
+//!    to threads that outlive it sound;
 //! 2. chunked work queues with atomic cursors — the item range is split
 //!    into one contiguous sub-range per worker, each with an
 //!    [`AtomicUsize`] cursor; a worker drains its own range with
@@ -13,7 +19,7 @@
 //! 3. deterministic chunk-ordered reduction — every chunk writes its
 //!    result into a slot indexed by chunk number, and any combination
 //!    of per-chunk results happens serially in chunk order after the
-//!    scope joins.
+//!    region joins.
 //!
 //! Because chunk boundaries depend only on the item count and a fixed
 //! chunk size — never on the thread count or on scheduling — the
@@ -27,7 +33,12 @@
 //! at least 1, else [`std::thread::available_parallelism`], resolved
 //! once per process. Tests pin a count for the current thread (only)
 //! with [`with_thread_count`], so concurrently running tests cannot race
-//! on a global.
+//! on a global. A crew grows to the largest count its thread has asked
+//! for; a region uses as many of its workers as the count selects.
+//! Concurrent callers each drive their own crew, and a region opened
+//! inside a region's body runs inline on the thread that opens it.
+//! A panic in a body reaches the caller with its own payload, after the
+//! region has joined.
 //!
 //! Disjoint writes: every helper that writes shared output — the
 //! per-item and per-chunk result vectors, the in-place sub-slices, and
@@ -39,7 +50,9 @@
 //! Observability: every parallel region opens a `"pool"` telemetry span
 //! on the *calling* thread, so in traces it nests under whichever
 //! pipeline phase (`walk tree`, `calc node`, …) invoked it, and bumps
-//! the `pool.jobs` / `pool.chunks` / `pool.steals` counters.
+//! the `pool.jobs` / `pool.chunks` / `pool.steals` counters. Crew
+//! workers live as long as their caller, so spans opened in a body carry
+//! one stable trace `thread` label per worker.
 
 use std::cell::Cell;
 use std::marker::PhantomData;
@@ -50,6 +63,7 @@ use std::sync::OnceLock;
 
 use telemetry::metrics::counters as ctr;
 
+mod crew;
 pub mod pool;
 
 pub use pool::{Bounded, Job, PushError, Submitter, WorkerPool};
@@ -187,11 +201,13 @@ impl Queue {
 ///
 /// This is the pool's core primitive; the typed helpers below build
 /// their determinism guarantees on top of it. `body` runs on the
-/// calling thread and on scoped workers; execution order is arbitrary.
-/// A panic in `body` reaches the caller once every worker has joined.
+/// calling thread and on its crew's workers; execution order is
+/// arbitrary. A region opened from inside `body` runs inline on the
+/// thread that opens it. A panic in `body` reaches the caller, with its
+/// own payload, once every worker has finished the region.
 pub fn run_chunked(n_chunks: usize, body: impl Fn(usize) + Sync) {
     let threads = current_threads().min(n_chunks.max(1));
-    if threads <= 1 || n_chunks <= 1 {
+    if threads <= 1 || n_chunks <= 1 || crew::in_region() {
         for i in 0..n_chunks {
             body(i);
         }
@@ -245,12 +261,7 @@ pub fn run_chunked(n_chunks: usize, body: impl Fn(usize) + Sync) {
         }
     };
 
-    std::thread::scope(|scope| {
-        for w in 1..threads {
-            scope.spawn(move || worker(w));
-        }
-        worker(0);
-    });
+    crew::run(threads, &worker);
 }
 
 /// Run `f(lo, part)` on the pool for every `chunk`-wide part
@@ -411,11 +422,20 @@ mod tests {
         };
         let n = 5 * DEFAULT_CHUNK;
         for threads in [1, 4] {
-            // On a spawned worker the panic resurfaces as the scope's own
-            // "a scoped thread panicked", so only its arrival is checked.
+            // The body's own payload reaches the caller, from whichever
+            // thread ran the chunk.
             let caught = |f: &dyn Fn()| {
-                catch_unwind(AssertUnwindSafe(|| with_thread_count(threads, f)))
+                let payload = catch_unwind(AssertUnwindSafe(|| with_thread_count(threads, f)))
                     .expect_err("the body's panic must reach the caller");
+                let msg = payload
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .or_else(|| payload.downcast_ref::<&str>().copied())
+                    .unwrap_or_default();
+                assert!(
+                    msg.contains("boom at"),
+                    "threads = {threads}: payload {msg:?}"
+                );
             };
             caught(&|| drop(map_range(0..n, boom)));
             let mut v = vec![0usize; n];
@@ -587,6 +607,112 @@ mod tests {
             caller.get("depth").unwrap().as_u64().unwrap() + 1,
             "pool span must nest under its caller"
         );
+    }
+
+    /// `map_range`, `for_each_mut` and `map_chunks_mut2` over `n` items
+    /// at the current thread count, in one comparable value.
+    fn three_regions(n: usize) -> (Vec<u64>, Vec<u64>, Vec<u64>, Vec<u64>) {
+        let mapped = map_range(0..n, |i| (i as u64).wrapping_mul(0x9e37_79b9) ^ 7);
+        let mut updated: Vec<u64> = (0..n as u64).collect();
+        for_each_mut(&mut updated, |i, x| *x = x.wrapping_mul(3) + i as u64);
+        let (mut a, mut b) = (vec![0u64; n], vec![0u64; n]);
+        let sums = map_chunks_mut2(&mapped, 300, &mut a, &mut b, |ci, part, a, b| {
+            for ((x, y), &m) in a.iter_mut().zip(b.iter_mut()).zip(part) {
+                (*x, *y) = (m >> 3, m ^ ci as u64);
+            }
+            part.iter().fold(0u64, |s, &m| s.wrapping_add(m))
+        });
+        let mut ab = a;
+        ab.extend(b);
+        (mapped, updated, ab, sums)
+    }
+
+    /// `callers` threads released by one barrier, each opening `regions`
+    /// regions on its own crew at the thread counts `counts` in turn,
+    /// must all get the serial results. Every 25th round the caller
+    /// pauses past the spin budget, so the crew's workers park and must
+    /// be woken by the next region.
+    fn concurrent_callers_match_serial(callers: usize, regions: usize, counts: &[usize]) {
+        use std::sync::{Arc, Barrier};
+        let n = 3 * DEFAULT_CHUNK + 11;
+        let serial = Arc::new(with_thread_count(1, || three_regions(n)));
+        let go = Arc::new(Barrier::new(callers));
+        let handles: Vec<_> = (0..callers)
+            .map(|_| {
+                let (serial, go, counts) = (Arc::clone(&serial), Arc::clone(&go), counts.to_vec());
+                std::thread::spawn(move || {
+                    go.wait();
+                    // `three_regions` opens three regions per round.
+                    for r in 0..regions.div_ceil(3) {
+                        let threads = counts[r % counts.len()];
+                        let got = with_thread_count(threads, || three_regions(n));
+                        assert!(got == *serial, "round {r} at {threads} threads");
+                        if r % 25 == 24 {
+                            std::thread::sleep(4 * crew::SPIN);
+                        }
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().expect("a caller thread");
+        }
+    }
+
+    #[test]
+    fn concurrent_callers_each_get_the_serial_result() {
+        concurrent_callers_match_serial(2, 200, &[2, 4]);
+    }
+
+    /// Lost wake-ups in the spin/park hand-off show as a hang or a wrong
+    /// result here. Run with `cargo test --release -p parallel --
+    /// --ignored crew_stress`.
+    #[test]
+    #[ignore = "stress run; seconds in release"]
+    fn crew_stress() {
+        concurrent_callers_match_serial(4, 20_000, &[2, 3, 4]);
+    }
+
+    #[test]
+    fn a_region_opened_inside_a_body_runs_inline() {
+        let inner = |i: usize| map_range(0..2 * DEFAULT_CHUNK + 5, |j| j * 7 + i);
+        let serial: Vec<Vec<usize>> = with_thread_count(1, || map_range(0..8, inner));
+        for threads in [2, 4] {
+            let got = with_thread_count(threads, || {
+                let mut out = vec![Vec::new(); 8];
+                let slots = DisjointSlice::new(&mut out);
+                // SAFETY: each chunk writes only its own index.
+                run_chunked(8, |i| unsafe { slots.write(i, inner(i)) });
+                out
+            });
+            assert_eq!(got, serial, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn crew_workers_keep_their_trace_labels() {
+        let _g = telemetry::sink::test_lock();
+        telemetry::sink::init_trace(TraceTo::Memory, TraceFormat::JsonLines).unwrap();
+        with_thread_count(4, || {
+            for _ in 0..64 {
+                run_chunked(16, |_| {
+                    let _span = telemetry::span("crew body");
+                    std::hint::black_box(());
+                });
+            }
+        });
+        let lines = telemetry::sink::drain_memory();
+        telemetry::sink::shutdown();
+        let mut labels: Vec<u64> = lines
+            .iter()
+            .map(|l| telemetry::json::parse(l).unwrap())
+            .filter(|v| v.get("name").and_then(|n| n.as_str()) == Some("crew body"))
+            .map(|v| v.get("thread").unwrap().as_u64().unwrap())
+            .collect();
+        assert_eq!(labels.len(), 64 * 16);
+        labels.sort_unstable();
+        labels.dedup();
+        assert!(labels.len() <= 4, "labels {labels:?}");
     }
 
     #[test]

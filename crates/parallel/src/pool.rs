@@ -2,7 +2,7 @@
 //!
 //! The fork-join primitives in [`crate`] decompose *one* computation
 //! across threads and join before returning. A resident service
-//! (`gothicd`) needs the dual: long-lived workers draining a stream of
+//! (`gothicd`) needs the dual: workers draining a stream of
 //! independent jobs, with **explicit backpressure** — when the queue is
 //! full, submission fails immediately ([`PushError::Full`]) instead of
 //! buffering without bound, so the caller can reject work while the
@@ -169,7 +169,7 @@ impl Submitter {
     }
 }
 
-/// Fixed-size crew of persistent worker threads over a [`Bounded`] job
+/// Fixed-size set of persistent worker threads over a [`Bounded`] job
 /// queue.
 pub struct WorkerPool {
     queue: Arc<Bounded<Job>>,
