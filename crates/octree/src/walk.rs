@@ -133,7 +133,8 @@ fn walk_groups(
 
 /// A thread's interaction list and node queue, kept between groups so
 /// that a walk allocates only while they grow. Pool workers outlive
-/// regions, so each keeps its own across steps.
+/// regions, so each keeps its own across steps. The queue is stored
+/// empty.
 #[derive(Default)]
 struct WalkScratch {
     list: Vec<Source>,
@@ -210,7 +211,6 @@ fn walk_group(
     // long as the live part, it is dropped (moving at most as many ids
     // as were consumed since the last drop), so the queue grows with
     // the live occupancy, not with every node the group visits.
-    queue.clear();
     let mut head = 0usize;
     if tree.is_leaf(0) {
         // Degenerate tree: root is a single leaf.
