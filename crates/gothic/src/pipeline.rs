@@ -27,11 +27,8 @@ use crate::summary::RunSummary;
 use gpu_model::IntegrateEvents;
 use nbody::blockstep::BlockSteps;
 use nbody::integrator::{predict_positions, timestep_criterion};
-use nbody::{ParticleSet, Real, Vec3};
-use octree::{
-    build_tree_with_positions, calc_node, walk_tree, BuildConfig, Mac, Octree, WalkConfig,
-    WalkResult,
-};
+use nbody::{ParticleSet, Vec3};
+use octree::{calc_node, walk_tree, BuildConfig, Mac, Octree, WalkConfig, WalkResult};
 
 /// Host wall-clock times of one step's phases, as measured by the
 /// phase spans (independent of the modeled GPU times).
@@ -154,11 +151,12 @@ impl RebuildTuner {
             .filter(|&v| tree.is_leaf(v))
             .map(|v| tree.bmax[v] as f64);
         if self.fresh_leaf_bmax.is_empty() {
-            // Sized exactly (a collect from the filter would not be): the
-            // reference lives for the whole rebuild interval.
-            let mut fresh = Vec::with_capacity(leaf_bmax.clone().count());
-            fresh.extend(leaf_bmax);
-            self.fresh_leaf_bmax = fresh;
+            // Refilled in place, its buffer sized to the exact leaf count:
+            // the reference lives for the whole rebuild interval.
+            self.fresh_leaf_bmax
+                .reserve_exact(leaf_bmax.clone().count());
+            self.fresh_leaf_bmax.extend(leaf_bmax);
+            self.fresh_leaf_bmax.shrink_to_fit();
             return;
         }
         let mut ageing = 0.0;
@@ -230,11 +228,12 @@ impl Gothic {
         let mut events = StepEvents::default();
         let mut wall = WallTimes::default();
 
-        let positions = ps.pos.clone();
-        let (mut tree, pred_pos) = make_tree(
+        let mut tree = Octree::default();
+        make_tree(
+            &mut tree,
             &mut ps,
             &mut blocks,
-            positions,
+            None,
             cfg.leaf_cap,
             &mut events,
             &mut wall,
@@ -245,7 +244,9 @@ impl Gothic {
         wall.calc_node = span.finish().as_secs_f64();
 
         // Bootstrap forces: geometric MAC, every particle active. Storing
-        // them at tick 0 seeds every particle's level from its force.
+        // them at tick 0 seeds every particle's level from its force. The
+        // walk reads |a_old| = 1 for every particle; `store_forces`
+        // overwrites each of them.
         let span = telemetry::span("bootstrap");
         let walk_cfg = WalkConfig {
             mac: Mac::OpeningAngle {
@@ -255,11 +256,13 @@ impl Gothic {
             list_cap: cfg.list_cap,
         };
         let active: Vec<u32> = (0..n as u32).collect();
-        let ones = vec![1.0 as Real; n];
-        let res = walk_tree(&tree, &ps.pos, &ps.mass, &ones, &active, &walk_cfg);
+        ps.acc_old.fill(1.0);
+        let res = walk_tree(&tree, &ps.pos, &ps.mass, &ps.acc_old, &active, &walk_cfg);
         store_forces(&mut ps, &mut blocks, &cfg, &active, &res);
         wall.walk_tree = span.finish().as_secs_f64();
         events.walk = res.events;
+        // Free the walk's results before `pred_pos` is allocated.
+        drop((active, res));
 
         Ok(Gothic {
             summary: RunSummary::set_up(n, &events, tree.radix_passes, wall),
@@ -267,7 +270,8 @@ impl Gothic {
             ps,
             blocks,
             tree,
-            pred_pos,
+            // Step 1's predict overwrites every entry.
+            pred_pos: vec![Vec3::ZERO; n],
             steps_since_rebuild: 0,
             tuner: RebuildTuner::default(),
             step_count: 0,
@@ -332,11 +336,11 @@ impl Gothic {
         // and seeds the auto-tuner's build-cost reference.
         let rebuilt = self.step_count == 0 || due;
         if rebuilt {
-            let pred = std::mem::take(&mut self.pred_pos);
-            (self.tree, self.pred_pos) = make_tree(
+            make_tree(
+                &mut self.tree,
                 &mut self.ps,
                 &mut self.blocks,
-                pred,
+                Some(&mut self.pred_pos),
                 self.cfg.leaf_cap,
                 &mut events,
                 &mut wall,
@@ -449,24 +453,29 @@ impl Gothic {
     }
 }
 
-/// makeTree: key the particles on `positions`, sort them and `blocks`
-/// into Morton order, and return the new tree with `positions` in that
-/// order. Records the build's events and wall time.
+/// makeTree: rebuild `tree` in place keyed on `pred_pos`, or on `ps.pos`
+/// at set-up, where there are no predicted positions yet, and reorder
+/// the particles, `blocks` and `pred_pos` into its Morton order. Records
+/// the build's events and wall time.
 fn make_tree(
+    tree: &mut Octree,
     ps: &mut ParticleSet,
     blocks: &mut BlockSteps,
-    positions: Vec<Vec3>,
+    pred_pos: Option<&mut Vec<Vec3>>,
     leaf_cap: u32,
     events: &mut StepEvents,
     wall: &mut WallTimes,
-) -> (Octree, Vec<Vec3>) {
+) {
     let span = telemetry::span(Function::MakeTree.name());
-    let (tree, perm) = build_tree_with_positions(ps, &positions, &BuildConfig { leaf_cap });
+    let positions = pred_pos.as_deref().unwrap_or(&ps.pos);
+    let perm = tree.rebuild(positions, &BuildConfig { leaf_cap });
+    ps.permute(&perm);
     blocks.permute(&perm);
-    let positions = perm.iter().map(|&p| positions[p as usize]).collect();
+    if let Some(pred_pos) = pred_pos {
+        nbody::permute_each(&perm, [pred_pos]);
+    }
     wall.make_tree = span.finish().as_secs_f64();
     events.make = Some(tree.events);
-    (tree, positions)
 }
 
 /// Store the walk's forces for the `active` particles (`res` holds one
@@ -494,6 +503,7 @@ fn store_forces(
 mod tests {
     use super::*;
     use galaxy::plummer_model;
+    use nbody::Real;
 
     fn small_run(delta_acc: f32, n: usize, steps: u64) -> (Gothic, Vec<StepReport>) {
         let ps = plummer_model(n, 100.0, 1.0, 42);

@@ -164,8 +164,8 @@ impl BlockSteps {
     /// element `perm[i]` of the original.
     pub fn permute(&mut self, perm: &[u32]) {
         assert_eq!(perm.len(), self.len());
-        self.level = perm.iter().map(|&p| self.level[p as usize]).collect();
-        self.ptick = perm.iter().map(|&p| self.ptick[p as usize]).collect();
+        crate::particles::permute_each(perm, [&mut self.level]);
+        crate::particles::permute_each(perm, [&mut self.ptick]);
     }
 
     /// Validate hierarchy invariants: levels within the hierarchy,

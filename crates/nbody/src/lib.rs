@@ -26,5 +26,5 @@ pub mod vec3;
 
 pub use blockstep::BlockSteps;
 pub use kernel::{AccPot, Source};
-pub use particles::ParticleSet;
+pub use particles::{permute_each, ParticleSet};
 pub use vec3::{Aabb, Real, Vec3};

@@ -100,16 +100,9 @@ impl ParticleSet {
     /// radix sort of keys. `perm` must be a permutation of `0..len`.
     pub fn permute(&mut self, perm: &[u32]) {
         assert_eq!(perm.len(), self.len());
-        fn apply<T: Copy>(src: &[T], perm: &[u32]) -> Vec<T> {
-            perm.iter().map(|&p| src[p as usize]).collect()
-        }
-        self.pos = apply(&self.pos, perm);
-        self.vel = apply(&self.vel, perm);
-        self.mass = apply(&self.mass, perm);
-        self.acc = apply(&self.acc, perm);
-        self.pot = apply(&self.pot, perm);
-        self.acc_old = apply(&self.acc_old, perm);
-        self.id = apply(&self.id, perm);
+        permute_each(perm, [&mut self.pos, &mut self.vel, &mut self.acc]);
+        permute_each(perm, [&mut self.mass, &mut self.pot, &mut self.acc_old]);
+        permute_each(perm, [&mut self.id]);
     }
 
     /// Validate internal invariants (equal lengths, finite state, `id` is a
@@ -149,6 +142,25 @@ impl ParticleSet {
             }
         }
         Ok(())
+    }
+}
+
+/// Reorder each of `arrays` so that its element `i` becomes its element
+/// `perm[i]`, gathering through one scratch buffer: the gather fills the
+/// scratch, which then swaps buffers with the array and holds the old
+/// elements' buffer for the next one. Each array must be `perm.len()`
+/// long. At most one array's worth of scratch is alive at a time.
+pub fn permute_each<'a, T: Copy + 'a>(
+    perm: &[u32],
+    arrays: impl IntoIterator<Item = &'a mut Vec<T>>,
+) {
+    let mut scratch = Vec::new();
+    for a in arrays {
+        assert_eq!(a.len(), perm.len());
+        scratch.clear();
+        scratch.reserve_exact(perm.len());
+        scratch.extend(perm.iter().map(|&p| a[p as usize]));
+        std::mem::swap(a, &mut scratch);
     }
 }
 

@@ -8,9 +8,11 @@
 //! mirror that: each level is one parallel pass, and the pass count is
 //! recorded as `grid_syncs`.
 
-use crate::tree::Octree;
+use crate::fit;
+use crate::tree::{Octree, NO_CHILD};
 use gpu_model::CalcNodeEvents;
 use nbody::{Real, Vec3};
+use parallel::{DisjointSlice, DEFAULT_CHUNK};
 
 /// Size `tree.com`, `tree.mass` and `tree.bmax` to the node count and
 /// fill every entry. `pos`/`mass` must be the Morton-ordered particle
@@ -19,99 +21,95 @@ use nbody::{Real, Vec3};
 pub fn calc_node(tree: &mut Octree, pos: &[Vec3], mass: &[Real]) -> CalcNodeEvents {
     assert_eq!(pos.len(), tree.keys.len());
     let nodes = tree.n_nodes();
-    tree.com.resize(nodes, Vec3::ZERO);
-    tree.mass.resize(nodes, 0.0);
-    tree.bmax.resize(nodes, 0.0);
-    let mut events = CalcNodeEvents {
-        nodes: nodes as u64,
-        child_accumulations: 0,
-        levels: tree.n_levels() as u64,
-        // One grid barrier after every level pass, plus the initial leaf
-        // pass — matching GOTHIC's per-step count (~ tree depth).
-        grid_syncs: tree.n_levels() as u64 + 1,
-    };
+    fit(&mut tree.com, nodes, Vec3::ZERO);
+    fit(&mut tree.mass, nodes, 0.0);
+    fit(&mut tree.bmax, nodes, 0.0);
 
     // Per-level bottom-up passes. Within a level, nodes only read their
     // children (strictly deeper level) or their own particles, so each
-    // pass parallelises freely.
-    let mut accum = 0u64;
+    // pass parallelises freely and writes its own nodes in place.
     for l in (0..tree.n_levels()).rev() {
         let lo = tree.level_start[l] as usize;
         let hi = tree.level_start[l + 1] as usize;
 
-        // Split borrows: children of level-l nodes live at indices >= hi.
+        // Split borrows: children of level-l nodes live at indices >= hi
+        // (BFS layout), read-only; the level's own nodes are written.
         let (com_lo, com_hi) = tree.com.split_at_mut(hi);
         let (mass_lo, mass_hi) = tree.mass.split_at_mut(hi);
         let (bmax_lo, bmax_hi) = tree.bmax.split_at_mut(hi);
-        let child_start = &tree.child_start;
-        let child_count = &tree.child_count;
-        let pstart = &tree.pstart;
-        let pcount = &tree.pcount;
+        let (com_hi, mass_hi, bmax_hi) = (&com_hi[..], &mass_hi[..], &bmax_hi[..]);
+        let com_out = DisjointSlice::new(&mut com_lo[lo..]);
+        let mass_out = DisjointSlice::new(&mut mass_lo[lo..]);
+        let bmax_out = DisjointSlice::new(&mut bmax_lo[lo..]);
+        let (child_start, child_count) = (&tree.child_start, &tree.child_count);
+        let (pstart, pcount) = (&tree.pstart, &tree.pcount);
 
-        // Parallel map over the level's nodes (children are read-only),
-        // then a serial chunk-ordered write-back — bit-identical at any
-        // thread count because each node's summary is self-contained.
-        let com_hi = &com_hi[..];
-        let mass_hi = &mass_hi[..];
-        let bmax_hi = &bmax_hi[..];
-        let summaries: Vec<(Vec3, Real, Real, u64)> = parallel::map_range(lo..hi, |v| {
-            let leaf = child_start[v] == crate::tree::NO_CHILD;
-            let mut m = 0.0f64;
-            let mut c = [0.0f64; 3];
-            let mut pairs = 0u64;
-            if leaf {
-                for p in pstart[v] as usize..(pstart[v] + pcount[v]) as usize {
-                    let pm = mass[p] as f64;
-                    m += pm;
-                    c[0] += pm * pos[p].x as f64;
-                    c[1] += pm * pos[p].y as f64;
-                    c[2] += pm * pos[p].z as f64;
-                    pairs += 1;
-                }
+        let summary = |v: usize| -> (Vec3, Real, Real) {
+            if child_start[v] == NO_CHILD {
+                let ps = pstart[v] as usize..(pstart[v] + pcount[v]) as usize;
+                let (m, com) = mass_centre(pos[ps.clone()].iter().zip(&mass[ps.clone()]));
+                let b = pos[ps]
+                    .iter()
+                    .fold(0.0, |b: Real, p| b.max((*p - com).norm()));
+                (com, m, b)
             } else {
-                let s = child_start[v] as usize;
-                for ci in s..s + child_count[v] as usize {
-                    // Children are below `hi` in index? No: children
-                    // have larger ids (BFS layout) — they live in the
-                    // `_hi` halves.
-                    let cm = mass_hi[ci - hi] as f64;
-                    let cc = com_hi[ci - hi];
-                    m += cm;
-                    c[0] += cm * cc.x as f64;
-                    c[1] += cm * cc.y as f64;
-                    c[2] += cm * cc.z as f64;
-                    pairs += 1;
+                let first = child_start[v] as usize - hi;
+                let kids = first..first + child_count[v] as usize;
+                let (m, com) = mass_centre(com_hi[kids.clone()].iter().zip(&mass_hi[kids.clone()]));
+                let b = com_hi[kids.clone()]
+                    .iter()
+                    .zip(&bmax_hi[kids])
+                    .fold(0.0, |b: Real, (c, cb)| b.max((*c - com).norm() + cb));
+                (com, m, b)
+            }
+        };
+        // Each node's summary is self-contained, so the level is
+        // bit-identical at any thread count.
+        parallel::run_chunked((hi - lo).div_ceil(DEFAULT_CHUNK), |c| {
+            let first = c * DEFAULT_CHUNK;
+            for k in first..(first + DEFAULT_CHUNK).min(hi - lo) {
+                let (com, m, b) = summary(lo + k);
+                // SAFETY: `k` lies in chunk `c`'s own range of the level,
+                // which is inside all three outputs; chunk ranges are
+                // disjoint and each chunk is claimed once.
+                unsafe {
+                    com_out.write(k, com);
+                    mass_out.write(k, m);
+                    bmax_out.write(k, b);
                 }
             }
-            let com = if m > 0.0 {
-                Vec3::new((c[0] / m) as Real, (c[1] / m) as Real, (c[2] / m) as Real)
-            } else {
-                Vec3::ZERO
-            };
-            // Bounding radius of the node's matter around the COM.
-            let mut b: Real = 0.0;
-            if leaf {
-                let range = pstart[v] as usize..(pstart[v] + pcount[v]) as usize;
-                for pp in &pos[range] {
-                    b = b.max((*pp - com).norm());
-                }
-            } else {
-                let s = child_start[v] as usize;
-                for ci in s..s + child_count[v] as usize {
-                    b = b.max((com_hi[ci - hi] - com).norm() + bmax_hi[ci - hi]);
-                }
-            }
-            (com, m as Real, b, pairs)
         });
-        for (off, &(com, m, b, pairs)) in summaries.iter().enumerate() {
-            com_lo[lo + off] = com;
-            mass_lo[lo + off] = m;
-            bmax_lo[lo + off] = b;
-            accum += pairs;
-        }
     }
-    events.child_accumulations = accum;
-    events
+    CalcNodeEvents {
+        nodes: nodes as u64,
+        // Every particle is accumulated once, at its leaf, and every node
+        // but the root once, into its parent.
+        child_accumulations: (pos.len() + nodes - 1) as u64,
+        levels: tree.n_levels() as u64,
+        // One grid barrier after every level pass, plus the initial leaf
+        // pass — matching GOTHIC's per-step count (~ tree depth).
+        grid_syncs: tree.n_levels() as u64 + 1,
+    }
+}
+
+/// Total mass and centre of mass of `(position, mass)` points, summed in
+/// f64 in order; the centre is zero for zero mass.
+fn mass_centre<'a>(points: impl Iterator<Item = (&'a Vec3, &'a Real)>) -> (Real, Vec3) {
+    let mut m = 0.0f64;
+    let mut c = [0.0f64; 3];
+    for (p, &pm) in points {
+        let pm = pm as f64;
+        m += pm;
+        c[0] += pm * p.x as f64;
+        c[1] += pm * p.y as f64;
+        c[2] += pm * p.z as f64;
+    }
+    let com = if m > 0.0 {
+        Vec3::new((c[0] / m) as Real, (c[1] / m) as Real, (c[2] / m) as Real)
+    } else {
+        Vec3::ZERO
+    };
+    (m as Real, com)
 }
 
 #[cfg(test)]

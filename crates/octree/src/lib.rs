@@ -17,3 +17,12 @@ pub use mac::Mac;
 pub use morton::{morton_key, morton_keys};
 pub use tree::{build_tree, build_tree_with_positions, BuildConfig, Octree, NO_CHILD};
 pub use walk::{walk_tree, walk_tree_individual, WalkConfig, WalkResult, WARP_SIZE};
+
+/// Resize `v` to `n` in its own buffer, which grows or shrinks to hold
+/// exactly `n`: the tree's arrays carry no slack between rebuilds.
+fn fit<T: Clone>(v: &mut Vec<T>, n: usize, fill: T) {
+    v.truncate(n);
+    v.reserve_exact(n - v.len());
+    v.resize(n, fill);
+    v.shrink_to_fit();
+}

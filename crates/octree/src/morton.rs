@@ -103,7 +103,16 @@ pub fn cell_size(depth: u32, cube: &Aabb) -> Real {
 /// and order-preserving, so the key vector is bit-identical at any
 /// thread count).
 pub fn morton_keys(pos: &[Vec3], cube: &Aabb) -> Vec<u64> {
-    parallel::map_range(0..pos.len(), |i| morton_key(pos[i], cube))
+    let mut keys = Vec::new();
+    morton_keys_into(pos, cube, &mut keys);
+    keys
+}
+
+/// [`morton_keys`] into `keys`, resized to exactly `pos.len()` and
+/// overwritten.
+pub fn morton_keys_into(pos: &[Vec3], cube: &Aabb, keys: &mut Vec<u64>) {
+    crate::fit(keys, pos.len(), 0);
+    parallel::for_each_mut(keys, |i, k| *k = morton_key(pos[i], cube));
 }
 
 #[cfg(test)]

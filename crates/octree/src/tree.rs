@@ -23,7 +23,7 @@ pub const NO_CHILD: u32 = u32::MAX;
 /// [`crate::calcnode::calc_node`] sizes and fills; they stay empty until
 /// its first call. A cell's geometric centre and edge follow from its
 /// first key and level ([`morton::cell_center`], [`morton::cell_size`]).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Octree {
     /// Root cube (cubic AABB enclosing all particles).
     pub cube: Aabb,
@@ -55,6 +55,27 @@ pub struct Octree {
     /// identity passes the host sort skipped. The model still prices all
     /// 8 (`events.sort_passes`): CUB runs every pass.
     pub radix_passes: u64,
+}
+
+impl Default for Octree {
+    /// An empty tree, for [`Octree::rebuild`] to build into.
+    fn default() -> Self {
+        Octree {
+            cube: Aabb::EMPTY,
+            keys: Vec::new(),
+            level: Vec::new(),
+            pstart: Vec::new(),
+            pcount: Vec::new(),
+            child_start: Vec::new(),
+            child_count: Vec::new(),
+            com: Vec::new(),
+            mass: Vec::new(),
+            bmax: Vec::new(),
+            level_start: Vec::new(),
+            events: MakeTreeEvents::default(),
+            radix_passes: 0,
+        }
+    }
 }
 
 impl Octree {
@@ -190,8 +211,10 @@ impl Default for BuildConfig {
 /// Morton order (`ps.id` keeps the original indices) — exactly what
 /// GOTHIC's tree rebuild does to keep traversal memory access coalesced.
 pub fn build_tree(ps: &mut ParticleSet, cfg: &BuildConfig) -> Octree {
-    let pos = ps.pos.clone();
-    build_tree_with_positions(ps, &pos, cfg).0
+    let mut tree = Octree::default();
+    let perm = tree.rebuild(&ps.pos, cfg);
+    ps.permute(&perm);
+    tree
 }
 
 /// Build the octree keyed on an external position array (GOTHIC keys the
@@ -204,99 +227,166 @@ pub fn build_tree_with_positions(
     positions: &[Vec3],
     cfg: &BuildConfig,
 ) -> (Octree, Vec<u32>) {
-    assert!(!ps.is_empty(), "cannot build a tree over zero particles");
     assert_eq!(positions.len(), ps.len());
-    let cube = Aabb::from_points(positions).bounding_cube();
-
-    // Key + sort + permute (the radix sort is the dominant cost in
-    // GOTHIC's makeTree; see §4.1).
-    let mut keys = morton::morton_keys(positions, &cube);
-    let mut perm: Vec<u32> = (0..ps.len() as u32).collect();
-    let radix_passes = devsort::sort_pairs(&mut keys, &mut perm).into();
+    let mut tree = Octree::default();
+    let perm = tree.rebuild(positions, cfg);
     ps.permute(&perm);
+    (tree, perm)
+}
 
-    let n = ps.len() as u32;
-    let mut tree = Octree {
-        cube,
-        keys,
-        level: vec![0],
-        pstart: vec![0],
-        pcount: vec![n],
-        child_start: vec![NO_CHILD],
-        child_count: vec![0],
-        com: Vec::new(),
-        mass: Vec::new(),
-        bmax: Vec::new(),
-        level_start: vec![0, 1],
-        events: MakeTreeEvents {
-            particles: n as u64,
-            sort_passes: 8,
-            nodes_created: 1,
-        },
-        radix_passes,
+/// The child particle ranges of one splitting node, inline: `(pstart,
+/// pcount)` of each non-empty octant, in octant order.
+#[derive(Clone, Copy)]
+struct Split {
+    ranges: [(u32, u32); 8],
+    count: u8,
+}
+
+impl Split {
+    const NONE: Split = Split {
+        ranges: [(0, 0); 8],
+        count: 0,
     };
 
-    // Breadth-first splitting.
-    let mut frontier: Vec<u32> = vec![0];
-    let mut level = 0u32;
-    while !frontier.is_empty() && level < MAX_DEPTH {
-        // Decide splits in parallel: for every frontier node that is too
-        // big, find its children's particle ranges via binary searches in
-        // the sorted key array. The serial pre-filter keeps the work list
-        // (and thus the chunk decomposition) thread-count-independent.
-        let too_big: Vec<u32> = frontier
-            .iter()
-            .copied()
-            .filter(|&v| tree.pcount[v as usize] > cfg.leaf_cap)
-            .collect();
-        let splits: Vec<(u32, Vec<(u32, u32)>)> = parallel::map_range(0..too_big.len(), |i| {
-            let v = too_big[i];
-            let s = tree.pstart[v as usize] as usize;
-            let c = tree.pcount[v as usize] as usize;
-            let slice = &tree.keys[s..s + c];
-            let mut ranges = Vec::with_capacity(8);
-            let mut lo = 0usize;
-            for oct in 0..8u32 {
-                let hi = if oct == 7 {
-                    c
-                } else {
-                    lo + slice[lo..].partition_point(|&k| morton::octant_at_level(k, level) <= oct)
-                };
-                if hi > lo {
-                    ranges.push(((s + lo) as u32, (hi - lo) as u32));
-                }
-                lo = hi;
+    /// Split the node covering the sorted `keys[s..s + c]` at `level` by
+    /// binary searches for its octant boundaries.
+    fn of(keys: &[u64], s: usize, c: usize, level: u32) -> Split {
+        let slice = &keys[s..s + c];
+        let mut split = Split::NONE;
+        let mut lo = 0usize;
+        for oct in 0..8u32 {
+            let hi = if oct == 7 {
+                c
+            } else {
+                lo + slice[lo..].partition_point(|&k| morton::octant_at_level(k, level) <= oct)
+            };
+            if hi > lo {
+                split.ranges[split.count as usize] = ((s + lo) as u32, (hi - lo) as u32);
+                split.count += 1;
             }
-            (v, ranges)
-        });
-
-        // Append children in breadth-first order (serial; cheap relative
-        // to the searches).
-        let mut next_frontier = Vec::with_capacity(splits.len() * 4);
-        for (v, ranges) in splits {
-            let vi = v as usize;
-            let first = tree.level.len() as u32;
-            tree.child_start[vi] = first;
-            tree.child_count[vi] = ranges.len() as u8;
-            for (ps_, pc) in ranges {
-                let id = tree.level.len() as u32;
-                tree.level.push((level + 1) as u8);
-                tree.pstart.push(ps_);
-                tree.pcount.push(pc);
-                tree.child_start.push(NO_CHILD);
-                tree.child_count.push(0);
-                next_frontier.push(id);
-            }
+            lo = hi;
         }
-        if next_frontier.is_empty() {
-            break;
-        }
-        tree.level_start.push(tree.level.len() as u32);
-        frontier = next_frontier;
-        level += 1;
+        split
     }
-    tree.events.nodes_created = tree.n_nodes() as u64;
-    (tree, perm)
+}
+
+impl Octree {
+    /// Rebuild this tree keyed on `positions`, into its own arrays: the
+    /// keys are computed into `keys` and sorted there, and the node arrays
+    /// are cleared and refilled in their buffers, which grow level by
+    /// level only as far as needed and end sized exactly to the new tree.
+    /// Returns the permutation the sort applied (element `i` of the Morton
+    /// order is element `perm[i]` of `positions`), for the caller to
+    /// reorder its per-particle arrays with. The node summaries are
+    /// emptied, keeping their buffers, for [`crate::calcnode::calc_node`]
+    /// to refill.
+    pub fn rebuild(&mut self, positions: &[Vec3], cfg: &BuildConfig) -> Vec<u32> {
+        assert!(
+            !positions.is_empty(),
+            "cannot build a tree over zero particles"
+        );
+        let n = positions.len() as u32;
+        self.cube = Aabb::from_points(positions).bounding_cube();
+
+        // Key + sort (the radix sort is the dominant cost in GOTHIC's
+        // makeTree; see §4.1).
+        morton::morton_keys_into(positions, &self.cube, &mut self.keys);
+        let mut perm: Vec<u32> = (0..n).collect();
+        self.radix_passes = devsort::sort_pairs(&mut self.keys, &mut perm).into();
+
+        // The root, then breadth-first splitting.
+        self.level.clear();
+        self.pstart.clear();
+        self.pcount.clear();
+        self.child_start.clear();
+        self.child_count.clear();
+        self.level_start.clear();
+        self.com.clear();
+        self.mass.clear();
+        self.bmax.clear();
+        self.reserve_nodes(1);
+        self.push_nodes(0, std::iter::once((0, n)));
+        self.level_start.extend([0, 1]);
+        // Per-level scratch: the level's nodes that split, and their
+        // child ranges.
+        let mut too_big: Vec<u32> = Vec::new();
+        let mut splits: Vec<Split> = Vec::new();
+        let mut level = 0u32;
+        while level < MAX_DEPTH {
+            // The nodes of this level are its frontier: every child the
+            // previous level created, in id order.
+            let (lo, hi) = (
+                self.level_start[level as usize],
+                self.level_start[level as usize + 1],
+            );
+            // The serial pre-filter keeps the work list (and thus the
+            // chunk decomposition) thread-count-independent.
+            too_big.clear();
+            too_big.extend((lo..hi).filter(|&v| self.pcount[v as usize] > cfg.leaf_cap));
+            if too_big.is_empty() {
+                break;
+            }
+            // Find each splitting node's child ranges in parallel, by
+            // binary searches in the sorted key array.
+            splits.clear();
+            splits.resize(too_big.len(), Split::NONE);
+            let (keys, pstart, pcount) = (&self.keys, &self.pstart, &self.pcount);
+            parallel::for_each_mut(&mut splits, |i, split| {
+                let v = too_big[i] as usize;
+                *split = Split::of(keys, pstart[v] as usize, pcount[v] as usize, level);
+            });
+
+            // Append children in breadth-first order (serial; cheap
+            // relative to the searches).
+            let children = splits.iter().map(|s| s.count as usize).sum();
+            self.reserve_nodes(children);
+            for (&v, split) in too_big.iter().zip(&splits) {
+                self.child_start[v as usize] = self.level.len() as u32;
+                self.child_count[v as usize] = split.count;
+                let ranges = &split.ranges[..split.count as usize];
+                self.push_nodes(level + 1, ranges.iter().copied());
+            }
+            self.level_start.push(self.level.len() as u32);
+            level += 1;
+        }
+        self.events = MakeTreeEvents {
+            particles: n as u64,
+            sort_passes: 8,
+            nodes_created: self.n_nodes() as u64,
+        };
+        self.shrink_nodes();
+        perm
+    }
+
+    /// Make room for `k` more nodes in every topology array, growing an
+    /// array only to the exact size it needs.
+    fn reserve_nodes(&mut self, k: usize) {
+        self.level.reserve_exact(k);
+        self.pstart.reserve_exact(k);
+        self.pcount.reserve_exact(k);
+        self.child_start.reserve_exact(k);
+        self.child_count.reserve_exact(k);
+    }
+
+    /// Release the topology arrays' capacity past the last node.
+    fn shrink_nodes(&mut self) {
+        self.level.shrink_to_fit();
+        self.pstart.shrink_to_fit();
+        self.pcount.shrink_to_fit();
+        self.child_start.shrink_to_fit();
+        self.child_count.shrink_to_fit();
+    }
+
+    /// Append leaves at `level` covering the `(pstart, pcount)` ranges.
+    fn push_nodes(&mut self, level: u32, ranges: impl Iterator<Item = (u32, u32)>) {
+        for (s, c) in ranges {
+            self.level.push(level as u8);
+            self.pstart.push(s);
+            self.pcount.push(c);
+            self.child_start.push(NO_CHILD);
+            self.child_count.push(0);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -429,6 +519,94 @@ mod tests {
         let deep = tree.level.iter().copied().max().unwrap();
         let deep_u = uniform.level.iter().copied().max().unwrap();
         assert!(deep > deep_u, "clustered {deep} vs uniform {deep_u}");
+    }
+
+    /// calcNode's arithmetic, node by node in reverse id order (children
+    /// have larger ids than their parent), with no parallelism.
+    fn serial_summaries(tree: &Octree, pos: &[Vec3], mass: &[Real]) -> Vec<[u32; 5]> {
+        let n = tree.n_nodes();
+        let (mut com, mut m_node, mut bmax) = (vec![Vec3::ZERO; n], vec![0.0; n], vec![0.0; n]);
+        for v in (0..n).rev() {
+            let mut m = 0.0f64;
+            let mut c = [0.0f64; 3];
+            let points: Vec<(Vec3, Real)> = if tree.is_leaf(v) {
+                tree.particles(v).map(|p| (pos[p], mass[p])).collect()
+            } else {
+                tree.children(v).map(|k| (com[k], m_node[k])).collect()
+            };
+            for &(p, pm) in &points {
+                m += pm as f64;
+                c[0] += pm as f64 * p.x as f64;
+                c[1] += pm as f64 * p.y as f64;
+                c[2] += pm as f64 * p.z as f64;
+            }
+            if m > 0.0 {
+                com[v] = Vec3::new((c[0] / m) as Real, (c[1] / m) as Real, (c[2] / m) as Real);
+            }
+            let mut b: Real = 0.0;
+            if tree.is_leaf(v) {
+                for &(p, _) in &points {
+                    b = b.max((p - com[v]).norm());
+                }
+            } else {
+                for k in tree.children(v) {
+                    b = b.max((com[k] - com[v]).norm() + bmax[k]);
+                }
+            }
+            (m_node[v], bmax[v]) = (m as Real, b);
+        }
+        summary_bits(&com, &m_node, &bmax)
+    }
+
+    fn summary_bits(com: &[Vec3], mass: &[Real], bmax: &[Real]) -> Vec<[u32; 5]> {
+        (0..com.len())
+            .map(|v| {
+                let c = com[v];
+                let (m, b) = (mass[v], bmax[v]);
+                [c.x, c.y, c.z, m, b].map(Real::to_bits)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn rebuild_in_place_matches_a_fresh_build() {
+        let with_masses = |mut ps: ParticleSet, seed| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            ps.mass
+                .iter_mut()
+                .for_each(|m| *m = rng.random::<Real>() + 0.1);
+            ps
+        };
+        let small = with_masses(random_particles(1000, 11), 13);
+        let large = with_masses(random_particles(6000, 12), 14);
+        let cfg = BuildConfig::default();
+        for threads in [1, 4] {
+            // Into more nodes, then fewer, and the reverse.
+            for order in [[&small, &large, &small], [&large, &small, &large]] {
+                let mut tree = Octree::default();
+                for set in order {
+                    let (mut fresh_ps, mut ps) = (set.clone(), set.clone());
+                    let (fresh, fresh_perm) = parallel::with_thread_count(threads, || {
+                        build_tree_with_positions(&mut fresh_ps, &set.pos, &cfg)
+                    });
+                    let perm =
+                        parallel::with_thread_count(threads, || tree.rebuild(&set.pos, &cfg));
+                    assert_eq!(perm, fresh_perm);
+                    assert_eq!(tree, fresh, "threads {threads}");
+
+                    ps.permute(&perm);
+                    assert_eq!(ps, fresh_ps);
+                    let want = serial_summaries(&tree, &ps.pos, &ps.mass);
+                    parallel::with_thread_count(threads, || {
+                        crate::calcnode::calc_node(&mut tree, &ps.pos, &ps.mass)
+                    });
+                    assert!(
+                        summary_bits(&tree.com, &tree.mass, &tree.bmax) == want,
+                        "calcNode differs from the serial reference at {threads} threads"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
