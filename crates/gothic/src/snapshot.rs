@@ -13,7 +13,10 @@
 //! rewrites before it reads it is not stored: the node summaries
 //! (`com`/`mass`/`bmax`, refreshed by calcNode every step), the predicted
 //! positions (predict overwrites every entry) and the tree's build events
-//! (read only right after a rebuild).
+//! (read only right after a rebuild). The per-particle committed ticks
+//! are stored, as version 2 lays them out, but the run does not keep
+//! them: they are written derived from the clock and each particle's
+//! level, and read back only to be checked against that derivation.
 //!
 //! Writing copies no state. [`Snapshot::capture`] returns a [`Capture`],
 //! a view that borrows the running simulation's arrays, and its
@@ -59,8 +62,8 @@ pub struct Snapshot {
     /// Particle state, in the Morton order of the latest tree rebuild;
     /// resuming needs its count and order unchanged.
     pub particles: ParticleSet,
-    /// Block time-step hierarchy: global tick, per-particle level and
-    /// committed tick.
+    /// Block time-step hierarchy: global tick and per-particle level (the
+    /// committed ticks follow from them).
     blocks: BlockSteps,
     /// Leaf capacity the tree was built with.
     leaf_cap: u32,
@@ -164,7 +167,7 @@ impl Capture<'_> {
         w.write_all(&b.max_depth.to_le_bytes())?;
         w.write_all(&b.tick.to_le_bytes())?;
         write_vec(w, &b.level, |&k| [k])?;
-        write_vec(w, &b.ptick, |x| x.to_le_bytes())?;
+        write_vec(w, (0..b.len()).map(|i| b.ptick(i)), u64::to_le_bytes)?;
         // Tree topology.
         w.write_all(&self.leaf_cap.to_le_bytes())?;
         w.write_all(&vec3_bytes(&t.cube.min))?;
@@ -250,7 +253,9 @@ impl Snapshot {
 
     /// Deserialise from any reader, validating magic, version, every
     /// length and the invariants of the particles, the block hierarchy
-    /// and the tree.
+    /// and the tree. Each stored committed tick must be the one the
+    /// stored clock and level give; it is checked as it streams past and
+    /// not kept.
     pub fn read_from<R: Read>(r: &mut R) -> io::Result<Snapshot> {
         let magic: [u8; 8] = read_array(r)?;
         if &magic != MAGIC {
@@ -287,15 +292,20 @@ impl Snapshot {
                 "invalid block hierarchy: dt_max {dt_max}, max_depth {max_depth}"
             )));
         }
-        let blocks = BlockSteps {
-            tick: u64::from_le_bytes(read_array(r)?),
-            ticks_per_dtmax: 1 << max_depth,
-            dt_max,
-            max_depth,
-            level: read_vec(r, n, |[k]: [u8; 1]| k)?,
-            ptick: read_vec(r, n, u64::from_le_bytes)?,
-        };
+        let tick = u64::from_le_bytes(read_array(r)?);
+        let level = read_vec(r, n, |[k]: [u8; 1]| k)?;
+        let blocks = BlockSteps::at_tick(tick, dt_max, max_depth, level);
         blocks.check_invariants().map_err(invalid)?;
+        // The committed ticks follow from `tick` and the levels; a stored
+        // one that differs is refused, not kept.
+        let mut i = 0;
+        read_batches::<_, 8>(r, n, |bytes| {
+            for p in records(bytes).map(u64::from_le_bytes) {
+                check_ptick(&blocks, i, p)?;
+                i += 1;
+            }
+            Ok(())
+        })?;
         if blocks.time() != time {
             return Err(invalid(format!(
                 "time {time} disagrees with tick {}",
@@ -439,6 +449,27 @@ impl Snapshot {
     }
 }
 
+/// Refuse particle `i`'s stored committed tick `p` unless it is the one
+/// `blocks` derives, saying how it is wrong.
+fn check_ptick(blocks: &BlockSteps, i: usize, p: u64) -> io::Result<()> {
+    let derived = blocks.ptick(i);
+    if p == derived {
+        return Ok(());
+    }
+    let step = blocks.ticks_of_level(blocks.level[i]);
+    let why = if p > blocks.tick {
+        "is ahead of the global tick"
+    } else if !p.is_multiple_of(step) {
+        "is not aligned to its block size"
+    } else {
+        "is past its block-step deadline"
+    };
+    Err(invalid(format!(
+        "particle {i} committed tick {p} {why}: tick {} and level {} give {derived}",
+        blocks.tick, blocks.level[i]
+    )))
+}
+
 fn invalid(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
@@ -456,20 +487,51 @@ fn vec3_from(b: [u8; 12]) -> Vec3 {
     Vec3::new(f(0), f(4), f(8))
 }
 
-/// Write `v` as fixed-size little-endian records, in batches.
+/// Write the items of `v` as fixed-size little-endian records, in
+/// batches.
 fn write_vec<W: Write, T, const B: usize>(
     w: &mut W,
-    v: &[T],
-    encode: impl Fn(&T) -> [u8; B],
+    v: impl IntoIterator<Item = T>,
+    encode: impl Fn(T) -> [u8; B],
 ) -> io::Result<()> {
     let mut buf = [0u8; WRITE_BYTES];
-    for chunk in v.chunks(WRITE_BYTES / B) {
-        for (out, x) in buf.chunks_exact_mut(B).zip(chunk) {
+    let mut v = v.into_iter();
+    loop {
+        let mut len = 0;
+        for (out, x) in buf.chunks_exact_mut(B).zip(v.by_ref()) {
             out.copy_from_slice(&encode(x));
+            len += B;
         }
-        w.write_all(&buf[..B * chunk.len()])?;
+        if len == 0 {
+            return Ok(());
+        }
+        w.write_all(&buf[..len])?;
+    }
+}
+
+/// Read `n` fixed-size records, handing `f` the bytes of at most
+/// [`BATCH`] records at a time.
+fn read_batches<R: Read, const B: usize>(
+    r: &mut R,
+    n: usize,
+    mut f: impl FnMut(&[u8]) -> io::Result<()>,
+) -> io::Result<()> {
+    let mut buf = vec![0u8; B * n.min(BATCH)];
+    let mut done = 0;
+    while done < n {
+        let k = (n - done).min(BATCH);
+        r.read_exact(&mut buf[..k * B]).map_err(reject_truncation)?;
+        f(&buf[..k * B])?;
+        done += k;
     }
     Ok(())
+}
+
+/// The `B`-byte records of a batch.
+fn records<const B: usize>(bytes: &[u8]) -> impl Iterator<Item = [u8; B]> + '_ {
+    bytes
+        .chunks_exact(B)
+        .map(|c| c.try_into().expect("chunks are B bytes"))
 }
 
 /// Read `n` fixed-size records. Memory grows geometrically (never past
@@ -481,19 +543,14 @@ fn read_vec<R: Read, T, const B: usize>(
     decode: impl Fn([u8; B]) -> T,
 ) -> io::Result<Vec<T>> {
     let mut out = Vec::with_capacity(n.min(MAX_RESERVE));
-    let mut buf = vec![0u8; B * n.min(BATCH)];
-    while out.len() < n {
-        let k = (n - out.len()).min(BATCH);
-        r.read_exact(&mut buf[..k * B]).map_err(reject_truncation)?;
+    read_batches::<_, B>(r, n, |bytes| {
+        let k = bytes.len() / B;
         if out.capacity() - out.len() < k {
             out.reserve_exact(out.len().min(n - out.len()).max(k));
         }
-        out.extend(
-            buf[..k * B]
-                .chunks_exact(B)
-                .map(|c| decode(c.try_into().expect("chunks are B bytes"))),
-        );
-    }
+        out.extend(records(bytes).map(&decode));
+        Ok(())
+    })?;
     Ok(out)
 }
 
@@ -753,6 +810,38 @@ mod tests {
                 });
             }
         });
+    }
+
+    #[test]
+    fn committed_ticks_off_the_clock_are_refused_naming_the_particle() {
+        let mut sim = crate::Gothic::new(plummer_model(200, 10.0, 1.0, 21), RunConfig::default());
+        sim.run(8);
+        let (b, n) = (&sim.blocks, sim.len());
+        let j = (0..n)
+            .find(|&i| 0 < b.ptick(i) && b.ptick(i) < b.tick)
+            .expect("a particle committed between 0 and the global tick");
+        let (p, step) = (b.ptick(j), b.ticks_of_level(b.level[j]));
+        // Header 36 bytes, seven particle arrays of 52 bytes a particle,
+        // dt_max, max_depth and tick, one level byte a particle.
+        let at = 36 + 52 * n + 16 + n + 8 * j;
+        let clean = snapshot_bytes(&sim);
+        assert_eq!(clean[at..at + 8], p.to_le_bytes());
+        for (stored, why) in [
+            (p + 1, "not aligned"),
+            (b.tick + step, "ahead"),
+            (p - step, "deadline"),
+        ] {
+            let mut bytes = clean.clone();
+            bytes[at..at + 8].copy_from_slice(&stored.to_le_bytes());
+            let err = Snapshot::read_from(&mut bytes.as_slice()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            let msg = err.to_string();
+            assert!(
+                msg.contains(&format!("particle {j} committed tick {stored} "))
+                    && msg.contains(why),
+                "{msg}"
+            );
+        }
     }
 
     #[test]

@@ -15,6 +15,14 @@
 use crate::vec3::Real;
 
 /// Per-particle block time-step state.
+///
+/// A particle's committed tick (the start of its current sub-step) is not
+/// stored. Between block steps it is the latest multiple of the
+/// particle's step not after the global tick, so it follows from `tick`
+/// and `level`. Inside a step, after [`BlockSteps::advance`], a particle
+/// whose step ends at the new tick has committed either the step before
+/// (still pending) or this one; one parity bit per particle tells the two
+/// apart.
 #[derive(Clone, Debug)]
 pub struct BlockSteps {
     /// Global time in ticks.
@@ -25,24 +33,49 @@ pub struct BlockSteps {
     pub dt_max: Real,
     /// Number of refinement levels below `dt_max`.
     pub max_depth: u32,
-    /// Per-particle refinement level `k` (dt = dt_max / 2^k).
+    /// Per-particle refinement level `k` (dt = dt_max / 2^k). Written
+    /// directly only at tick 0; afterwards `commit` moves it with the
+    /// particle's parity bit.
     pub level: Vec<u8>,
-    /// Per-particle committed time in ticks.
-    pub ptick: Vec<u64>,
+    /// Bit `i % 64` of word `i / 64` is the parity of particle `i`'s
+    /// committed block, `(ptick / step) mod 2`.
+    parity: Vec<u64>,
+    /// Entry `k`: the drift of a level-`k` particle that has not committed
+    /// since the last [`BlockSteps::advance`].
+    level_drift: [Real; 64],
+    /// Active particles not yet committed: counted by `advance` (every
+    /// particle whose step ends at the new tick), decremented by `commit`.
+    pending: usize,
 }
 
 impl BlockSteps {
     /// Create the hierarchy for `n` particles, all starting at level 0.
     pub fn new(n: usize, dt_max: Real, max_depth: u32) -> Self {
+        Self::at_tick(0, dt_max, max_depth, vec![0; n])
+    }
+
+    /// The hierarchy at the block-step boundary `tick`, with every
+    /// particle committed at the latest multiple of its step not after
+    /// `tick` (the state a snapshot stores). Levels are taken as given;
+    /// [`BlockSteps::check_invariants`] rejects one past `max_depth`.
+    pub fn at_tick(tick: u64, dt_max: Real, max_depth: u32, level: Vec<u8>) -> Self {
         assert!(max_depth < 63, "max_depth must leave room in 64-bit ticks");
-        BlockSteps {
-            tick: 0,
+        let mut blocks = BlockSteps {
+            tick,
             ticks_per_dtmax: 1u64 << max_depth,
             dt_max,
             max_depth,
-            level: vec![0; n],
-            ptick: vec![0; n],
-        }
+            parity: Vec::new(),
+            level,
+            level_drift: [0.0; 64],
+            pending: 0,
+        };
+        blocks.parity = blocks
+            .level
+            .chunks(64)
+            .map(|ks| pack(ks.iter().map(|&k| blocks.block_parity(k))))
+            .collect();
+        blocks
     }
 
     /// Number of particles tracked.
@@ -78,51 +111,132 @@ impl BlockSteps {
         self.ticks_to_time(self.tick)
     }
 
-    /// Particle `i`'s deadline: the tick its current sub-step ends at.
+    /// The parity of the level-`k` block that holds the global tick,
+    /// `(tick / step) mod 2`.
     #[inline(always)]
-    fn deadline(&self, i: usize) -> u64 {
-        self.ptick[i] + self.ticks_of_level(self.level[i])
+    fn block_parity(&self, k: u8) -> bool {
+        self.tick
+            .wrapping_shr(self.max_depth.wrapping_sub(u32::from(k)))
+            & 1
+            == 1
     }
 
-    /// The earliest pending deadline: `min_i (ptick_i + dt_i)`.
-    /// Panics on an empty set.
+    #[inline(always)]
+    fn parity(&self, i: usize) -> bool {
+        self.parity[i / 64] >> (i % 64) & 1 == 1
+    }
+
+    /// The coarsest level whose step ends at the global tick,
+    /// `max_depth − min(trailing_zeros(tick), max_depth)`; every finer
+    /// level's step ends there too.
+    fn first_due_level(&self) -> u8 {
+        (self.max_depth - self.tick.trailing_zeros().min(self.max_depth)) as u8
+    }
+
+    /// Whether particle `i`'s sub-step ends at the global tick and it has
+    /// not committed there: its committed tick is one step back.
+    #[inline(always)]
+    fn is_pending(&self, i: usize) -> bool {
+        let k = self.level[i];
+        self.tick & self.ticks_of_level(k).wrapping_sub(1) == 0
+            && self.parity(i) != self.block_parity(k)
+    }
+
+    /// Particle `i`'s committed tick: the start of its current sub-step.
+    pub fn ptick(&self, i: usize) -> u64 {
+        let step = self.ticks_of_level(self.level[i]);
+        let start = self.tick & !step.wrapping_sub(1);
+        if self.is_pending(i) {
+            start - step
+        } else {
+            start
+        }
+    }
+
+    /// The earliest pending deadline, `min_i (ptick_i + dt_i)`: the global
+    /// tick while an active particle has not committed, otherwise the next
+    /// multiple of the finest occupied level's step. Panics on an empty
+    /// set.
     pub fn next_tick(&self) -> u64 {
-        (0..self.len())
-            .map(|i| self.deadline(i))
-            .min()
-            .expect("next_tick on empty BlockSteps")
+        assert!(!self.is_empty(), "next_tick on empty BlockSteps");
+        if self.pending > 0 {
+            return self.tick;
+        }
+        // A fold, not `max()`, so that it compiles to vector code.
+        let finest = self.level.iter().fold(0, |m, &k| m.max(k));
+        let step = self.ticks_of_level(finest);
+        (self.tick & !(step - 1)) + step
     }
 
-    /// Begin a block step: move the global clock to the next deadline.
+    /// Begin a block step: move the global clock to the next deadline,
+    /// count the particles whose step ends there and tabulate the drift of
+    /// each level from its committed tick.
     pub fn advance(&mut self) {
         let t_next = self.next_tick();
         debug_assert!(t_next > self.tick);
         self.tick = t_next;
+        let first = self.first_due_level();
+        // Counted in byte lanes, 255 levels at a time.
+        self.pending = self
+            .level
+            .chunks(255)
+            .map(|ks| ks.iter().fold(0u8, |c, &k| c + u8::from(k >= first)) as usize)
+            .sum();
+        for k in 0..=self.max_depth as u8 {
+            let step = self.ticks_of_level(k);
+            let since = match self.tick & (step - 1) {
+                0 => step,
+                r => r,
+            };
+            self.level_drift[k as usize] = self.ticks_to_time(since) as Real;
+        }
     }
 
-    /// The particles whose sub-step ends at the current tick, in
-    /// ascending order: their forces are re-evaluated this block step.
+    /// The particles whose sub-step ends at the current tick and that have
+    /// not committed there, in ascending order: their forces are
+    /// re-evaluated this block step. The list is allocated at its exact
+    /// size, which `advance` counted.
     pub fn active(&self) -> Vec<u32> {
-        (0..self.len())
-            .filter(|&i| {
-                debug_assert!(
-                    self.deadline(i) >= self.tick,
-                    "particle {i} missed its deadline"
-                );
-                self.deadline(i) == self.tick
-            })
-            .map(|i| i as u32)
-            .collect()
+        let mut active = Vec::with_capacity(self.pending);
+        let first = self.first_due_level();
+        let parity_now =
+            (0..=self.max_depth as u8).fold(0u64, |m, k| m | u64::from(self.block_parity(k)) << k);
+        for (w, levels) in self.level.chunks(64).enumerate() {
+            if active.len() == self.pending {
+                break;
+            }
+            if levels.iter().fold(0, |m, &k| m.max(k)) < first {
+                continue;
+            }
+            let stored = self.parity[w];
+            for (j, &k) in levels.iter().enumerate() {
+                if k >= first && (stored >> j ^ parity_now.wrapping_shr(k.into())) & 1 == 1 {
+                    active.push((64 * w + j) as u32);
+                }
+            }
+        }
+        debug_assert_eq!(active.len(), self.pending);
+        active
     }
 
     /// The prediction interval of particle `i`: from its committed time to
     /// the global time.
     #[inline(always)]
     pub fn drift(&self, i: usize) -> Real {
-        self.ticks_to_time(self.tick - self.ptick[i]) as Real
+        self.ticks_to_time(self.tick - self.ptick(i)) as Real
     }
 
-    /// Finish particle `i`'s sub-step: commit it to the global time and
+    /// [`BlockSteps::drift`] of a level-`k` particle that has not committed
+    /// since the last [`BlockSteps::advance`]: every particle in predict,
+    /// and every active one until it commits. Read from a table the
+    /// advance fills, one entry per level.
+    #[inline(always)]
+    pub fn drift_of_level(&self, k: u8) -> Real {
+        self.level_drift[k as usize]
+    }
+
+    /// Finish particle `i`'s sub-step, which must end at the global tick
+    /// (or any particle's at tick 0): commit it to the global time and
     /// update its level from the desired time step `dt_want` (typically
     /// from [`crate::integrator::timestep_criterion`]).
     ///
@@ -132,8 +246,14 @@ impl BlockSteps {
     /// aligned with the coarser block boundary. At tick 0 and level 0 this
     /// seeds the level as [`BlockSteps::level_for_dt`]`(dt_want)`.
     pub fn commit(&mut self, i: usize, dt_want: Real) {
-        self.ptick[i] = self.tick;
         let k = self.level[i];
+        debug_assert!(
+            self.tick.is_multiple_of(self.ticks_of_level(k)),
+            "particle {i} committed off its block boundary"
+        );
+        // On its block boundary, a particle is pending while its parity
+        // is the previous block's.
+        self.pending -= usize::from(self.parity(i) != self.block_parity(k));
         let want = self.level_for_dt(dt_want);
         if want > k {
             // Refine immediately (`level_for_dt` never exceeds the finest level).
@@ -141,10 +261,13 @@ impl BlockSteps {
         } else if want < k {
             // Coarsen one level, only when aligned to the coarser block.
             let coarser_ticks = self.ticks_of_level(k - 1);
-            if self.tick.is_multiple_of(coarser_ticks) {
+            if self.tick & (coarser_ticks - 1) == 0 {
                 self.level[i] = k - 1;
             }
         }
+        let parity = u64::from(self.block_parity(self.level[i]));
+        let word = &mut self.parity[i / 64];
+        *word = *word & !(1 << (i % 64)) | parity << (i % 64);
     }
 
     /// The level whose step is the largest power-of-two step ≤ `dt`.
@@ -165,28 +288,24 @@ impl BlockSteps {
     pub fn permute(&mut self, perm: &[u32]) {
         assert_eq!(perm.len(), self.len());
         crate::particles::permute_each(perm, [&mut self.level]);
-        crate::particles::permute_each(perm, [&mut self.ptick]);
+        self.parity = perm
+            .chunks(64)
+            .map(|ps| pack(ps.iter().map(|&p| self.parity(p as usize))))
+            .collect();
     }
 
-    /// Validate hierarchy invariants: levels within the hierarchy,
-    /// particle times never past the global time and aligned to their own
-    /// block size, and every deadline still ahead of the global time.
+    /// Validate hierarchy invariants: levels within the hierarchy and
+    /// every deadline still ahead of the global time. A committed tick is
+    /// derived from the clock and the level, so it is aligned to its block
+    /// and never past the global time by construction.
     pub fn check_invariants(&self) -> Result<(), String> {
         for i in 0..self.len() {
             if self.level[i] as u32 > self.max_depth {
                 return Err(format!("particle {i} level {} > max_depth", self.level[i]));
             }
-            if self.ptick[i] > self.tick {
-                return Err(format!("particle {i} is ahead of global time"));
-            }
             let step = self.ticks_of_level(self.level[i]);
-            if !self.ptick[i].is_multiple_of(step) {
-                return Err(format!(
-                    "particle {i} time {} not aligned to its block size {}",
-                    self.ptick[i], step
-                ));
-            }
-            if self.ptick[i]
+            if self
+                .ptick(i)
                 .checked_add(step)
                 .is_none_or(|d| d <= self.tick)
             {
@@ -195,6 +314,12 @@ impl BlockSteps {
         }
         Ok(())
     }
+}
+
+/// Pack up to 64 flags into a word, the first in bit 0.
+#[inline(always)]
+fn pack(flags: impl Iterator<Item = bool>) -> u64 {
+    flags.enumerate().fold(0, |w, (j, f)| w | u64::from(f) << j)
 }
 
 #[cfg(test)]
@@ -275,7 +400,7 @@ mod tests {
             seeded.commit(i, dt);
         }
         assert_eq!(seeded.level, vec![2, 10, 0]);
-        assert_eq!(seeded.ptick, vec![0; 3]);
+        assert!((0..3).all(|i| seeded.ptick(i) == 0));
     }
 
     #[test]
@@ -309,15 +434,177 @@ mod tests {
 
     #[test]
     fn invariants_catch_misalignment() {
+        // A misaligned committed tick cannot be represented; the snapshot
+        // reader refuses one (`snapshot::tests`).
         let mut bs = BlockSteps::new(1, 1.0, 4);
         bs.level[0] = 0;
-        bs.ptick[0] = 3; // not aligned to 16-tick blocks
-        bs.tick = 8;
-        assert!(bs.check_invariants().is_err());
-        bs.ptick[0] = 0; // aligned, but its deadline (16) has passed
-        bs.tick = 16;
+        bs.tick = 16; // committed at 0, so its deadline (16) has passed
+        assert_eq!(bs.ptick(0), 0);
         assert!(bs.check_invariants().unwrap_err().contains("deadline"));
         bs.level[0] = 5; // finer than the hierarchy
         assert!(bs.check_invariants().unwrap_err().contains("max_depth"));
+    }
+
+    #[test]
+    fn drift_table_matches_drift_until_commit() {
+        let mut bs = BlockSteps::new(4, 1.0, 8);
+        bs.level.copy_from_slice(&[0, 1, 2, 3]);
+        for _ in 0..8 {
+            bs.advance();
+            for i in 0..4 {
+                assert_eq!(bs.drift(i), bs.drift_of_level(bs.level[i]));
+            }
+            for i in bs.active() {
+                let i = i as usize;
+                bs.commit(i, bs.dt_of_level(bs.level[i]));
+                assert_eq!(bs.drift(i), 0.0);
+            }
+        }
+    }
+
+    /// The committed-tick bookkeeping `BlockSteps` replaced: one `u64` per
+    /// particle, a min over every deadline and a filter over all of them.
+    struct Oracle {
+        blocks: BlockSteps,
+        ptick: Vec<u64>,
+    }
+
+    impl Oracle {
+        fn deadline(&self, i: usize) -> u64 {
+            self.ptick[i] + self.blocks.ticks_of_level(self.blocks.level[i])
+        }
+
+        fn next_tick(&self) -> u64 {
+            (0..self.ptick.len())
+                .map(|i| self.deadline(i))
+                .min()
+                .unwrap()
+        }
+
+        fn active(&self) -> Vec<u32> {
+            (0..self.ptick.len())
+                .filter(|&i| self.deadline(i) == self.blocks.tick)
+                .map(|i| i as u32)
+                .collect()
+        }
+
+        fn drift(&self, i: usize) -> Real {
+            self.blocks.ticks_to_time(self.blocks.tick - self.ptick[i]) as Real
+        }
+
+        fn advance(&mut self) {
+            self.blocks.tick = self.next_tick();
+        }
+
+        fn commit(&mut self, i: usize, dt_want: Real) {
+            self.ptick[i] = self.blocks.tick;
+            let b = &mut self.blocks;
+            let (k, want) = (b.level[i], b.level_for_dt(dt_want));
+            if want > k {
+                b.level[i] = want;
+            } else if want < k && b.tick.is_multiple_of(b.ticks_of_level(k - 1)) {
+                b.level[i] = k - 1;
+            }
+        }
+
+        fn permute(&mut self, perm: &[u32]) {
+            crate::particles::permute_each(perm, [&mut self.blocks.level]);
+            crate::particles::permute_each(perm, [&mut self.ptick]);
+        }
+
+        fn check_invariants(&self) -> Result<(), String> {
+            let b = &self.blocks;
+            for i in 0..self.ptick.len() {
+                if b.level[i] as u32 > b.max_depth {
+                    return Err(format!("particle {i} level {} > max_depth", b.level[i]));
+                }
+                let step = b.ticks_of_level(b.level[i]);
+                if self.ptick[i] > b.tick || !self.ptick[i].is_multiple_of(step) {
+                    return Err(format!("particle {i} is misaligned or ahead"));
+                }
+                if self.ptick[i].checked_add(step).is_none_or(|d| d <= b.tick) {
+                    return Err(format!("particle {i} is past its block-step deadline"));
+                }
+            }
+            Ok(())
+        }
+
+        /// Every public answer of `bs` equals the oracle's.
+        fn agrees(&self, bs: &BlockSteps, at: &str) {
+            assert_eq!(bs.tick, self.blocks.tick, "{at}: tick");
+            assert_eq!(bs.level, self.blocks.level, "{at}: levels");
+            assert_eq!(bs.next_tick(), self.next_tick(), "{at}: next_tick");
+            assert_eq!(bs.active(), self.active(), "{at}: active");
+            for i in 0..self.ptick.len() {
+                assert_eq!(bs.ptick(i), self.ptick[i], "{at}: ptick({i})");
+                assert_eq!(bs.drift(i), self.drift(i), "{at}: drift({i})");
+            }
+            assert_eq!(bs.check_invariants(), self.check_invariants(), "{at}");
+        }
+    }
+
+    #[test]
+    fn derived_committed_ticks_match_the_stored_oracle() {
+        use prng::prelude::*;
+        for seed in 0..48 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.random_range(1..96usize);
+            let max_depth = rng.random_range(1..12u32);
+            let mut bs = BlockSteps::new(n, 1.0, max_depth);
+            let mut oracle = Oracle {
+                blocks: bs.clone(),
+                ptick: vec![0; n],
+            };
+            // Requests around every level's step: refinements, and
+            // coarsening requests that are aligned or not.
+            let dt_want = |rng: &mut StdRng| {
+                let k = rng.random_range(0..max_depth + 2);
+                let f = [0.0, 0.6, 1.0, 1.4, 2.5, 40.0][rng.random_range(0..6usize)];
+                f / (1u64 << k) as Real
+            };
+            for i in 0..n {
+                let dt = dt_want(&mut rng);
+                bs.commit(i, dt);
+                oracle.commit(i, dt);
+            }
+            oracle.agrees(&bs, &format!("seed {seed} at set-up"));
+            // A rebuild permutes between steps or, as in the pipeline,
+            // after the advance.
+            let permute = |rng: &mut StdRng, bs: &mut BlockSteps, oracle: &mut Oracle| {
+                if rng.random_range(0..4u32) == 0 {
+                    let mut perm: Vec<u32> = (0..n as u32).collect();
+                    for j in (1..n).rev() {
+                        perm.swap(j, rng.random_range(0..j + 1));
+                    }
+                    bs.permute(&perm);
+                    oracle.permute(&perm);
+                    oracle.agrees(bs, &format!("seed {seed} permuted at {}", bs.tick));
+                }
+            };
+            for step in 0..40 {
+                permute(&mut rng, &mut bs, &mut oracle);
+                bs.advance();
+                oracle.advance();
+                oracle.agrees(&bs, &format!("seed {seed} step {step} advanced"));
+                permute(&mut rng, &mut bs, &mut oracle);
+                for i in 0..n {
+                    assert_eq!(bs.drift_of_level(bs.level[i]), oracle.drift(i));
+                }
+                // Commit in a random order, so later particles see
+                // earlier ones committed.
+                let mut active = oracle.active();
+                for j in (1..active.len()).rev() {
+                    active.swap(j, rng.random_range(0..j + 1));
+                }
+                for i in active {
+                    let dt = dt_want(&mut rng);
+                    bs.commit(i as usize, dt);
+                    oracle.commit(i as usize, dt);
+                    oracle.agrees(&bs, &format!("seed {seed} step {step} commit {i}"));
+                }
+                let restored = BlockSteps::at_tick(bs.tick, 1.0, max_depth, bs.level.clone());
+                oracle.agrees(&restored, &format!("seed {seed} step {step} restored"));
+            }
+        }
     }
 }

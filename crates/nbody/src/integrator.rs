@@ -19,14 +19,15 @@ use crate::vec3::{Real, Vec3};
 
 /// Non-destructive prediction used by the block-time-step pipeline: drift
 /// each particle's position from its committed time to the global time of
-/// `blocks` ([`BlockSteps::drift`]) into `out`, leaving the committed
-/// state untouched (inactive particles serve as force sources at the
-/// predicted position but are not advanced).
+/// `blocks` into `out`, leaving the committed state untouched (inactive
+/// particles serve as force sources at the predicted position but are not
+/// advanced). Runs after [`BlockSteps::advance`] and before any commit,
+/// so the drift is its level's ([`BlockSteps::drift_of_level`]).
 pub fn predict_positions(ps: &ParticleSet, blocks: &BlockSteps, out: &mut [Vec3]) {
     assert_eq!(blocks.len(), ps.len());
     assert_eq!(out.len(), ps.len());
     parallel::for_each_mut(out, |i, o| {
-        let h = blocks.drift(i);
+        let h = blocks.drift_of_level(blocks.level[i]);
         *o = ps.pos[i] + ps.vel[i] * h + ps.acc[i] * (0.5 * h * h);
     });
 }
