@@ -377,7 +377,7 @@ impl Gothic {
         let span = telemetry::span(Function::Correct.name());
         for (k, &i) in active.iter().enumerate() {
             let i = i as usize;
-            let h = self.blocks.drift_of_level(self.blocks.level[i]);
+            let h = self.blocks.drift_of_level(self.blocks.levels()[i]);
             self.ps.vel[i] = self.ps.vel[i] + (self.ps.acc[i] + res.acc[k]) * (0.5 * h);
             self.ps.pos[i] = self.pred_pos[i];
         }

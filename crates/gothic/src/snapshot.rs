@@ -165,8 +165,8 @@ impl Capture<'_> {
         // Block time steps.
         w.write_all(&b.dt_max.to_le_bytes())?;
         w.write_all(&b.max_depth.to_le_bytes())?;
-        w.write_all(&b.tick.to_le_bytes())?;
-        write_vec(w, &b.level, |&k| [k])?;
+        w.write_all(&b.tick().to_le_bytes())?;
+        write_vec(w, b.levels(), |&k| [k])?;
         write_vec(w, (0..b.len()).map(|i| b.ptick(i)), u64::to_le_bytes)?;
         // Tree topology.
         w.write_all(&self.leaf_cap.to_le_bytes())?;
@@ -295,13 +295,13 @@ impl Snapshot {
         let tick = u64::from_le_bytes(read_array(r)?);
         let level = read_vec(r, n, |[k]: [u8; 1]| k)?;
         let blocks = BlockSteps::at_tick(tick, dt_max, max_depth, level);
-        blocks.check_invariants().map_err(invalid)?;
         // The committed ticks follow from `tick` and the levels; a stored
-        // one that differs is refused, not kept.
+        // one that differs is refused, not kept. Every particle is checked
+        // as `BlockSteps::check_invariants` checks it.
         let mut i = 0;
         read_batches::<_, 8>(r, n, |bytes| {
             for p in records(bytes).map(u64::from_le_bytes) {
-                check_ptick(&blocks, i, p)?;
+                blocks.check_committed(i, p).map_err(invalid)?;
                 i += 1;
             }
             Ok(())
@@ -309,7 +309,7 @@ impl Snapshot {
         if blocks.time() != time {
             return Err(invalid(format!(
                 "time {time} disagrees with tick {}",
-                blocks.tick
+                blocks.tick()
             )));
         }
 
@@ -447,27 +447,6 @@ impl Snapshot {
             summary: RunSummary::default(),
         })
     }
-}
-
-/// Refuse particle `i`'s stored committed tick `p` unless it is the one
-/// `blocks` derives, saying how it is wrong.
-fn check_ptick(blocks: &BlockSteps, i: usize, p: u64) -> io::Result<()> {
-    let derived = blocks.ptick(i);
-    if p == derived {
-        return Ok(());
-    }
-    let step = blocks.ticks_of_level(blocks.level[i]);
-    let why = if p > blocks.tick {
-        "is ahead of the global tick"
-    } else if !p.is_multiple_of(step) {
-        "is not aligned to its block size"
-    } else {
-        "is past its block-step deadline"
-    };
-    Err(invalid(format!(
-        "particle {i} committed tick {p} {why}: tick {} and level {} give {derived}",
-        blocks.tick, blocks.level[i]
-    )))
 }
 
 fn invalid(msg: impl Into<String>) -> io::Error {
@@ -818,9 +797,9 @@ mod tests {
         sim.run(8);
         let (b, n) = (&sim.blocks, sim.len());
         let j = (0..n)
-            .find(|&i| 0 < b.ptick(i) && b.ptick(i) < b.tick)
+            .find(|&i| 0 < b.ptick(i) && b.ptick(i) < b.tick())
             .expect("a particle committed between 0 and the global tick");
-        let (p, step) = (b.ptick(j), b.ticks_of_level(b.level[j]));
+        let (p, step) = (b.ptick(j), b.ticks_of_level(b.levels()[j]));
         // Header 36 bytes, seven particle arrays of 52 bytes a particle,
         // dt_max, max_depth and tick, one level byte a particle.
         let at = 36 + 52 * n + 16 + n + 8 * j;
@@ -828,7 +807,7 @@ mod tests {
         assert_eq!(clean[at..at + 8], p.to_le_bytes());
         for (stored, why) in [
             (p + 1, "not aligned"),
-            (b.tick + step, "ahead"),
+            (b.tick() + step, "ahead"),
             (p - step, "deadline"),
         ] {
             let mut bytes = clean.clone();

@@ -26,17 +26,15 @@ use crate::vec3::Real;
 #[derive(Clone, Debug)]
 pub struct BlockSteps {
     /// Global time in ticks.
-    pub tick: u64,
+    tick: u64,
     /// dt_max expressed in ticks (`2^max_depth`).
     pub ticks_per_dtmax: u64,
     /// The top-level (largest) time step in simulation units.
     pub dt_max: Real,
     /// Number of refinement levels below `dt_max`.
     pub max_depth: u32,
-    /// Per-particle refinement level `k` (dt = dt_max / 2^k). Written
-    /// directly only at tick 0; afterwards `commit` moves it with the
-    /// particle's parity bit.
-    pub level: Vec<u8>,
+    /// Per-particle refinement level `k` (dt = dt_max / 2^k).
+    level: Vec<u8>,
     /// Bit `i % 64` of word `i / 64` is the parity of particle `i`'s
     /// committed block, `(ptick / step) mod 2`.
     parity: Vec<u64>,
@@ -78,6 +76,19 @@ impl BlockSteps {
         blocks
     }
 
+    /// Global time in ticks.
+    #[inline(always)]
+    pub fn tick(&self) -> u64 {
+        self.tick
+    }
+
+    /// Per-particle refinement level `k` (dt = dt_max / 2^k). `commit`
+    /// changes a level together with the parity bit that depends on it.
+    #[inline(always)]
+    pub fn levels(&self) -> &[u8] {
+        &self.level
+    }
+
     /// Number of particles tracked.
     pub fn len(&self) -> usize {
         self.level.len()
@@ -88,10 +99,11 @@ impl BlockSteps {
         self.level.is_empty()
     }
 
-    /// Step size in ticks at refinement level `k`.
+    /// Step size in ticks at refinement level `k` (no panic for a level
+    /// past `max_depth`; [`BlockSteps::check_invariants`] rejects one).
     #[inline(always)]
     pub fn ticks_of_level(&self, k: u8) -> u64 {
-        self.ticks_per_dtmax >> k
+        self.ticks_per_dtmax.wrapping_shr(k.into())
     }
 
     /// Step size in simulation units at refinement level `k`.
@@ -143,6 +155,7 @@ impl BlockSteps {
     }
 
     /// Particle `i`'s committed tick: the start of its current sub-step.
+    #[inline]
     pub fn ptick(&self, i: usize) -> u64 {
         let step = self.ticks_of_level(self.level[i]);
         let start = self.tick & !step.wrapping_sub(1);
@@ -299,20 +312,49 @@ impl BlockSteps {
     /// derived from the clock and the level, so it is aligned to its block
     /// and never past the global time by construction.
     pub fn check_invariants(&self) -> Result<(), String> {
-        for i in 0..self.len() {
-            if self.level[i] as u32 > self.max_depth {
-                return Err(format!("particle {i} level {} > max_depth", self.level[i]));
-            }
-            let step = self.ticks_of_level(self.level[i]);
-            if self
-                .ptick(i)
-                .checked_add(step)
-                .is_none_or(|d| d <= self.tick)
-            {
-                return Err(format!("particle {i} is past its block-step deadline"));
-            }
+        (0..self.len()).try_for_each(|i| self.check_committed(i, self.ptick(i)))
+    }
+
+    /// Check particle `i` against a committed tick `p` read from outside
+    /// (a snapshot): its level must lie within the hierarchy, `p` must be
+    /// the committed tick the clock and the level give, and its deadline
+    /// must still be ahead of the global time. The error names the
+    /// particle and says how `p` is wrong.
+    #[inline]
+    pub fn check_committed(&self, i: usize, p: u64) -> Result<(), String> {
+        let k = self.level[i];
+        let deadline = p.checked_add(self.ticks_of_level(k));
+        if u32::from(k) <= self.max_depth
+            && p == self.ptick(i)
+            && deadline.is_some_and(|d| d > self.tick)
+        {
+            return Ok(());
         }
-        Ok(())
+        Err(self.refusal(i, p))
+    }
+
+    /// What is wrong with particle `i` and committed tick `p`.
+    #[cold]
+    fn refusal(&self, i: usize, p: u64) -> String {
+        let k = self.level[i];
+        if u32::from(k) > self.max_depth {
+            return format!("particle {i} level {k} > max_depth");
+        }
+        let (step, derived) = (self.ticks_of_level(k), self.ptick(i));
+        if p == derived {
+            return format!("particle {i} is past its block-step deadline");
+        }
+        let why = if p > self.tick {
+            "is ahead of the global tick"
+        } else if p & (step - 1) != 0 {
+            "is not aligned to its block size"
+        } else {
+            "is past its block-step deadline"
+        };
+        format!(
+            "particle {i} committed tick {p} {why}: tick {} and level {k} give {derived}",
+            self.tick
+        )
     }
 }
 

@@ -27,7 +27,7 @@ pub fn predict_positions(ps: &ParticleSet, blocks: &BlockSteps, out: &mut [Vec3]
     assert_eq!(blocks.len(), ps.len());
     assert_eq!(out.len(), ps.len());
     parallel::for_each_mut(out, |i, o| {
-        let h = blocks.drift_of_level(blocks.level[i]);
+        let h = blocks.drift_of_level(blocks.levels()[i]);
         *o = ps.pos[i] + ps.vel[i] * h + ps.acc[i] * (0.5 * h * h);
     });
 }

@@ -68,8 +68,8 @@ fn main() {
             next_report = sim.time() + 0.15;
             let lr = lagrangian_radii(&sim, &fractions);
             let e = sim.diagnostics();
-            let lmin = *sim.blocks.level.iter().min().unwrap();
-            let lmax = *sim.blocks.level.iter().max().unwrap();
+            let lmin = *sim.blocks.levels().iter().min().unwrap();
+            let lmax = *sim.blocks.levels().iter().max().unwrap();
             println!(
                 "{:>10.1} {:>8.3} {:>8.3} {:>8.3} {:>8} {:>4}-{:<4} {:>10.2e}",
                 sim.time() * units::time_unit_myr(),

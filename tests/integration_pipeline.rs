@@ -123,8 +123,8 @@ fn bootstrap_uses_opening_angle_then_switches_to_acceleration_mac() {
 fn block_hierarchy_develops_multiple_levels() {
     let mut sim = Gothic::new(m31(4096, 8), RunConfig::default());
     sim.run(10);
-    let lmin = *sim.blocks.level.iter().min().unwrap();
-    let lmax = *sim.blocks.level.iter().max().unwrap();
+    let lmin = *sim.blocks.levels().iter().min().unwrap();
+    let lmax = *sim.blocks.levels().iter().max().unwrap();
     assert!(
         lmax > lmin,
         "M31's dynamic range must spread the block levels ({lmin}..{lmax})"
