@@ -145,21 +145,15 @@ impl BlockSteps {
         (self.max_depth - self.tick.trailing_zeros().min(self.max_depth)) as u8
     }
 
-    /// Whether particle `i`'s sub-step ends at the global tick and it has
-    /// not committed there: its committed tick is one step back.
-    #[inline(always)]
-    fn is_pending(&self, i: usize) -> bool {
-        let k = self.level[i];
-        self.tick & self.ticks_of_level(k).wrapping_sub(1) == 0
-            && self.parity(i) != self.block_parity(k)
-    }
-
     /// Particle `i`'s committed tick: the start of its current sub-step.
     #[inline]
     pub fn ptick(&self, i: usize) -> u64 {
-        let step = self.ticks_of_level(self.level[i]);
+        let k = self.level[i];
+        let step = self.ticks_of_level(k);
         let start = self.tick & !step.wrapping_sub(1);
-        if self.is_pending(i) {
+        // A particle whose step ends at the global tick and that has not
+        // committed there still has the previous block's parity.
+        if start == self.tick && self.parity(i) != self.block_parity(k) {
             start - step
         } else {
             start
