@@ -66,14 +66,6 @@ impl CancelToken {
         }
     }
 
-    /// A token firing at an absolute instant.
-    pub fn with_deadline_at(at: Instant) -> Self {
-        CancelToken {
-            flag: Arc::new(AtomicBool::new(false)),
-            deadline: Some(at),
-        }
-    }
-
     /// Request cancellation (visible to every clone).
     pub fn cancel(&self) {
         self.flag.store(true, Ordering::Relaxed);
@@ -82,11 +74,6 @@ impl CancelToken {
     /// True once [`cancel`](CancelToken::cancel) has been called.
     pub fn is_cancelled(&self) -> bool {
         self.flag.load(Ordering::Relaxed)
-    }
-
-    /// The deadline, if one was set.
-    pub fn deadline(&self) -> Option<Instant> {
-        self.deadline
     }
 
     /// The cooperative check: cheap enough for every step boundary.
@@ -117,7 +104,6 @@ mod tests {
         let t = CancelToken::new();
         assert!(t.check().is_ok());
         assert!(!t.is_cancelled());
-        assert!(t.deadline().is_none());
     }
 
     #[test]
@@ -145,7 +131,7 @@ mod tests {
     fn future_deadline_passes_until_it_arrives() {
         let t = CancelToken::with_deadline(Duration::from_secs(3600));
         assert!(t.check().is_ok());
-        let past = CancelToken::with_deadline_at(Instant::now() - Duration::from_millis(1));
+        let past = CancelToken::with_deadline(Duration::ZERO);
         assert!(past.check().is_err());
     }
 

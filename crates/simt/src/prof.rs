@@ -108,12 +108,6 @@ impl PipeCounts {
         self.max_reconv_depth = self.max_reconv_depth.max(o.max_reconv_depth);
     }
 
-    /// FP32 CUDA-core lane-ops (add + mul + fma) — the "FP32" series of
-    /// the paper's Fig. 7 overlap analysis.
-    pub fn fp_core(&self) -> u64 {
-        self.fp_add + self.fp_mul + self.fp_fma
-    }
-
     /// Count one retired instruction executed by `lanes` active lanes.
     #[inline]
     pub(crate) fn count_inst(&mut self, inst: &Inst, lanes: u64) {
@@ -190,7 +184,6 @@ mod tests {
         assert_eq!(c.shared_ld, 32);
         assert_eq!(c.global_st, 32);
         assert_eq!(c.control, 32);
-        assert_eq!(c.fp_core(), 32 + 16 + 8);
     }
 
     #[test]

@@ -4,7 +4,10 @@
 //! The detector layers a vector-clock happens-before relation over warp
 //! execution. Every thread (lane) has an epoch that its accesses advance;
 //! every shared- or global-memory word remembers its last write and the
-//! last read per thread. Synchronisation establishes ordering edges:
+//! last read per thread. The interpreter reports every load, store and
+//! atomic through one entry, [`Racecheck::on_access`], which keys each
+//! word by its [`MemSpace`] and address. Synchronisation establishes
+//! ordering edges:
 //!
 //! * `__syncwarp(mask)` joins the clocks of the arriving lanes,
 //! * `__syncthreads()` joins all threads of the block,
@@ -263,7 +266,7 @@ impl HazardRecord {
 }
 
 /// Final report of one checked execution.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RacecheckReport {
     /// Distinct hazard sites, in discovery order.
     pub records: Vec<HazardRecord>,
@@ -404,12 +407,6 @@ enum SiteKey {
     },
 }
 
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-enum CellKey {
-    Shared { block: u32, addr: u32 },
-    Global { addr: u32 },
-}
-
 /// Per-word access history.
 #[derive(Default)]
 struct Cell {
@@ -442,7 +439,8 @@ pub struct Racecheck {
     /// Each thread's epoch at the last grid barrier — every other block
     /// has seen exactly this much of it.
     grid_clocks: Vec<u32>,
-    cells: HashMap<CellKey, Cell>,
+    /// Access history of each word touched, by space and address.
+    cells: HashMap<(MemSpace, u32), Cell>,
     /// Index of each known site in `report.records`.
     sites: HashMap<SiteKey, usize>,
     report: RacecheckReport,
@@ -543,35 +541,11 @@ impl Racecheck {
         });
     }
 
-    /// Observe one shared-memory access by one lane.
-    pub fn on_shared(&mut self, t: Tid, addr: u32, pc: usize, op: &'static str, kind: AccessKind) {
-        let key = CellKey::Shared {
-            block: t.block,
-            addr,
-        };
-        self.on_access(
-            key,
-            MemSpace::Shared { block: t.block },
-            t,
-            addr,
-            pc,
-            op,
-            kind,
-        );
-    }
-
-    /// Observe one global-memory access by one lane.
-    pub fn on_global(&mut self, t: Tid, addr: u32, pc: usize, op: &'static str, kind: AccessKind) {
-        let key = CellKey::Global { addr };
-        self.on_access(key, MemSpace::Global, t, addr, pc, op, kind);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn on_access(
+    /// Observe one lane's access to word `addr` of `space`.
+    pub fn on_access(
         &mut self,
-        key: CellKey,
-        space: MemSpace,
         t: Tid,
+        space: MemSpace,
         addr: u32,
         pc: usize,
         op: &'static str,
@@ -591,18 +565,17 @@ impl Racecheck {
         // Snapshot the cell's prior state and apply the update first, so
         // the `&mut self.cells` borrow ends before the ordering checks
         // (which need `record(&mut self)`).
-        let cell = self.cells.entry(key).or_default();
+        let cell = self.cells.entry((space, addr)).or_default();
         let prior_write = cell.write;
-        let mut prior_reads: Vec<Access> = Vec::new();
+        let mut prior_reads = Vec::new();
         match kind {
             AccessKind::Read => match cell.reads.iter_mut().find(|(f, _)| *f == flat as u32) {
                 Some(slot) => slot.1 = access,
                 None => cell.reads.push((flat as u32, access)),
             },
             AccessKind::Write | AccessKind::Atomic => {
-                prior_reads.extend(cell.reads.iter().map(|&(_, r)| r));
                 cell.write = Some(access);
-                cell.reads.clear();
+                prior_reads = std::mem::take(&mut cell.reads);
             }
         }
         let shared = matches!(space, MemSpace::Shared { .. });
@@ -642,7 +615,7 @@ impl Racecheck {
                         race(self, RaceKind::WriteWrite, w);
                     }
                 }
-                for r in prior_reads {
+                for (_, r) in prior_reads {
                     if !self.ordered(&r, t) {
                         race(self, RaceKind::ReadWrite, r);
                     }
@@ -757,6 +730,9 @@ fn join_warp(warp_clocks: &mut [u32], base: usize, mask: u32) -> [u32; WARP_SIZE
 mod tests {
     use super::*;
 
+    const SHARED: MemSpace = MemSpace::Shared { block: 0 };
+    const GLOBAL: MemSpace = MemSpace::Global;
+
     fn tid(lane: u32) -> Tid {
         Tid {
             block: 0,
@@ -768,8 +744,8 @@ mod tests {
     #[test]
     fn unordered_write_then_read_is_flagged() {
         let mut rc = Racecheck::for_single_warp();
-        rc.on_shared(tid(0), 5, 3, "st.shared", AccessKind::Write);
-        rc.on_shared(tid(1), 5, 7, "ld.shared", AccessKind::Read);
+        rc.on_access(tid(0), SHARED, 5, 3, "st.shared", AccessKind::Write);
+        rc.on_access(tid(1), SHARED, 5, 7, "ld.shared", AccessKind::Read);
         let r = rc.finish();
         assert_eq!(r.total, 1);
         match &r.records[0].hazard {
@@ -794,26 +770,26 @@ mod tests {
     #[test]
     fn syncwarp_edge_orders_the_pair() {
         let mut rc = Racecheck::for_single_warp();
-        rc.on_shared(tid(0), 5, 3, "st.shared", AccessKind::Write);
+        rc.on_access(tid(0), SHARED, 5, 3, "st.shared", AccessKind::Write);
         rc.on_syncwarp_release(0, 0, 0b11);
-        rc.on_shared(tid(1), 5, 7, "ld.shared", AccessKind::Read);
+        rc.on_access(tid(1), SHARED, 5, 7, "ld.shared", AccessKind::Read);
         assert!(rc.finish().is_clean());
     }
 
     #[test]
     fn same_lane_program_order_is_always_ordered() {
         let mut rc = Racecheck::for_single_warp();
-        rc.on_shared(tid(4), 9, 1, "st.shared", AccessKind::Write);
-        rc.on_shared(tid(4), 9, 2, "ld.shared", AccessKind::Read);
-        rc.on_shared(tid(4), 9, 3, "st.shared", AccessKind::Write);
+        rc.on_access(tid(4), SHARED, 9, 1, "st.shared", AccessKind::Write);
+        rc.on_access(tid(4), SHARED, 9, 2, "ld.shared", AccessKind::Read);
+        rc.on_access(tid(4), SHARED, 9, 3, "st.shared", AccessKind::Write);
         assert!(rc.finish().is_clean());
     }
 
     #[test]
     fn read_then_unordered_write_is_flagged_as_read_write() {
         let mut rc = Racecheck::for_single_warp();
-        rc.on_shared(tid(9), 2, 8, "ld.shared", AccessKind::Read);
-        rc.on_shared(tid(0), 2, 4, "st.shared", AccessKind::Write);
+        rc.on_access(tid(9), SHARED, 2, 8, "ld.shared", AccessKind::Read);
+        rc.on_access(tid(0), SHARED, 2, 4, "st.shared", AccessKind::Write);
         let r = rc.finish();
         assert_eq!(r.total, 1);
         assert!(matches!(
@@ -828,10 +804,10 @@ mod tests {
     #[test]
     fn atomic_pairs_are_exempt_but_atomic_vs_plain_is_not() {
         let mut rc = Racecheck::for_single_warp();
-        rc.on_global(tid(0), 0, 1, "atom.global.add", AccessKind::Atomic);
-        rc.on_global(tid(1), 0, 1, "atom.global.add", AccessKind::Atomic);
+        rc.on_access(tid(0), GLOBAL, 0, 1, "atom.global.add", AccessKind::Atomic);
+        rc.on_access(tid(1), GLOBAL, 0, 1, "atom.global.add", AccessKind::Atomic);
         assert_eq!(rc.hazard_total(), 0);
-        rc.on_global(tid(2), 0, 2, "ld.global", AccessKind::Read);
+        rc.on_access(tid(2), GLOBAL, 0, 2, "ld.global", AccessKind::Read);
         assert_eq!(rc.hazard_total(), 1, "atomic write vs plain read races");
     }
 
@@ -843,15 +819,15 @@ mod tests {
             warp: 1,
             lane: 0,
         };
-        rc.on_shared(tid(0), 1, 1, "st.shared", AccessKind::Write);
-        rc.on_shared(w1, 1, 2, "ld.shared", AccessKind::Read);
+        rc.on_access(tid(0), SHARED, 1, 1, "st.shared", AccessKind::Write);
+        rc.on_access(w1, SHARED, 1, 2, "ld.shared", AccessKind::Read);
         let b1 = Tid {
             block: 1,
             warp: 0,
             lane: 0,
         };
-        rc.on_global(tid(0), 3, 5, "st.global", AccessKind::Write);
-        rc.on_global(b1, 3, 6, "ld.global", AccessKind::Read);
+        rc.on_access(tid(0), GLOBAL, 3, 5, "st.global", AccessKind::Write);
+        rc.on_access(b1, GLOBAL, 3, 6, "ld.global", AccessKind::Read);
         let r = rc.finish();
         let scopes: Vec<SyncScope> = r
             .records
@@ -872,9 +848,9 @@ mod tests {
             warp: 1,
             lane: 3,
         };
-        rc.on_shared(tid(0), 0, 1, "st.shared", AccessKind::Write);
+        rc.on_access(tid(0), SHARED, 0, 1, "st.shared", AccessKind::Write);
         rc.on_syncthreads(0);
-        rc.on_shared(w1, 0, 9, "ld.shared", AccessKind::Read);
+        rc.on_access(w1, SHARED, 0, 9, "ld.shared", AccessKind::Read);
         assert!(rc.finish().is_clean());
     }
 
@@ -886,9 +862,9 @@ mod tests {
             warp: 0,
             lane: 0,
         };
-        rc.on_global(tid(0), 7, 1, "st.global", AccessKind::Write);
+        rc.on_access(tid(0), GLOBAL, 7, 1, "st.global", AccessKind::Write);
         rc.on_grid_sync();
-        rc.on_global(b1, 7, 2, "ld.global", AccessKind::Read);
+        rc.on_access(b1, GLOBAL, 7, 2, "ld.global", AccessKind::Read);
         assert!(rc.finish().is_clean());
     }
 
@@ -896,8 +872,8 @@ mod tests {
     fn sites_dedup_with_counts() {
         let mut rc = Racecheck::for_single_warp();
         for lane in 1..17 {
-            rc.on_shared(tid(0), lane, 3, "st.shared", AccessKind::Write);
-            rc.on_shared(tid(lane), lane, 7, "ld.shared", AccessKind::Read);
+            rc.on_access(tid(0), SHARED, lane, 3, "st.shared", AccessKind::Write);
+            rc.on_access(tid(lane), SHARED, lane, 7, "ld.shared", AccessKind::Read);
         }
         let r = rc.finish();
         assert_eq!(r.records.len(), 1, "one site");
@@ -911,8 +887,22 @@ mod tests {
         let sites = MAX_RECORDS as u32 + 1;
         for i in 0..sites {
             // Distinct PCs → distinct sites.
-            rc.on_shared(tid(0), i, (10 + i) as usize, "st.shared", AccessKind::Write);
-            rc.on_shared(tid(1), i, (100 + i) as usize, "ld.shared", AccessKind::Read);
+            rc.on_access(
+                tid(0),
+                SHARED,
+                i,
+                (10 + i) as usize,
+                "st.shared",
+                AccessKind::Write,
+            );
+            rc.on_access(
+                tid(1),
+                SHARED,
+                i,
+                (100 + i) as usize,
+                "ld.shared",
+                AccessKind::Read,
+            );
         }
         let r = rc.finish();
         assert_eq!(r.records.len(), MAX_RECORDS);
@@ -1022,9 +1012,9 @@ mod tests {
                         let kind = [AccessKind::Read, AccessKind::Write, AccessKind::Atomic]
                             [g.usize_in(0..3)];
                         if g.u8_in(0..2) == 0 {
-                            rc.on_shared(t, addr, 1, "st.shared", kind);
+                            rc.on_access(t, MemSpace::Shared { block }, addr, 1, "st.shared", kind);
                         } else {
-                            rc.on_global(t, addr, 1, "st.global", kind);
+                            rc.on_access(t, GLOBAL, addr, 1, "st.global", kind);
                         }
                         dense.tick(base + lane as usize);
                     }
@@ -1059,8 +1049,8 @@ mod tests {
     #[test]
     fn report_displays_fix_and_counts() {
         let mut rc = Racecheck::for_single_warp();
-        rc.on_shared(tid(0), 5, 3, "st.shared", AccessKind::Write);
-        rc.on_shared(tid(1), 5, 7, "ld.shared", AccessKind::Read);
+        rc.on_access(tid(0), SHARED, 5, 3, "st.shared", AccessKind::Write);
+        rc.on_access(tid(1), SHARED, 5, 7, "ld.shared", AccessKind::Read);
         let r = rc.finish();
         let text = r.to_string();
         assert!(text.contains("write-read race"), "{text}");

@@ -21,10 +21,17 @@
 //! shared memory that is correct under Lockstep reads stale data under
 //! Independent unless a `__syncwarp()` orders it — exactly the class of
 //! bug the paper's porting recipes address.
+//!
+//! Each instruction family has one path. Loads, stores and atomics in
+//! either space go through one helper that bounds-checks the address
+//! against that space (its own [`ExecError`] when past the end) and
+//! reports the lane's access to the detector. The four shuffles share
+//! one arm that differs per op only in each lane's source lane, and the
+//! three votes share one ballot over the participating lanes.
 
 use crate::ir::{op_cost, op_mnemonic, Inst, MaskSpec, Op, Program, Reg};
 use crate::prof::PipeCounts;
-use crate::racecheck::{AccessKind, CollectiveSite, Racecheck, Tid};
+use crate::racecheck::{AccessKind, CollectiveSite, MemSpace, Racecheck, Tid};
 
 /// Lanes per warp.
 pub const WARP_SIZE: usize = 32;
@@ -396,44 +403,40 @@ impl Warp {
         }
     }
 
-    /// Report one lane's shared-memory access to the detector.
-    fn trace_shared(
+    /// The word lane `lane` addresses through register `a` in the memory
+    /// `op` touches, with the access reported to the detector; that
+    /// memory's own bounds error when the address is past its end.
+    fn access<'e>(
         &self,
-        env: &mut ExecEnv<'_>,
+        env: &'e mut ExecEnv<'_>,
         lane: usize,
-        addr: u32,
+        a: Reg,
         pc: usize,
-        op: &'static str,
+        op: &Op,
         kind: AccessKind,
-    ) {
+    ) -> Result<&'e mut u32, ExecError> {
+        let addr = self.reg(lane, a);
+        let block = env.block_id;
+        let (space, mem) = match op {
+            Op::LdShared(..) | Op::StShared(..) => (MemSpace::Shared { block }, &mut *env.shared),
+            _ => (MemSpace::Global, &mut *env.global),
+        };
+        let size = mem.len();
+        let Some(word) = mem.get_mut(addr as usize) else {
+            return Err(match space {
+                MemSpace::Shared { .. } => ExecError::SharedOutOfBounds { addr, size },
+                MemSpace::Global => ExecError::GlobalOutOfBounds { addr, size },
+            });
+        };
         if let Some(rc) = env.racecheck.as_deref_mut() {
             let t = Tid {
-                block: env.block_id,
+                block,
                 warp: self.warp_id,
                 lane: lane as u32,
             };
-            rc.on_shared(t, addr, pc, op, kind);
+            rc.on_access(t, space, addr, pc, op_mnemonic(op), kind);
         }
-    }
-
-    /// Report one lane's global-memory access to the detector.
-    fn trace_global(
-        &self,
-        env: &mut ExecEnv<'_>,
-        lane: usize,
-        addr: u32,
-        pc: usize,
-        op: &'static str,
-        kind: AccessKind,
-    ) {
-        if let Some(rc) = env.racecheck.as_deref_mut() {
-            let t = Tid {
-                block: env.block_id,
-                warp: self.warp_id,
-                lane: lane as u32,
-            };
-            rc.on_global(t, addr, pc, op, kind);
-        }
+        Ok(word)
     }
 
     /// Participation-mask check for shuffles/votes/ballots.
@@ -497,69 +500,25 @@ impl Warp {
                 let x = f32::from_bits(w.reg(l, a));
                 w.set_reg(l, d, (1.0 / x.sqrt()).to_bits());
             }),
-            LdShared(d, a) => {
+            LdShared(d, a) | LdGlobal(d, a) => {
                 for l in Self::lanes(mask) {
-                    let addr = self.reg(l, a);
-                    let v = *env
-                        .shared
-                        .get(addr as usize)
-                        .ok_or(ExecError::SharedOutOfBounds {
-                            addr,
-                            size: env.shared.len(),
-                        })?;
+                    let v = *self.access(env, l, a, frag.pc, &op, AccessKind::Read)?;
                     self.set_reg(l, d, v);
-                    self.trace_shared(env, l, addr, frag.pc, "ld.shared", AccessKind::Read);
                 }
             }
-            StShared(a, s) => {
+            StShared(a, s) | StGlobal(a, s) => {
                 for l in Self::lanes(mask) {
-                    let addr = self.reg(l, a);
                     let v = self.reg(l, s);
-                    let size = env.shared.len();
-                    *env.shared
-                        .get_mut(addr as usize)
-                        .ok_or(ExecError::SharedOutOfBounds { addr, size })? = v;
-                    self.trace_shared(env, l, addr, frag.pc, "st.shared", AccessKind::Write);
-                }
-            }
-            LdGlobal(d, a) => {
-                for l in Self::lanes(mask) {
-                    let addr = self.reg(l, a);
-                    let v = *env
-                        .global
-                        .get(addr as usize)
-                        .ok_or(ExecError::GlobalOutOfBounds {
-                            addr,
-                            size: env.global.len(),
-                        })?;
-                    self.set_reg(l, d, v);
-                    self.trace_global(env, l, addr, frag.pc, "ld.global", AccessKind::Read);
-                }
-            }
-            StGlobal(a, s) => {
-                for l in Self::lanes(mask) {
-                    let addr = self.reg(l, a);
-                    let v = self.reg(l, s);
-                    let size = env.global.len();
-                    *env.global
-                        .get_mut(addr as usize)
-                        .ok_or(ExecError::GlobalOutOfBounds { addr, size })? = v;
-                    self.trace_global(env, l, addr, frag.pc, "st.global", AccessKind::Write);
+                    *self.access(env, l, a, frag.pc, &op, AccessKind::Write)? = v;
                 }
             }
             AtomicAddGlobal(d, a, s) => {
                 for l in Self::lanes(mask) {
-                    let addr = self.reg(l, a);
                     let v = self.reg(l, s);
-                    let size = env.global.len();
-                    let cell = env
-                        .global
-                        .get_mut(addr as usize)
-                        .ok_or(ExecError::GlobalOutOfBounds { addr, size })?;
-                    let old = *cell;
-                    *cell = old.wrapping_add(v);
+                    let word = self.access(env, l, a, frag.pc, &op, AccessKind::Atomic)?;
+                    let old = *word;
+                    *word = old.wrapping_add(v);
                     self.set_reg(l, d, old);
-                    self.trace_global(env, l, addr, frag.pc, "atom.global.add", AccessKind::Atomic);
                 }
             }
             ActiveMask(d) => {
@@ -567,108 +526,49 @@ impl Warp {
                 // recommended runtime mask source (§2.1).
                 self.lane_map(mask, |w, l| w.set_reg(l, d, mask));
             }
-            Shfl(d, val, src_lane, m) => {
+            Shfl(d, val, _, m)
+            | ShflXor(d, val, _, m)
+            | ShflUp(d, val, _, m)
+            | ShflDown(d, val, _, m) => {
                 let pm = self.resolve_mask(m, mask);
                 self.trace_collective(env, frag.pc, &op, mask, pm);
-                let snapshot: Vec<u32> = (0..WARP_SIZE).map(|l| self.reg(l, val)).collect();
+                let snapshot: [u32; WARP_SIZE] = std::array::from_fn(|l| self.reg(l, val));
                 for l in Self::lanes(mask) {
-                    let out = if pm & (1 << l) == 0 {
-                        POISON
-                    } else {
-                        let s = (self.reg(l, src_lane) as usize) % WARP_SIZE;
-                        if pm & (1 << s) != 0 && mask & (1 << s) != 0 {
-                            snapshot[s]
-                        } else {
-                            POISON
+                    // Each lane's source lane, or `None` where a shift
+                    // runs past the warp's edge and the lane keeps its own
+                    // value.
+                    let src = match op {
+                        Shfl(_, _, src_lane, _) => Some(self.reg(l, src_lane) as usize % WARP_SIZE),
+                        ShflXor(_, _, lanemask, _) => Some(l ^ (lanemask as usize % WARP_SIZE)),
+                        ShflUp(_, _, delta, _) => l.checked_sub(delta as usize),
+                        ShflDown(_, _, delta, _) => {
+                            Some(l + delta as usize).filter(|&s| s < WARP_SIZE)
                         }
+                        _ => unreachable!("not a shuffle"),
+                    };
+                    let out = match src {
+                        _ if pm & (1 << l) == 0 => POISON,
+                        None => snapshot[l],
+                        Some(s) if pm & mask & (1 << s) != 0 => snapshot[s],
+                        Some(_) => POISON,
                     };
                     self.set_reg(l, d, out);
                 }
             }
-            ShflXor(d, val, lanemask, m) => {
+            VoteAll(d, pred, m) | VoteAny(d, pred, m) | Ballot(d, pred, m) => {
                 let pm = self.resolve_mask(m, mask);
                 self.trace_collective(env, frag.pc, &op, mask, pm);
-                let snapshot: Vec<u32> = (0..WARP_SIZE).map(|l| self.reg(l, val)).collect();
+                let part = mask & pm;
+                let bits = Self::lanes(part)
+                    .filter(|&l| self.reg(l, pred) != 0)
+                    .fold(0u32, |b, l| b | 1 << l);
+                let v = match op {
+                    VoteAll(..) => (bits == part) as u32,
+                    VoteAny(..) => (bits != 0) as u32,
+                    _ => bits,
+                };
                 for l in Self::lanes(mask) {
-                    let s = l ^ (lanemask as usize % WARP_SIZE);
-                    let out = if pm & (1 << l) == 0 || pm & (1 << s) == 0 || mask & (1 << s) == 0 {
-                        POISON
-                    } else {
-                        snapshot[s]
-                    };
-                    self.set_reg(l, d, out);
-                }
-            }
-            ShflDown(d, val, delta, m) => {
-                let pm = self.resolve_mask(m, mask);
-                self.trace_collective(env, frag.pc, &op, mask, pm);
-                let snapshot: Vec<u32> = (0..WARP_SIZE).map(|l| self.reg(l, val)).collect();
-                for l in Self::lanes(mask) {
-                    let out = if pm & (1 << l) == 0 {
-                        POISON
-                    } else if l + (delta as usize) >= WARP_SIZE {
-                        snapshot[l] // above the shift: keep own value
-                    } else {
-                        let s = l + delta as usize;
-                        if pm & (1 << s) != 0 && mask & (1 << s) != 0 {
-                            snapshot[s]
-                        } else {
-                            POISON
-                        }
-                    };
-                    self.set_reg(l, d, out);
-                }
-            }
-            VoteAll(d, pred, m) => {
-                let pm = self.resolve_mask(m, mask);
-                self.trace_collective(env, frag.pc, &op, mask, pm);
-                let all = Self::lanes(mask & pm).all(|l| self.reg(l, pred) != 0) as u32;
-                for l in Self::lanes(mask) {
-                    let out = if pm & (1 << l) != 0 { all } else { POISON };
-                    self.set_reg(l, d, out);
-                }
-            }
-            VoteAny(d, pred, m) => {
-                let pm = self.resolve_mask(m, mask);
-                self.trace_collective(env, frag.pc, &op, mask, pm);
-                let any = Self::lanes(mask & pm).any(|l| self.reg(l, pred) != 0) as u32;
-                for l in Self::lanes(mask) {
-                    let out = if pm & (1 << l) != 0 { any } else { POISON };
-                    self.set_reg(l, d, out);
-                }
-            }
-            ShflUp(d, val, delta, m) => {
-                let pm = self.resolve_mask(m, mask);
-                self.trace_collective(env, frag.pc, &op, mask, pm);
-                let snapshot: Vec<u32> = (0..WARP_SIZE).map(|l| self.reg(l, val)).collect();
-                for l in Self::lanes(mask) {
-                    let out = if pm & (1 << l) == 0 {
-                        POISON
-                    } else if l < delta as usize {
-                        snapshot[l] // below the shift: keep own value
-                    } else {
-                        let s = l - delta as usize;
-                        if pm & (1 << s) != 0 && mask & (1 << s) != 0 {
-                            snapshot[s]
-                        } else {
-                            POISON
-                        }
-                    };
-                    self.set_reg(l, d, out);
-                }
-            }
-            Ballot(d, pred, m) => {
-                let pm = self.resolve_mask(m, mask);
-                self.trace_collective(env, frag.pc, &op, mask, pm);
-                let mut bits = 0u32;
-                for l in Self::lanes(mask & pm) {
-                    if self.reg(l, pred) != 0 {
-                        bits |= 1 << l;
-                    }
-                }
-                for l in Self::lanes(mask) {
-                    let out = if pm & (1 << l) != 0 { bits } else { POISON };
-                    self.set_reg(l, d, out);
+                    self.set_reg(l, d, if pm & (1 << l) != 0 { v } else { POISON });
                 }
             }
             SyncWarp(m) => {
@@ -1034,27 +934,42 @@ mod tests {
 
     #[test]
     fn shared_out_of_bounds_is_reported() {
+        // Each space reports its own error with the address and its size:
+        // shared far past the end, global at its first word past the end.
         let addr = Reg(0);
-        let p = Program::compile(&[
-            Stmt::Op(Op::ConstI(addr, 1_000_000)),
-            Stmt::Op(Op::LdShared(Reg(1), addr)),
-        ]);
-        let mut shared = vec![0u32; 4];
-        let mut global = vec![0u32; 4];
-        let mut w = Warp::new(0, &p);
-        let mut e = ExecEnv::new(&mut shared, &mut global, 0, 1);
-        let mut err = None;
-        for _ in 0..10 {
-            match w.step(&p, Scheduler::Lockstep, &mut e) {
-                Err(e) => {
-                    err = Some(e);
-                    break;
+        let global_oob = ExecError::GlobalOutOfBounds { addr: 8, size: 8 };
+        let cases = [
+            (
+                Op::LdShared(Reg(1), addr),
+                1_000_000,
+                ExecError::SharedOutOfBounds {
+                    addr: 1_000_000,
+                    size: 4,
+                },
+            ),
+            (Op::LdGlobal(Reg(1), addr), 8, global_oob.clone()),
+            (Op::StGlobal(addr, Reg(1)), 8, global_oob.clone()),
+            (Op::AtomicAddGlobal(Reg(1), addr, Reg(1)), 8, global_oob),
+        ];
+        for (op, past_end, want) in cases {
+            let p = Program::compile(&[Stmt::Op(Op::ConstI(addr, past_end)), Stmt::Op(op)]);
+            let mut shared = vec![0u32; 4];
+            let mut global = vec![0u32; 8];
+            let mut w = Warp::new(0, &p);
+            let mut e = ExecEnv::new(&mut shared, &mut global, 0, 1);
+            let mut err = None;
+            for _ in 0..10 {
+                match w.step(&p, Scheduler::Lockstep, &mut e) {
+                    Err(e) => {
+                        err = Some(e);
+                        break;
+                    }
+                    Ok(StepOutcome::Done) => break,
+                    Ok(_) => {}
                 }
-                Ok(StepOutcome::Done) => break,
-                Ok(_) => {}
             }
+            assert_eq!(err, Some(want), "{op:?}");
         }
-        assert!(matches!(err, Some(ExecError::SharedOutOfBounds { .. })));
     }
 
     #[test]
@@ -1106,5 +1021,196 @@ mod tests {
         let mut olds: Vec<u32> = (0..WARP_SIZE).map(|l| w.reg(l, Reg(2))).collect();
         olds.sort_unstable();
         assert_eq!(olds, (0..32u32).collect::<Vec<_>>());
+    }
+
+    /// The four shuffle and three vote bodies the unified arms replaced,
+    /// kept as their oracle: fragment 0 of `w` executes `op`.
+    fn collective_oracle(w: &mut Warp, op: Op, env: &mut ExecEnv<'_>) {
+        let frag = w.frags[0];
+        let mask = frag.mask;
+        match op {
+            Op::Shfl(d, val, src_lane, m) => {
+                let pm = w.resolve_mask(m, mask);
+                w.trace_collective(env, frag.pc, &op, mask, pm);
+                let snapshot: Vec<u32> = (0..WARP_SIZE).map(|l| w.reg(l, val)).collect();
+                for l in Warp::lanes(mask) {
+                    let out = if pm & (1 << l) == 0 {
+                        POISON
+                    } else {
+                        let s = (w.reg(l, src_lane) as usize) % WARP_SIZE;
+                        if pm & (1 << s) != 0 && mask & (1 << s) != 0 {
+                            snapshot[s]
+                        } else {
+                            POISON
+                        }
+                    };
+                    w.set_reg(l, d, out);
+                }
+            }
+            Op::ShflXor(d, val, lanemask, m) => {
+                let pm = w.resolve_mask(m, mask);
+                w.trace_collective(env, frag.pc, &op, mask, pm);
+                let snapshot: Vec<u32> = (0..WARP_SIZE).map(|l| w.reg(l, val)).collect();
+                for l in Warp::lanes(mask) {
+                    let s = l ^ (lanemask as usize % WARP_SIZE);
+                    let out = if pm & (1 << l) == 0 || pm & (1 << s) == 0 || mask & (1 << s) == 0 {
+                        POISON
+                    } else {
+                        snapshot[s]
+                    };
+                    w.set_reg(l, d, out);
+                }
+            }
+            Op::ShflDown(d, val, delta, m) => {
+                let pm = w.resolve_mask(m, mask);
+                w.trace_collective(env, frag.pc, &op, mask, pm);
+                let snapshot: Vec<u32> = (0..WARP_SIZE).map(|l| w.reg(l, val)).collect();
+                for l in Warp::lanes(mask) {
+                    let out = if pm & (1 << l) == 0 {
+                        POISON
+                    } else if l + (delta as usize) >= WARP_SIZE {
+                        snapshot[l] // above the shift: keep own value
+                    } else {
+                        let s = l + delta as usize;
+                        if pm & (1 << s) != 0 && mask & (1 << s) != 0 {
+                            snapshot[s]
+                        } else {
+                            POISON
+                        }
+                    };
+                    w.set_reg(l, d, out);
+                }
+            }
+            Op::VoteAll(d, pred, m) => {
+                let pm = w.resolve_mask(m, mask);
+                w.trace_collective(env, frag.pc, &op, mask, pm);
+                let all = Warp::lanes(mask & pm).all(|l| w.reg(l, pred) != 0) as u32;
+                for l in Warp::lanes(mask) {
+                    let out = if pm & (1 << l) != 0 { all } else { POISON };
+                    w.set_reg(l, d, out);
+                }
+            }
+            Op::VoteAny(d, pred, m) => {
+                let pm = w.resolve_mask(m, mask);
+                w.trace_collective(env, frag.pc, &op, mask, pm);
+                let any = Warp::lanes(mask & pm).any(|l| w.reg(l, pred) != 0) as u32;
+                for l in Warp::lanes(mask) {
+                    let out = if pm & (1 << l) != 0 { any } else { POISON };
+                    w.set_reg(l, d, out);
+                }
+            }
+            Op::ShflUp(d, val, delta, m) => {
+                let pm = w.resolve_mask(m, mask);
+                w.trace_collective(env, frag.pc, &op, mask, pm);
+                let snapshot: Vec<u32> = (0..WARP_SIZE).map(|l| w.reg(l, val)).collect();
+                for l in Warp::lanes(mask) {
+                    let out = if pm & (1 << l) == 0 {
+                        POISON
+                    } else if l < delta as usize {
+                        snapshot[l] // below the shift: keep own value
+                    } else {
+                        let s = l - delta as usize;
+                        if pm & (1 << s) != 0 && mask & (1 << s) != 0 {
+                            snapshot[s]
+                        } else {
+                            POISON
+                        }
+                    };
+                    w.set_reg(l, d, out);
+                }
+            }
+            Op::Ballot(d, pred, m) => {
+                let pm = w.resolve_mask(m, mask);
+                w.trace_collective(env, frag.pc, &op, mask, pm);
+                let mut bits = 0u32;
+                for l in Warp::lanes(mask & pm) {
+                    if w.reg(l, pred) != 0 {
+                        bits |= 1 << l;
+                    }
+                }
+                for l in Warp::lanes(mask) {
+                    let out = if pm & (1 << l) != 0 { bits } else { POISON };
+                    w.set_reg(l, d, out);
+                }
+            }
+            other => panic!("{other:?} is not a shuffle or vote"),
+        }
+        w.frags[0].pc += 1;
+    }
+
+    /// All seven shuffles and votes agree with their oracle, POISON and
+    /// racecheck reports included, over seeded random exec masks (diverged
+    /// ones too), participation masks (constant and from a register,
+    /// naming absent lanes or omitting callers), source lanes, deltas,
+    /// xor masks and register values.
+    #[test]
+    fn collectives_match_the_per_op_oracle() {
+        const REGS: u8 = 6;
+        let program = Program {
+            insts: vec![Inst::Halt],
+            n_regs: REGS as usize,
+        };
+        testkit::check("collectives_match_the_per_op_oracle", 200, |g| {
+            let mut w = Warp::new(0, &program);
+            for v in &mut w.regs {
+                *v = match g.u8_in(0..4) {
+                    0 => 0,
+                    1 => 1,
+                    2 => g.u8_in(0..64) as u32,
+                    _ => g.any_u64() as u32,
+                };
+            }
+            let mut o = w.clone();
+            let (mut rc_w, mut rc_o) = (Racecheck::for_single_warp(), Racecheck::for_single_warp());
+            let (mut sw, mut gw, mut so, mut go) = ([0u32; 1], [0u32; 1], [0u32; 1], [0u32; 1]);
+            let mut env_w = ExecEnv::new(&mut sw, &mut gw, 0, 1).with_racecheck(&mut rc_w);
+            let mut env_o = ExecEnv::new(&mut so, &mut go, 0, 1).with_racecheck(&mut rc_o);
+            for _ in 0..g.usize_in(1..9) {
+                let random = g.any_u64() as u32;
+                let lane = 1u32 << g.u8_in(0..32);
+                let exec =
+                    [FULL_MASK, 0x0000_ffff, 0xffff_0000, random | lane, lane][g.usize_in(0..5)];
+                let part = [
+                    exec,
+                    FULL_MASK,
+                    0x0000_ffff,
+                    exec | g.any_u64() as u32,
+                    exec & g.any_u64() as u32,
+                    g.any_u64() as u32,
+                ][g.usize_in(0..6)];
+                let m = if g.u8_in(0..2) == 0 {
+                    MaskSpec::Const(part)
+                } else {
+                    // The mask register holds `part` in every lane.
+                    let r = Reg(g.u8_in(0..REGS));
+                    for l in 0..WARP_SIZE {
+                        w.set_reg(l, r, part);
+                        o.set_reg(l, r, part);
+                    }
+                    MaskSpec::FromReg(r)
+                };
+                let mut reg = || Reg(g.u8_in(0..REGS));
+                let (d, v, s) = (reg(), reg(), reg());
+                let op = match g.u8_in(0..7) {
+                    0 => Op::Shfl(d, v, s, m),
+                    1 => Op::ShflXor(d, v, g.u8_in(0..64) as u32, m),
+                    2 => Op::ShflUp(d, v, g.u8_in(0..41) as u32, m),
+                    3 => Op::ShflDown(d, v, g.u8_in(0..41) as u32, m),
+                    4 => Op::VoteAll(d, v, m),
+                    5 => Op::VoteAny(d, v, m),
+                    _ => Op::Ballot(d, v, m),
+                };
+                let pc = g.usize_in(0..4);
+                for x in [&mut w, &mut o] {
+                    x.frags[0].mask = exec;
+                    x.frags[0].pc = pc;
+                }
+                w.exec_op(0, op, &mut env_w).unwrap();
+                collective_oracle(&mut o, op, &mut env_o);
+                assert_eq!(w.regs, o.regs, "{op:?} exec {exec:#010x}");
+                assert_eq!(w.frags[0].pc, o.frags[0].pc);
+            }
+            assert_eq!(rc_w.finish(), rc_o.finish());
+        });
     }
 }
